@@ -56,6 +56,33 @@ let fixed_env ~raw ~d =
     distinct_of = (fun ~term ~pred:_ ~c_own:_ ~c_partner:_ -> d term.Term.id);
     record_count = (fun _ _ -> ()) }
 
+(* One line per flight-recorder event with the wall time left out, so whole
+   driver trajectories can be pinned verbatim. *)
+let event_digest =
+  let module R = Monsoon_telemetry.Recorder in
+  let num = function Some v -> Printf.sprintf "%g" v | None -> "-" in
+  function
+  | R.Query_start { query; n_rels; _ } ->
+    Printf.sprintf "start %s n=%d" query n_rels
+  | R.Decision { step; chosen; legal_actions; _ } ->
+    Printf.sprintf "decide %d %s of %d" step chosen legal_actions
+  | R.Executed { step; nodes; cost; timed_out } ->
+    Printf.sprintf "executed %d cost=%g timed_out=%b [%s]" step cost timed_out
+      (String.concat "; "
+         (List.map
+            (fun (n : R.exec_node) ->
+              Printf.sprintf "%s@%d pred=%s obs=%s" n.R.node_expr n.R.node_depth
+                (num n.R.node_predicted) (num n.R.node_observed))
+            nodes))
+  | R.Stat_observed { step; pretty; value; _ } ->
+    Printf.sprintf "stat %d %s=%g" step pretty value
+  | R.Degraded { step; reason; fallback } ->
+    Printf.sprintf "degraded %d %s -> %s" step reason fallback
+  | R.Note { step; message } -> Printf.sprintf "note %d %s" step message
+  | R.Query_finish { steps; cost; timed_out; result_card } ->
+    Printf.sprintf "finish steps=%d cost=%g timed_out=%b card=%g" steps cost
+      timed_out result_card
+
 (* Brute-force evaluation of a query: nested loops over all instances,
    checking every predicate — the ground-truth result cardinality. *)
 let brute_force_count catalog q =
