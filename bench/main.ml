@@ -322,22 +322,14 @@ let tests =
                Recorder.record r (Recorder.Note { step = i; message = "x" })
              done));
       (* Fault plane: the disabled checkpoint must be a single branch
-         (compare against armed-at-rate-0, which also only branches, and
-         armed-with-a-draw, which pays one RNG draw per checkpoint). *)
+         (compare against armed-with-a-draw, which pays one RNG draw per
+         checkpoint; a rate-0 spec yields the disabled plan itself). *)
       Test.make ~name:"fault/disabled-checkpoint-x100"
         (Staged.stage (fun () ->
              for _ = 1 to 100 do
                Fault.udf Fault.disabled;
                Fault.row Fault.disabled
              done));
-      Test.make ~name:"fault/armed-rate0-checkpoint-x100"
-        (Staged.stage
-           (let f = Fault.plan Fault.no_faults (Rng.create 3) in
-            fun () ->
-              for _ = 1 to 100 do
-                Fault.udf f;
-                Fault.row f
-              done));
       Test.make ~name:"fault/armed-draw-checkpoint-x100"
         (Staged.stage
            (let f =

@@ -67,17 +67,25 @@ let absorb_observations ~recorder ~step query stats (obs : Executor.stat_obs) =
                value = d }))
     obs.Executor.obs_distincts
 
-(* Pre-order flight-recorder rows for one executed plan: observed
-   cardinalities come from what the executor materialized this call
+(* Pre-order flight-recorder rows for the plans of one EXECUTE: observed
+   cardinalities come from what the executor materialized this step
    ([obs_nodes]; the statistics catalog serves cache-hit nodes), predictions
    from the plan-time [Simulator.predict_counts] pass. A mask whose count
    was already measured at plan time has no prediction and hence no
-   q-error. *)
-let exec_nodes query stats ~predictions ~obs_nodes ~profiles expr =
-  let profile_of e =
-    match List.find_opt (fun (e', _) -> Expr.equal e' e) profiles with
-    | Some (_, p) -> Some p
-    | None -> None
+   q-error. Each drained operator profile attaches once, to the occurrence
+   that produced it — the first in plan order; a later occurrence of the
+   same node was a cache hit and keeps its row without a profile. *)
+let exec_nodes query stats ~predictions ~obs_nodes ~profiles plans =
+  let unclaimed = ref profiles in
+  let claim e =
+    match
+      List.partition (fun (n : Profile.node) -> Expr.equal n.Profile.n_expr e)
+        !unclaimed
+    with
+    | [], _ -> None
+    | n :: _, rest ->
+      unclaimed := rest;
+      Some n.Profile.n_profile
   in
   let rec go depth e acc =
     match e with
@@ -87,7 +95,7 @@ let exec_nodes query stats ~predictions ~obs_nodes ~profiles expr =
          the walk stays exactly as before, so unprofiled records are
          byte-identical to older ones. *)
       let acc =
-        match profile_of e with
+        match claim e with
         | None -> acc
         | Some p ->
           { Recorder.node_expr = Expr.describe query e;
@@ -120,52 +128,57 @@ let exec_nodes query stats ~predictions ~obs_nodes ~profiles expr =
           node_predicted = predicted;
           node_observed = observed;
           node_q_error = q_error;
-          node_profile = profile_of e }
+          node_profile = claim e }
       in
       let acc = node :: acc in
       (match e with
       | Expr.Join (a, b) -> go (depth + 1) b (go (depth + 1) a acc)
       | _ -> acc)
   in
-  List.rev (go 0 expr [])
+  List.concat_map (fun e -> List.rev (go 0 e [])) plans
+
+(* What one EXECUTE step came to: the cost charged and the plan rows, the
+   rows of a budget death, an expired deadline, or the fault class. *)
+type step_result =
+  | Ran of float * Recorder.exec_node list
+  | Budget_out of Recorder.exec_node list
+  | Expired
+  | Faulted of string
+
+(* A registry counter for dashboards, paired with a private per-run total
+   that the outcome reads: concurrent runs on one context (the parallel
+   harness) cannot bleed into each other's outcomes. *)
+type tally = { counter : Metric.Counter.t; mutable total : float }
+
+let tally tel name = { counter = Ctx.counter tel name; total = 0.0 }
+
+let bump ?(by = 1.0) t =
+  Metric.Counter.add t.counter by;
+  t.total <- t.total +. by
 
 let run ?(env = Env.default) config catalog query =
   let tel = Ctx.of_env env in
   let env = Ctx.to_env ~env tel in
   let deadline = Env.deadline env in
   let recorder = Ctx.recorder tel in
-  (* The Table-8 component breakdown comes from per-run accumulators; the
-     shared registry counters are incremented in lockstep for dashboards
-     but never read back, so concurrent runs on one context (the parallel
-     harness) cannot bleed into each other's outcomes. *)
-  let c_mcts = Ctx.counter tel "driver.mcts_seconds" in
-  let c_replans = Ctx.counter tel "driver.replans" in
-  let c_executes = Ctx.counter tel "driver.executes" in
-  let c_steps = Ctx.counter tel "driver.steps" in
-  let c_degraded = Ctx.counter tel "driver.degraded" in
+  let mcts_seconds = tally tel "driver.mcts_seconds" in
+  let replans = tally tel "driver.replans" in
+  let executes = tally tel "driver.executes" in
+  let steps_taken = tally tel "driver.steps" in
+  let degraded = tally tel "driver.degraded" in
   let h_qerr = Ctx.histogram tel "driver.q_error" in
   let h_replans = Ctx.histogram tel "driver.replans_per_query" in
-  let run_mcts = ref 0.0 in
-  let run_replans = ref 0 in
-  let run_executes = ref 0 in
-  let run_steps = ref 0 in
-  let run_degraded = ref 0 in
   Ctx.with_span tel "driver.run"
     ~attrs:[ ("query", Span.Str (Query.name query)) ]
   @@ fun run_span ->
   let t0 = Timer.now () in
   let ctx = Mdp.make_ctx catalog query in
   let exec = Executor.create ~env catalog query (Executor.budget config.budget) in
-  (* One batch of profile nodes per Executed event: drain picks up exactly
-     what the executor recorded since the previous drain, keyed by plan
-     expression for the [exec_nodes] join. With no packed collector the
-     drain is the empty list and every record stays byte-identical. *)
+  (* Every execute step drains exactly what the executor profiled since the
+     previous drain, so each Executed event carries only its own operators.
+     With no packed collector the drain is the empty list and every record
+     stays byte-identical. *)
   let prof = Executor.profile exec in
-  let drain_profiles () =
-    List.map
-      (fun (n : Profile.node) -> (n.Profile.n_expr, Profile.to_recorder n))
-      (Profile.drain prof)
-  in
   (* Cross-query statistics repository: resolve every warm-start answer up
      front — before any planning RNG is created or drawn — so a missing or
      empty repository leaves the run byte-identical to a repository-free
@@ -205,14 +218,6 @@ let run ?(env = Env.default) config catalog query =
   in
   let total_cost = ref 0.0 in
   let trace = ref [] in
-  let record_start state =
-    if Recorder.enabled recorder then
-      Recorder.record recorder
-        (Recorder.Query_start
-           { query = Query.name query;
-             n_rels = Query.n_rels query;
-             state_key = Mdp.state_key state })
-  in
   let finish ~timed_out state =
     let result_card =
       if timed_out then 0.0
@@ -247,53 +252,149 @@ let run ?(env = Env.default) config catalog query =
         (Ctx.counter tel "repo.entries_written")
         (float_of_int wrote));
     let stats_cost = Executor.sigma_objects exec in
-    let executes = !run_executes in
-    let steps_taken = !run_steps in
-    Metric.Histogram.observe h_replans (float_of_int !run_replans);
+    let n_executes = int_of_float executes.total in
+    Metric.Histogram.observe h_replans replans.total;
     Recorder.record recorder
       (Recorder.Query_finish
-         { steps = steps_taken; cost = !total_cost; timed_out; result_card });
+         { steps = int_of_float steps_taken.total;
+           cost = !total_cost;
+           timed_out;
+           result_card });
     Ctx.flush tel;
     Span.set_attr run_span "timed_out" (Span.Bool timed_out);
     Span.set_attr run_span "cost" (Span.Float !total_cost);
-    Span.set_attr run_span "executes" (Span.Int executes);
+    Span.set_attr run_span "executes" (Span.Int n_executes);
     { cost = !total_cost;
       timed_out;
       wall = Timer.now () -. t0;
-      mcts_time = !run_mcts;
+      mcts_time = mcts_seconds.total;
       stats_cost;
       exec_cost = !total_cost -. stats_cost;
-      executes;
-      degraded = !run_degraded;
+      executes = n_executes;
+      degraded = int_of_float degraded.total;
       actions = List.rev !trace;
       result_card }
   in
-  (* Degenerate single-instance queries have no join-order problem: just
-     run the filtered scan. *)
-  if Query.n_rels query <= 1 then begin
-    record_start (Mdp.init_state ctx);
-    match Executor.execute exec (Expr.base 0) with
-    | exception Executor.Timeout ->
+  (* The one place plans run: execute [plans] in order, folding each call's
+     observations into [stats] as it completes. Mid-plan death keeps what
+     completed before it in S, so the catalog fallback in [exec_nodes]
+     still attributes the observed counts. *)
+  let execute_step ~span ~attrs ~step ~predictions stats plans =
+    let obs_nodes = ref [] in
+    let nodes () =
+      exec_nodes query stats ~predictions ~obs_nodes:!obs_nodes
+        ~profiles:(Profile.drain prof) plans
+    in
+    match
+      Ctx.with_span tel span ~attrs @@ fun _ ->
+      List.fold_left
+        (fun acc e ->
+          let c, obs = Executor.execute exec e in
+          absorb_observations ~recorder ~step query stats obs;
+          obs_nodes := !obs_nodes @ obs.Executor.obs_nodes;
+          acc +. c)
+        0.0 plans
+    with
+    | cost -> Ran (cost, nodes ())
+    | exception Executor.Timeout -> Budget_out (nodes ())
+    | exception Deadline.Expired -> Expired
+    | exception Fault.Injected reason -> Faulted reason
+  in
+  (* Settle a step: record it, charge its cost, and return the state to
+     continue from — [None] when the run ends timed out. A fault walks the
+     degradation ladder: the classical left-deep plan over all instances
+     replaces the planned one (it reuses every intermediate the executor
+     already cached); if that faults too, the run re-raises and the
+     harness retries the whole cell. *)
+  let rec settle ~step ~where ~predictions state = function
+    | Ran (cost, nodes) ->
+      total_cost := !total_cost +. cost;
+      List.iter
+        (fun (n : Recorder.exec_node) ->
+          Option.iter (Metric.Histogram.observe h_qerr) n.Recorder.node_q_error)
+        nodes;
       Recorder.record recorder
-        (Recorder.Executed { step = 0; nodes = []; cost = 0.0; timed_out = true });
-      finish ~timed_out:true (Mdp.init_state ctx)
-    | exception Deadline.Expired ->
+        (Recorder.Executed { step; nodes; cost; timed_out = false });
+      Some (Mdp.after_execute state state.Mdp.stats)
+    | Budget_out nodes ->
       Recorder.record recorder
-        (Recorder.Note { step = 0; message = "deadline expired mid-scan" });
-      finish ~timed_out:true (Mdp.init_state ctx)
-    | c, obs ->
-      if Recorder.enabled recorder then
+        (Recorder.Executed { step; nodes; cost = 0.0; timed_out = true });
+      None
+    | Expired ->
+      Recorder.record recorder
+        (Recorder.Note { step; message = "deadline expired " ^ where });
+      None
+    | Faulted reason -> (
+      bump degraded;
+      (* The aborted attempt's operators have no Executed event to ride
+         on; drop them so the fallback's event carries only its own. *)
+      ignore (Profile.drain prof);
+      let fallback =
+        List.fold_left
+          (fun acc i -> Expr.join acc (Expr.base i))
+          (Expr.base 0)
+          (List.init (Query.n_rels query - 1) (fun i -> i + 1))
+      in
+      Recorder.record recorder
+        (Recorder.Degraded
+           { step; reason; fallback = Expr.describe query fallback });
+      match
+        execute_step ~span:"driver.degrade"
+          ~attrs:[ ("step", Span.Int step); ("reason", Span.Str reason) ]
+          ~step ~predictions state.Mdp.stats [ fallback ]
+      with
+      | Faulted again ->
         Recorder.record recorder
-          (Recorder.Executed
-             { step = 0;
-               nodes =
-                 exec_nodes query (Stats_catalog.create ()) ~predictions:[]
-                   ~obs_nodes:obs.Executor.obs_nodes
-                   ~profiles:(drain_profiles ()) (Expr.base 0);
-               cost = c;
-               timed_out = false });
-      finish ~timed_out:false (Mdp.init_state ctx)
-  end
+          (Recorder.Note
+             { step; message = "fallback plan also faulted: " ^ again });
+        raise (Fault.Injected again)
+      | result ->
+        settle ~step ~where:"during degraded execute" ~predictions
+          { state with Mdp.r_p = [ fallback ] }
+          result)
+  in
+  (* One EXECUTE transition over the state's planned expressions. *)
+  let execute ~step ~where ~predictions state =
+    bump executes;
+    settle ~step ~where ~predictions state
+      (execute_step ~span:"driver.execute"
+         ~attrs:[ ("step", Span.Int step) ]
+         ~step ~predictions state.Mdp.stats state.Mdp.r_p)
+  in
+  let init = Mdp.init_state ctx in
+  List.iter
+    (fun (term, d) ->
+      Stats_catalog.set_distinct init.Mdp.stats ~term
+        ~scope:Stats_catalog.Wildcard d)
+    config.known_distincts;
+  (* Warm start: tight history behaves exactly like a caller-known
+     distinct — the Σ action for the term is pruned by [stats_useful]
+     and the paid pass becomes a lookup. *)
+  (match !warm_known with
+  | [] -> ()
+  | ks ->
+    let c_warm = Ctx.counter tel "repo.warm_starts" in
+    List.iter
+      (fun (term, d) ->
+        Metric.Counter.inc c_warm;
+        Stats_catalog.set_distinct init.Mdp.stats ~term
+          ~scope:Stats_catalog.Wildcard d)
+      (List.rev ks));
+  if Recorder.enabled recorder then
+    Recorder.record recorder
+      (Recorder.Query_start
+         { query = Query.name query;
+           n_rels = Query.n_rels query;
+           state_key = Mdp.state_key init });
+  (* Degenerate single-instance queries have no join-order problem: the
+     filtered scan is the whole plan, run as step 0. *)
+  if Query.n_rels query <= 1 then
+    match
+      execute ~step:0 ~where:"mid-scan" ~predictions:[]
+        { init with Mdp.r_p = [ Expr.base 0 ] }
+    with
+    | Some state -> finish ~timed_out:false state
+    | None -> finish ~timed_out:true init
   else begin
     let sim_rng = config.mcts.Monsoon_mcts.Mcts.rng in
     (* Repository Hint priors override the configured family per term; with
@@ -344,15 +445,12 @@ let run ?(env = Env.default) config catalog query =
                 ~problem_of:(fun rng -> Simulator.problem (make_sim rng))
                 mcts_cfg problem state)
         in
-        Metric.Counter.add c_mcts mcts_dt;
-        Metric.Counter.inc c_replans;
-        run_mcts := !run_mcts +. mcts_dt;
-        incr run_replans;
+        bump ~by:mcts_dt mcts_seconds;
+        bump replans;
         match planned with
         | None -> finish ~timed_out:false state
-        | Some (action, mstats) ->
-          Metric.Counter.inc c_steps;
-          incr run_steps;
+        | Some (action, mstats) -> (
+          bump steps_taken;
           trace := Mdp.describe_action ctx action :: !trace;
           if Recorder.enabled recorder then
             Recorder.record recorder
@@ -374,166 +472,19 @@ let run ?(env = Env.default) config catalog query =
                            cand_visits = c.Monsoon_mcts.Mcts.cand_visits;
                            cand_mean = c.Monsoon_mcts.Mcts.cand_mean })
                        mstats.Monsoon_mcts.Mcts.candidates });
-          (match action with
+          match action with
           | Mdp.Execute -> (
-            Metric.Counter.inc c_executes;
-            incr run_executes;
-            let predictions = Simulator.predict_counts predictor state in
-            let all_obs_nodes = ref [] in
             match
-              Ctx.with_span tel "driver.execute"
-                ~attrs:[ ("step", Span.Int steps) ]
-              @@ fun _ ->
-              List.fold_left
-                (fun acc e ->
-                  let c, obs = Executor.execute exec e in
-                  absorb_observations ~recorder ~step:steps query
-                    state.Mdp.stats obs;
-                  all_obs_nodes := !all_obs_nodes @ obs.Executor.obs_nodes;
-                  acc +. c)
-                0.0 state.Mdp.r_p
+              execute ~step:steps ~where:"mid-execute"
+                ~predictions:(Simulator.predict_counts predictor state)
+                state
             with
-            | exception Executor.Timeout ->
-              (* Mid-plan death: nodes completed before the budget ran out
-                 were already absorbed into S, so the catalog fallback in
-                 [exec_nodes] still attributes their observed counts. *)
-              if Recorder.enabled recorder then begin
-                let profiles = drain_profiles () in
-                Recorder.record recorder
-                  (Recorder.Executed
-                     { step = steps;
-                       nodes =
-                         List.concat_map
-                           (exec_nodes query state.Mdp.stats ~predictions
-                              ~obs_nodes:!all_obs_nodes ~profiles)
-                           state.Mdp.r_p;
-                       cost = 0.0;
-                       timed_out = true })
-              end;
-              finish ~timed_out:true state
-            | exception Deadline.Expired ->
-              Recorder.record recorder
-                (Recorder.Note
-                   { step = steps; message = "deadline expired mid-execute" });
-              finish ~timed_out:true state
-            | exception Fault.Injected reason -> (
-              (* Degradation ladder: the planned EXECUTE died to a fault, so
-                 fall back to the classical left-deep plan over all instances
-                 — it reuses every intermediate the executor already cached.
-                 If the fallback faults too, re-raise and let the harness
-                 retry the whole cell. *)
-              Metric.Counter.inc c_degraded;
-              incr run_degraded;
-              (* The aborted attempt's profile nodes have no Executed event
-                 to ride on; drop them so the degraded plan's event carries
-                 only its own operators. *)
-              ignore (Profile.drain prof);
-              let fallback =
-                List.fold_left
-                  (fun acc i -> Expr.join acc (Expr.base i))
-                  (Expr.base 0)
-                  (List.init (Query.n_rels query - 1) (fun i -> i + 1))
-              in
-              Recorder.record recorder
-                (Recorder.Degraded
-                   { step = steps;
-                     reason;
-                     fallback = Expr.describe query fallback });
-              match
-                Ctx.with_span tel "driver.degrade"
-                  ~attrs:
-                    [ ("step", Span.Int steps); ("reason", Span.Str reason) ]
-                @@ fun _ -> Executor.execute exec fallback
-              with
-              | exception Executor.Timeout ->
-                Recorder.record recorder
-                  (Recorder.Executed
-                     { step = steps; nodes = []; cost = 0.0; timed_out = true });
-                finish ~timed_out:true state
-              | exception Deadline.Expired ->
-                Recorder.record recorder
-                  (Recorder.Note
-                     { step = steps;
-                       message = "deadline expired during degraded execute" });
-                finish ~timed_out:true state
-              | exception Fault.Injected r2 ->
-                Recorder.record recorder
-                  (Recorder.Note
-                     { step = steps;
-                       message = "fallback plan also faulted: " ^ r2 });
-                raise (Fault.Injected r2)
-              | c, obs ->
-                absorb_observations ~recorder ~step:steps query state.Mdp.stats
-                  obs;
-                total_cost := !total_cost +. c;
-                if Recorder.enabled recorder then
-                  Recorder.record recorder
-                    (Recorder.Executed
-                       { step = steps;
-                         nodes =
-                           exec_nodes query state.Mdp.stats ~predictions
-                             ~obs_nodes:obs.Executor.obs_nodes
-                             ~profiles:(drain_profiles ()) fallback;
-                         cost = c;
-                         timed_out = false });
-                finish ~timed_out:false state)
-            | c ->
-              total_cost := !total_cost +. c;
-              let profiles = drain_profiles () in
-              let nodes =
-                List.concat_map
-                  (exec_nodes query state.Mdp.stats ~predictions
-                     ~obs_nodes:!all_obs_nodes ~profiles)
-                  state.Mdp.r_p
-              in
-              List.iter
-                (fun (n : Recorder.exec_node) ->
-                  match n.Recorder.node_q_error with
-                  | Some q -> Metric.Histogram.observe h_qerr q
-                  | None -> ())
-                nodes;
-              if Recorder.enabled recorder then
-                Recorder.record recorder
-                  (Recorder.Executed
-                     { step = steps; nodes; cost = c; timed_out = false });
-              (* Only masks the executor actually materialized (and whose
-                 counts were therefore observed) become part of R_e: a plan
-                 overlapping an earlier one is served from the cache above
-                 its unexecuted inner nodes. *)
-              let new_masks =
-                List.concat_map Mdp.executed_masks state.Mdp.r_p
-                |> List.filter (fun m ->
-                       Relset.cardinal m = 1
-                       || Stats_catalog.count state.Mdp.stats m <> None)
-              in
-              let r_e =
-                List.sort_uniq compare (new_masks @ state.Mdp.r_e)
-              in
-              loop { state with Mdp.r_p = []; r_e } (steps + 1))
+            | Some next -> loop next (steps + 1)
+            | None -> finish ~timed_out:true state)
           | Mdp.Add_stats_of_exec _ | Mdp.Wrap_stats _ | Mdp.Join_exec _
           | Mdp.Join_planned _ | Mdp.Join_mixed _ ->
             loop (Mdp.apply_plan_edit state action) (steps + 1))
       end
     in
-    let init = Mdp.init_state ctx in
-    List.iter
-      (fun (term, d) ->
-        Stats_catalog.set_distinct init.Mdp.stats ~term
-          ~scope:Stats_catalog.Wildcard d)
-      config.known_distincts;
-    (* Warm start: tight history behaves exactly like a caller-known
-       distinct — the Σ action for the term is pruned by [stats_useful]
-       and the paid pass becomes a lookup. *)
-    (match !warm_known with
-    | [] -> ()
-    | ks ->
-      let c_warm = Ctx.counter tel "repo.warm_starts" in
-      List.iter
-        (fun (term, d) ->
-          Metric.Counter.inc c_warm;
-          Stats_catalog.set_distinct init.Mdp.stats ~term
-            ~scope:Stats_catalog.Wildcard d)
-        (List.rev ks));
-    record_start init;
     loop init 0
   end

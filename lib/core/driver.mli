@@ -53,25 +53,32 @@ type outcome = {
 val run :
   ?env:Monsoon_util.Env.t ->
   config -> Catalog.t -> Query.t -> outcome
-(** The environment carries the telemetry context, the fault plan threaded
+(** Every EXECUTE — including the single scan of a one-instance query,
+    run as step 0 — goes through one step that runs the planned
+    expressions and settles the result: completed (charge the cost,
+    continue), budget exhausted, deadline expired, or faulted.
+
+    The environment carries the telemetry context, the fault plan threaded
     into the executor (an EXECUTE step killed by an injected fault degrades
     to the classical left-deep plan — a [Degraded] recorder event +
-    [driver.degraded] — instead of crashing the run), and the cooperative
-    wall-clock deadline for the whole run (checked between MDP steps, per
-    executor plan node, and between MCTS iterations unless
-    [mcts.deadline] is already set; expiry yields a normal timed-out
-    outcome).
+    [driver.degraded] — instead of crashing the run; a fault in that
+    fallback is noted and re-raised), and the cooperative wall-clock
+    deadline for the whole run (checked between MDP steps, per executor
+    plan node, and between MCTS iterations unless [mcts.deadline] is
+    already set; expiry yields a normal timed-out outcome).
 
     With a packed context, the run emits a [driver.run] root span (with
     [query] / [timed_out] / [cost] / [executes] attributes), a
-    [driver.execute] span per EXECUTE step, and bumps [driver.replans] /
-    [driver.executes] / [driver.mcts_seconds] / [driver.steps] counters
-    plus the [driver.q_error] (per-node cardinality error factor) and
+    [driver.execute] span per EXECUTE step ([driver.degrade] for a
+    fallback), and bumps [driver.replans] / [driver.executes] /
+    [driver.mcts_seconds] / [driver.steps] counters plus the
+    [driver.q_error] (per-node cardinality error factor) and
     [driver.replans_per_query] histograms; the context is threaded into
     {!Monsoon_exec.Executor} and MCTS planning. The [outcome] component
-    breakdown ([mcts_time], [stats_cost], [executes]) is derived from
-    counter deltas over the run, so a context shared across queries stays
-    consistent.
+    breakdown ([mcts_time], [executes], [degraded]) comes from per-run
+    accumulators kept next to those counters, never from the shared
+    registry, so concurrent runs on one context cannot bleed into each
+    other.
 
     When the context carries an enabled {!Monsoon_telemetry.Recorder.t}
     (attach one with {!Monsoon_telemetry.Ctx.with_recorder}), the run
@@ -79,7 +86,9 @@ val run :
     full decision trajectory: [Query_start], one [Decision] per chosen
     action (state fingerprint, legal-action count, MCTS root statistics of
     every candidate), one [Executed] per EXECUTE with per-node predicted vs
-    observed cardinalities and q-errors, one [Stat_observed] per statistic
+    observed cardinalities and q-errors (with a packed
+    {!Monsoon_exec.Profile} collector, each operator profile attaches once,
+    to the plan node that materialized it), one [Stat_observed] per statistic
     hardened into the catalog, and [Query_finish]. Predictions are sampled
     from a private split of the planning rng, so recording never perturbs
     the optimizer's random stream. Default: a null recorder — the

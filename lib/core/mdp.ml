@@ -164,6 +164,18 @@ let executed_masks e =
   let joins = List.map (fun (a, b) -> Relset.union a b) (Expr.join_nodes inner) in
   List.sort_uniq compare (Expr.mask inner :: joins)
 
+(* Only masks whose counts hardened in [stats] become part of R_e: when two
+   plans overlap, a node served from an already-materialized result (real
+   executor cache, or a count the cost model short-circuited on) was never
+   generated. *)
+let after_execute state stats =
+  let new_masks =
+    List.concat_map executed_masks state.r_p
+    |> List.filter (fun m ->
+           Relset.cardinal m = 1 || Stats_catalog.count stats m <> None)
+  in
+  { r_p = []; r_e = List.sort_uniq compare (new_masks @ state.r_e); stats }
+
 let state_key state =
   let plans = String.concat ";" (List.map Expr.key state.r_p) in
   let execs = String.concat "," (List.map string_of_int state.r_e) in

@@ -56,6 +56,12 @@ val executed_masks : Expr.t -> Relset.t list
 (** Masks that executing the expression adds to R_e: every join node plus
     the (Σ-stripped) root. *)
 
+val after_execute : state -> Stats_catalog.t -> state
+(** The deterministic half of EXECUTE, shared by the simulated and the
+    real transition: R_p empties, and R_e gains every {!executed_masks}
+    mask of the planned expressions whose count is now in the given
+    statistics (base instances always), which become the new S. *)
+
 val state_key : state -> string
 (** Canonical fingerprint for MCTS chance-node sharing. *)
 

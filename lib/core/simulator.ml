@@ -99,16 +99,7 @@ let simulate_execute t (state : Mdp.state) =
   let total =
     List.fold_left (fun acc e -> acc +. Cost_model.cost q env e) 0.0 state.Mdp.r_p
   in
-  (* Only masks whose counts actually hardened become materialized: when two
-     plans overlap, nodes short-circuited by an already-known result count
-     (step 1) were never generated. *)
-  let new_masks =
-    List.concat_map Mdp.executed_masks state.Mdp.r_p
-    |> List.filter (fun m ->
-           Relset.cardinal m = 1 || Stats_catalog.count stats m <> None)
-  in
-  let r_e = List.sort_uniq compare (new_masks @ state.Mdp.r_e) in
-  ({ Mdp.r_p = []; r_e; stats }, -.total)
+  (Mdp.after_execute state stats, -.total)
 
 (* Mirror of [simulate_execute]'s estimation pass that reports, instead of
    hiding, the sampled cardinalities: every mask whose count the model had

@@ -1,11 +1,12 @@
 open Monsoon_storage
 open Monsoon_relalg
+module Recorder = Monsoon_telemetry.Recorder
 
 (* The per-plan-node execution profile collector. One collector accompanies
    one executor; the executor's operators write scratch detail (path taken,
    representations touched, chain shape) while a node runs and [finish]
-   freezes the scratch into an immutable node record. Everything except
-   [n_seconds] is a pure function of the execution, which profiling never
+   freezes the scratch into the telemetry layer's operator record. Everything
+   except [p_ms] is a pure function of the execution, which profiling never
    perturbs — so profiles are byte-identical (modulo time) across worker
    counts and audited/unaudited runs.
 
@@ -24,19 +25,7 @@ let kind_label = function
 type node = {
   n_expr : Expr.t;
   n_mask : Relset.t;
-  n_kind : kind;
-  n_path : string;
-  n_repr : string list;
-  n_rows_in : float;
-  n_rows_out : float;
-  n_selectivity : float;
-  n_batches : int;
-  n_sel_density : float;
-  n_chain_max : int;
-  n_chain_mean : float;
-  n_budget : float;
-  n_complete : bool;
-  n_seconds : float;
+  n_profile : Recorder.node_profile;
 }
 
 type t = {
@@ -148,20 +137,21 @@ let finish t ~expr ~mask ~default_kind ~rows_out ~budget ~complete ~seconds =
     let node =
       { n_expr = expr;
         n_mask = mask;
-        n_kind = kind;
-        n_path = t.c_path;
-        n_repr = List.rev t.c_rev_repr;
-        n_rows_in = t.c_rows_in;
-        n_rows_out = rows_out;
-        n_selectivity = selectivity;
-        n_batches = t.c_batches;
-        n_sel_density =
-          (if t.c_sel_density < 0.0 then selectivity else t.c_sel_density);
-        n_chain_max = t.c_chain_max;
-        n_chain_mean = t.c_chain_mean;
-        n_budget = budget;
-        n_complete = complete;
-        n_seconds = seconds }
+        n_profile =
+          { Recorder.p_kind = kind_label kind;
+            p_path = t.c_path;
+            p_repr = String.concat "," (List.rev t.c_rev_repr);
+            p_rows_in = t.c_rows_in;
+            p_rows_out = rows_out;
+            p_selectivity = selectivity;
+            p_batches = t.c_batches;
+            p_sel_density =
+              (if t.c_sel_density < 0.0 then selectivity else t.c_sel_density);
+            p_chain_max = t.c_chain_max;
+            p_chain_mean = t.c_chain_mean;
+            p_budget = budget;
+            p_complete = complete;
+            p_ms = seconds *. 1000.0 } }
     in
     t.rev_nodes <- node :: t.rev_nodes
   end
@@ -175,35 +165,18 @@ let drain t =
   if fresh <= 0 then []
   else List.rev (List.filteri (fun i _ -> i < fresh) t.rev_nodes)
 
-(* --- rendering --- *)
-
-let to_recorder n =
-  { Monsoon_telemetry.Recorder.p_kind = kind_label n.n_kind;
-    p_path = n.n_path;
-    p_repr = String.concat "," n.n_repr;
-    p_rows_in = n.n_rows_in;
-    p_rows_out = n.n_rows_out;
-    p_selectivity = n.n_selectivity;
-    p_batches = n.n_batches;
-    p_sel_density = n.n_sel_density;
-    p_chain_max = n.n_chain_max;
-    p_chain_mean = n.n_chain_mean;
-    p_budget = n.n_budget;
-    p_complete = n.n_complete;
-    p_ms = n.n_seconds *. 1000.0 }
-
 (* A deterministic one-line fingerprint of a node: everything except the
    wall time, with floats printed as hex so equality is bit-exact. The
    byte-identity tests (jobs-invariance, audited-vs-unaudited) compare
    concatenations of these. *)
 let fingerprint q n =
+  let p = n.n_profile in
   Printf.sprintf
     "%s kind=%s path=%s repr=%s in=%h out=%h sel=%h batches=%d dens=%h \
      chain=%d/%h budget=%h complete=%b"
-    (Expr.describe q n.n_expr) (kind_label n.n_kind) n.n_path
-    (String.concat "," n.n_repr)
-    n.n_rows_in n.n_rows_out n.n_selectivity n.n_batches n.n_sel_density
-    n.n_chain_max n.n_chain_mean n.n_budget n.n_complete
+    (Expr.describe q n.n_expr) p.Recorder.p_kind p.p_path p.p_repr p.p_rows_in
+    p.p_rows_out p.p_selectivity p.p_batches p.p_sel_density p.p_chain_max
+    p.p_chain_mean p.p_budget p.p_complete
 
 (* --- Env packing (mirrors Ctx.to_env / of_env) --- *)
 

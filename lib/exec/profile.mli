@@ -11,7 +11,7 @@
     the operator died to {!Executor.Timeout}, an expired deadline, or an
     injected fault.
 
-    {b Determinism contract.} Every field except [n_seconds] is a pure
+    {b Determinism contract.} Every field except [p_ms] is a pure
     function of the execution, and profiling never perturbs execution
     (it only reads), so {!fingerprint}s are byte-identical across
     [--jobs] worker counts and audited/unaudited runs; rows and
@@ -34,27 +34,10 @@ val kind_label : kind -> string
 type node = {
   n_expr : Expr.t;  (** the plan node *)
   n_mask : Relset.t;
-  n_kind : kind;
-  n_path : string;
-      (** path attribution: ["sel_eq_const"] / ["refine"] / ["raw"] /
-          ["scalar"] for scans, ["join_ints"] / ["chained"] / ["scalar"]
-          for joins, ["cross"] / ["cross-scalar"], ["column"] / ["row"]
-          for Σ *)
-  n_repr : string list;
-      (** representation per input slot touched, in touch order *)
-  n_rows_in : float;
-  n_rows_out : float;  (** 0 when [n_complete] is false *)
-  n_selectivity : float;
-      (** rows out over the input domain (cross-product size for joins) *)
-  n_batches : int;  (** chunk views consumed; 0 on the scalar path *)
-  n_sel_density : float;
-      (** selection-vector density after the first fused predicate, or
-          the overall selectivity when nothing was fused *)
-  n_chain_max : int;
-  n_chain_mean : float;  (** over non-empty buckets; joins only *)
-  n_budget : float;  (** budget drawn while this node ran *)
-  n_complete : bool;
-  n_seconds : float;  (** the only nondeterministic field *)
+  n_profile : Monsoon_telemetry.Recorder.node_profile;
+      (** the operator record — kind, path, representation mix, rows,
+          selectivity, batches, chain shape, budget, completeness and wall
+          milliseconds; see {!Monsoon_telemetry.Recorder.node_profile} *)
 }
 
 type t
@@ -102,7 +85,8 @@ val finish :
   seconds:float ->
   unit
 (** Freeze the scratch into a {!node} (kind from {!set_kind} when set,
-    else [default_kind]) and append it in completion order. *)
+    else [default_kind]; [seconds] is stored as [p_ms]) and append it in
+    completion order. *)
 
 (** {2 Consumer interface (driver, tests)} *)
 
@@ -114,9 +98,6 @@ val drain : t -> node list
     driver drains after every [Executor.execute] call — including the
     early-exit paths — so each Executed event carries exactly its own
     step's profiles. *)
-
-val to_recorder : node -> Monsoon_telemetry.Recorder.node_profile
-(** Render to the telemetry layer's plain-string/number form. *)
 
 val fingerprint : Query.t -> node -> string
 (** Deterministic one-line digest of everything except the wall time

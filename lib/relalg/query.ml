@@ -19,11 +19,6 @@ let pred t i = t.preds.(i)
 let terms t = t.terms
 let term t i = t.terms.(i)
 
-let evaluable_preds t mask =
-  Array.to_list t.preds
-  |> List.filter (fun p -> Predicate.evaluable p mask)
-  |> List.map Predicate.id
-
 let newly_evaluable t ~left ~right =
   let union = Relset.union left right in
   Array.to_list t.preds

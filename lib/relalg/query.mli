@@ -22,9 +22,6 @@ val terms : t -> Term.t array
 
 val term : t -> int -> Term.t
 
-val evaluable_preds : t -> Relset.t -> int list
-(** Ids of predicates checkable on an expression covering the mask. *)
-
 val newly_evaluable : t -> left:Relset.t -> right:Relset.t -> int list
 (** Predicates that become checkable when two disjoint expressions are
     joined: evaluable on the union but on neither side alone. *)

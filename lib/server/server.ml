@@ -326,7 +326,8 @@ let wants_keep_alive headers =
   | None -> false
 
 (* Reads request line + headers + (for POST) a Content-Length body.
-   Bounded: 8 KiB of headers, 64 KiB of body — a query name plus slack. *)
+   Bounded: 8 KiB of headers, 64 KiB of body — a query name plus slack.
+   [Error] carries the reason for a 400 (a negative Content-Length). *)
 let read_request fd =
   let buf = Buffer.create 256 in
   let chunk = Bytes.create 4096 in
@@ -350,20 +351,23 @@ let read_request fd =
     let headers = String.sub raw 0 i in
     let body_start = i + 4 in
     let want = min (content_length headers) 65536 in
-    read_more (fun s -> String.length s - body_start >= want);
-    let raw = Buffer.contents buf in
-    let have = String.length raw - body_start in
-    let body = String.sub raw body_start (min want have) in
-    (match String.split_on_char ' ' (List.hd (String.split_on_char '\r' raw))
-     with
-    | meth :: target :: _ ->
-      let path =
-        match String.index_opt target '?' with
-        | Some q -> String.sub target 0 q
-        | None -> target
-      in
-      Some (meth, path, body, wants_keep_alive headers)
-    | _ -> None)
+    if want < 0 then Some (Error "negative Content-Length")
+    else begin
+      read_more (fun s -> String.length s - body_start >= want);
+      let raw = Buffer.contents buf in
+      let have = String.length raw - body_start in
+      let body = String.sub raw body_start (min want have) in
+      match String.split_on_char ' ' (List.hd (String.split_on_char '\r' raw))
+      with
+      | meth :: target :: _ ->
+        let path =
+          match String.index_opt target '?' with
+          | Some q -> String.sub target 0 q
+          | None -> target
+        in
+        Some (Ok (meth, path, body, wants_keep_alive headers))
+      | _ -> None
+    end
 
 let write_all fd s =
   let n = String.length s in
@@ -458,11 +462,17 @@ let handle_conn t conn =
          connection times out at SO_RCVTIMEO and closes cleanly. *)
       let rec serve_one () =
         match read_request conn with
-        | Some (meth, path, body, keep_alive) ->
+        | Some (Ok (meth, path, body, keep_alive)) ->
           let keep_alive = keep_alive && not (Atomic.get t.stopped) in
           (match write_all conn (respond t ~keep_alive meth path body) with
           | () -> if keep_alive then serve_one ()
           | exception Unix.Unix_error _ -> ())
+        | Some (Error reason) -> (
+          try
+            write_all conn
+              (http_response ~code:400 ~content_type:"text/plain"
+                 (Printf.sprintf "bad request: %s\n" reason))
+          with Unix.Unix_error _ -> ())
         | None -> ()
       in
       serve_one ())

@@ -17,11 +17,6 @@ let length = function
   | Dict { codes; _ } -> Bigarray.Array1.dim codes
   | Boxed vs -> Array.length vs
 
-let ints_of_array (a : int array) : ints =
-  let b = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (Array.length a) in
-  Array.iteri (fun i v -> Bigarray.Array1.unsafe_set b i v) a;
-  b
-
 (* The one row→column materialization path: unbox against the declared
    type, falling back to [Boxed] the moment any value disagrees (a Null, a
    mixed column). Fallback columns stay usable — consumers that need the

@@ -37,5 +37,3 @@ val get : t -> int -> Value.t
 
 val value_hash : t -> int -> int64
 (** [Value.hash] of [get t i], computed without boxing. *)
-
-val ints_of_array : int array -> ints

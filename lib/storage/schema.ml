@@ -17,7 +17,6 @@ let columns t = t.cols
 let arity t = Array.length t.cols
 let index_of t name = Hashtbl.find t.index name
 let mem t name = Hashtbl.mem t.index name
-let column_name t i = t.cols.(i).name
 
 let pp fmt t =
   Format.fprintf fmt "(%s)"

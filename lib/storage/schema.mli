@@ -12,5 +12,4 @@ val index_of : t -> string -> int
 (** Raises [Not_found] for unknown columns. *)
 
 val mem : t -> string -> bool
-val column_name : t -> int -> string
 val pp : Format.formatter -> t -> unit

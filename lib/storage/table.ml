@@ -78,19 +78,6 @@ let prime_columns t =
     ignore (column_at t i)
   done
 
-let int_column t col =
-  match column t col with
-  | Column.Ints { kind = Column.KInt; data } -> Some data
-  | _ -> None
-
-let float_column t col =
-  match column t col with Column.Floats data -> Some data | _ -> None
-
-let string_dict_column t col =
-  match column t col with
-  | Column.Dict { codes; strs; _ } -> Some (codes, strs)
-  | _ -> None
-
 let distinct_exact t col =
   let idx = Schema.index_of (schema t) col in
   let seen = Hashtbl.create 1024 in

@@ -38,14 +38,5 @@ val prime_columns : t -> unit
     lazy accessors use). Workload generators call this once after filling
     a table, so query execution never pays first-touch gathering. *)
 
-val int_column : t -> string -> Column.ints option
-(** The unboxed int vector of an int-typed column, or [None] when the
-    column demoted to a boxed fallback (Nulls, schema disagreement). *)
-
-val float_column : t -> string -> Column.floats option
-
-val string_dict_column : t -> string -> (Column.ints * string array) option
-(** Dictionary codes plus the decoded dictionary, in code order. *)
-
 val distinct_exact : t -> string -> int
 (** Exact distinct count of a column (test/baseline oracle). *)

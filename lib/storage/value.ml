@@ -48,17 +48,8 @@ let as_float = function
   | Int i -> float_of_int i
   | v -> type_error "float" v
 let as_string = function Str s -> s | v -> type_error "string" v
-let as_date = function Date d -> d | v -> type_error "date" v
 
 type ty = TBool | TInt | TFloat | TStr | TDate
-
-let type_of = function
-  | Null -> None
-  | Bool _ -> Some TBool
-  | Int _ -> Some TInt
-  | Float _ -> Some TFloat
-  | Str _ -> Some TStr
-  | Date _ -> Some TDate
 
 let ty_to_string = function
   | TBool -> "bool"

@@ -27,11 +27,7 @@ val pp : Format.formatter -> t -> unit
 val as_int : t -> int
 val as_float : t -> float
 val as_string : t -> string
-val as_date : t -> int
 
 type ty = TBool | TInt | TFloat | TStr | TDate
-
-val type_of : t -> ty option
-(** [None] for [Null]. *)
 
 val ty_to_string : ty -> string

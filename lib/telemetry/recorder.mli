@@ -31,10 +31,10 @@ type candidate = {
   cand_mean : float;  (** mean raw (unnormalized) return of the edge *)
 }
 
-(** One plan node's execution profile, as captured by
-    [Monsoon_exec.Profile] and rendered to plain strings/numbers by the
-    driver. Every field except [p_ms] is deterministic — byte-identical
-    across worker counts and audited/unaudited runs. *)
+(** One plan node's execution profile: the single operator record, built
+    by [Monsoon_exec.Profile.finish] and carried unchanged into explain,
+    qlog and JSON. Every field except [p_ms] is deterministic —
+    byte-identical across worker counts and audited/unaudited runs. *)
 type node_profile = {
   p_kind : string;  (** operator kind: ["scan"]/["hash-join"]/["cross"]/["sigma"] *)
   p_path : string;

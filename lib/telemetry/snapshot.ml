@@ -146,14 +146,3 @@ let breakdown_table ?(title = "Component breakdown (from spans)") spans =
       (breakdown spans)
   in
   table ~title ~header:[ "Component"; "Spans"; "Seconds"; "Objects" ] rows
-
-let breakdown_json spans =
-  Json.Arr
-    (List.map
-       (fun c ->
-         Json.Obj
-           [ ("component", Json.Str c.comp_name);
-             ("spans", Json.Num (float_of_int c.comp_spans));
-             ("seconds", Json.Num c.comp_seconds);
-             ("objects", Json.Num c.comp_objects) ])
-       (breakdown spans))

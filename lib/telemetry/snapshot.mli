@@ -35,4 +35,3 @@ val breakdown : Span.t list -> component list
 val component : string -> component list -> component option
 
 val breakdown_table : ?title:string -> Span.t list -> string
-val breakdown_json : Span.t list -> Json.t

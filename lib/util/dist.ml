@@ -70,8 +70,6 @@ let exponential rng ~rate =
   let u = max (Rng.unit_float rng) 1e-300 in
   -.log u /. rate
 
-let bernoulli rng ~p = Rng.unit_float rng < p
-
 type zipf = { cdf : float array }
 
 let zipf_make ~n ~z =
@@ -87,8 +85,6 @@ let zipf_make ~n ~z =
     cdf.(i) <- cdf.(i) /. t
   done;
   { cdf }
-
-let zipf_n { cdf } = Array.length cdf
 
 let zipf_draw rng { cdf } =
   let u = Rng.unit_float rng in

@@ -20,8 +20,6 @@ val beta_pdf : alpha:float -> beta:float -> float -> float
 
 val exponential : Rng.t -> rate:float -> float
 
-val bernoulli : Rng.t -> p:float -> bool
-
 type zipf
 (** Precomputed Zipf(z) distribution over \{1, ..., n\}. A skew of [z = 0]
     degenerates to uniform. *)
@@ -29,8 +27,6 @@ type zipf
 val zipf_make : n:int -> z:float -> zipf
 val zipf_draw : Rng.t -> zipf -> int
 (** Draws a rank in [1, n]; rank 1 is the most frequent. *)
-
-val zipf_n : zipf -> int
 
 val categorical : Rng.t -> float array -> int
 (** [categorical rng weights] draws an index proportionally to

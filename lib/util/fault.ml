@@ -59,7 +59,14 @@ type t = Disabled | Armed of armed_plan
 
 let disabled = Disabled
 let armed = function Disabled -> false | Armed _ -> true
-let plan spec rng = Armed { spec; rng; fired = 0 }
+
+(* A plan that can never fire is the disabled plan: an armed plan pins the
+   executor to the scalar path, which a rate-0 spec must not cost. Worker
+   kills are read from the spec by the pool owners, never from the plan. *)
+let plan spec rng =
+  if spec.udf_rate = 0.0 && spec.row_rate = 0.0 && spec.build_rate = 0.0 then
+    Disabled
+  else Armed { spec; rng; fired = 0 }
 
 let fire a kind =
   a.fired <- a.fired + 1;

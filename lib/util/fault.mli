@@ -56,7 +56,8 @@ val armed : t -> bool
 val plan : spec -> Rng.t -> t
 (** [plan spec rng] arms [spec] over the given stream. The plan owns
     [rng]; hand it a fresh split, never a stream someone else draws
-    from. *)
+    from. A spec whose three rates are all 0 can never fire, so it yields
+    {!disabled} and keeps the executor on its fused paths. *)
 
 val udf : t -> unit
 (** UDF-evaluation checkpoint.
@@ -74,4 +75,5 @@ val injected : t -> int
 (** Checkpoints fired so far (0 for {!disabled}). *)
 
 val worker_kills : t -> int
-(** The spec's kill budget (0 for {!disabled}). *)
+(** The spec's kill budget (0 for {!disabled}, including a rate-0 spec;
+    pool owners read kills from the spec). *)

@@ -17,15 +17,3 @@ let time f =
   let t0 = now () in
   let x = f () in
   (x, now () -. t0)
-
-type accum = { mutable sum : float }
-
-let accum () = { sum = 0.0 }
-
-let add_to acc f =
-  let x, dt = time f in
-  acc.sum <- acc.sum +. dt;
-  x
-
-let total acc = acc.sum
-let reset acc = acc.sum <- 0.0

@@ -7,13 +7,3 @@ val now : unit -> float
 
 val time : (unit -> 'a) -> 'a * float
 (** [time f] runs [f] and returns its result together with elapsed seconds. *)
-
-type accum
-(** A mutable accumulator of elapsed time across many sections. *)
-
-val accum : unit -> accum
-val add_to : accum -> (unit -> 'a) -> 'a
-(** Runs the thunk, adding its elapsed time to the accumulator. *)
-
-val total : accum -> float
-val reset : accum -> unit

@@ -112,8 +112,8 @@ let test_rows_match_row_engine () =
   Alcotest.(check bool) "profiled nodes recorded" true (nodes <> []);
   List.iter
     (fun (n : Profile.node) ->
-      match n.Profile.n_kind with
-      | Profile.Sigma -> ()
+      match n.Profile.n_profile.Recorder.p_kind with
+      | "sigma" -> ()
       | _ ->
         let expected =
           match
@@ -128,10 +128,12 @@ let test_rows_match_row_engine () =
         in
         Alcotest.(check (float 0.0))
           ("rows_out vs row engine: " ^ Expr.describe q n.Profile.n_expr)
-          expected n.Profile.n_rows_out;
+          expected n.Profile.n_profile.Recorder.p_rows_out;
         Alcotest.(check bool) "selectivity in [0,1]" true
-          (n.Profile.n_selectivity >= 0.0 && n.Profile.n_selectivity <= 1.0);
-        Alcotest.(check bool) "complete" true n.Profile.n_complete)
+          (n.Profile.n_profile.Recorder.p_selectivity >= 0.0
+          && n.Profile.n_profile.Recorder.p_selectivity <= 1.0);
+        Alcotest.(check bool) "complete" true
+          n.Profile.n_profile.Recorder.p_complete)
     nodes
 
 (* --- Byte identity: across worker domains, and audited vs unaudited --- *)
@@ -159,11 +161,19 @@ let test_audit_invariance () =
 
 (* --- Representation mix and path attribution --- *)
 
+let profile_of (n : Profile.node) = n.Profile.n_profile
+
 let join_node nodes =
-  List.find (fun (n : Profile.node) -> n.Profile.n_kind = Profile.Join) nodes
+  profile_of
+    (List.find
+       (fun n -> (profile_of n).Recorder.p_kind = Profile.kind_label Profile.Join)
+       nodes)
 
 let scan_nodes nodes =
-  List.filter (fun (n : Profile.node) -> n.Profile.n_kind = Profile.Scan) nodes
+  List.map profile_of nodes
+  |> List.filter (fun p -> p.Recorder.p_kind = Profile.kind_label Profile.Scan)
+
+let repr p = String.split_on_char ',' p.Recorder.p_repr
 
 let test_repr_ints () =
   let rng = Rng.create 43 in
@@ -172,20 +182,20 @@ let test_repr_ints () =
   let prof = run_profiled cat q [ full_join ] in
   let nodes = Profile.nodes prof in
   let j = join_node nodes in
-  Alcotest.(check string) "int join is fused" "join_ints" j.Profile.n_path;
+  Alcotest.(check string) "int join is fused" "join_ints" j.Recorder.p_path;
   Alcotest.(check (list string))
-    "both join inputs are int columns" [ "ints"; "ints" ] j.Profile.n_repr;
-  Alcotest.(check bool) "chain stats observed" true (j.Profile.n_chain_max >= 1);
+    "both join inputs are int columns" [ "ints"; "ints" ] (repr j);
+  Alcotest.(check bool) "chain stats observed" true (j.Recorder.p_chain_max >= 1);
   let filtered =
     List.find
-      (fun (n : Profile.node) -> n.Profile.n_path = "sel_eq_const")
+      (fun p -> p.Recorder.p_path = "sel_eq_const")
       (scan_nodes nodes)
   in
   Alcotest.(check bool) "filtered scan reads an int column" true
-    (List.mem "ints" filtered.Profile.n_repr);
+    (List.mem "ints" (repr filtered));
   Alcotest.(check bool) "selection density in [0,1]" true
-    (filtered.Profile.n_sel_density >= 0.0
-    && filtered.Profile.n_sel_density <= 1.0)
+    (filtered.Recorder.p_sel_density >= 0.0
+    && filtered.Recorder.p_sel_density <= 1.0)
 
 let test_repr_dict_and_boxed () =
   let cat = tricky_fixture () in
@@ -195,24 +205,24 @@ let test_repr_dict_and_boxed () =
   let nodes = Profile.nodes prof in
   let a_scan =
     List.find
-      (fun (n : Profile.node) -> n.Profile.n_path = "sel_eq_const")
+      (fun p -> p.Recorder.p_path = "sel_eq_const")
       (scan_nodes nodes)
   in
   Alcotest.(check bool) "dict column in scan mix" true
-    (List.mem "dict" a_scan.Profile.n_repr);
+    (List.mem "dict" (repr a_scan));
   let j = join_node nodes in
   Alcotest.(check string) "float join takes the chained probe" "chained"
-    j.Profile.n_path;
+    j.Recorder.p_path;
   Alcotest.(check bool) "float columns in join mix" true
-    (List.mem "floats" j.Profile.n_repr);
+    (List.mem "floats" (repr j));
   (* Null-poisoned int column: demoted to boxed, so no fused int join. *)
   let qn = tricky_query ~on:"n" ~select:None in
   let profn = run_profiled cat qn [ full_join ] in
   let jn = join_node (Profile.nodes profn) in
   Alcotest.(check string) "boxed join falls back to chained" "chained"
-    jn.Profile.n_path;
+    jn.Recorder.p_path;
   Alcotest.(check bool) "boxed column in join mix" true
-    (List.mem "boxed" jn.Profile.n_repr)
+    (List.mem "boxed" (repr jn))
 
 let test_disabled_collector_noop () =
   let p = Profile.disabled in
@@ -246,12 +256,12 @@ let test_timeout_flushes_profile_and_counters () =
       ignore (Executor.execute exec full_join));
   let nodes = Profile.nodes prof in
   Alcotest.(check int) "two scans + the dying join" 3 (List.length nodes);
-  let last = List.nth nodes 2 in
-  Alcotest.(check bool) "join flushed incomplete" false last.Profile.n_complete;
+  let last = profile_of (List.nth nodes 2) in
+  Alcotest.(check bool) "join flushed incomplete" false last.Recorder.p_complete;
   Alcotest.(check (float 0.0)) "incomplete rows_out is 0" 0.0
-    last.Profile.n_rows_out;
+    last.Recorder.p_rows_out;
   Alcotest.(check bool) "the dying node drew budget" true
-    (last.Profile.n_budget > 0.0);
+    (last.Recorder.p_budget > 0.0);
   (* Counter parity: exec.budget_spent was flushed before the raise. *)
   let spent = Metric.Counter.value (Ctx.counter tel "exec.budget_spent") in
   Alcotest.(check (float 0.0)) "budget counter flushed on timeout"
@@ -259,7 +269,7 @@ let test_timeout_flushes_profile_and_counters () =
     spent;
   (* Per-node budget attribution never exceeds the executor total. *)
   let attributed =
-    List.fold_left (fun a (n : Profile.node) -> a +. n.Profile.n_budget) 0.0
+    List.fold_left (fun a n -> a +. (profile_of n).Recorder.p_budget) 0.0
       nodes
   in
   Alcotest.(check bool) "attributed budget bounded" true
@@ -302,10 +312,10 @@ let test_fault_flushes_incomplete_node () =
    with Fault.Injected _ -> ());
   let nodes = Profile.nodes prof in
   Alcotest.(check bool) "dying node flushed" true (nodes <> []);
-  let last = List.nth nodes (List.length nodes - 1) in
-  Alcotest.(check bool) "flushed incomplete" false last.Profile.n_complete;
+  let last = profile_of (List.nth nodes (List.length nodes - 1)) in
+  Alcotest.(check bool) "flushed incomplete" false last.Recorder.p_complete;
   Alcotest.(check string) "armed fault forces the scalar path" "scalar"
-    last.Profile.n_path
+    last.Recorder.p_path
 
 (* --- Golden explain operator table --- *)
 
@@ -464,6 +474,59 @@ let test_panes_agree_on_one_trace () =
   Alcotest.(check string) "operator span nests under exec.execute"
     "exec.execute" parent_name
 
+(* --- Attribution: each operator profile is counted once --- *)
+
+let test_profile_attached_once () =
+  (* TPC-H tq1 as in the qlog plan-table golden: its step-2 EXECUTE plans
+     (c ⨝ o) and Σ(o), so the scan of o occurs twice but runs once. *)
+  let w =
+    Monsoon_workloads.Tpch.workload
+      { Monsoon_workloads.Tpch.seed = 11; scale = 0.05;
+        skew = Monsoon_workloads.Tpch.Plain }
+  in
+  let q = Monsoon_workloads.Workload.find_query w "tq1" in
+  let rng =
+    Monsoon_harness.Runner.cell_rng ~seed:11 ~strategy:"Monsoon" ~query:"tq1"
+  in
+  let config =
+    { (Driver.default_config ~rng) with
+      Driver.budget = 1e6;
+      mcts =
+        { (Monsoon_mcts.Mcts.default_config ~rng) with
+          Monsoon_mcts.Mcts.iterations = 60 } }
+  in
+  let recorder = Recorder.create () in
+  let prof = Profile.create () in
+  let env =
+    Profile.to_env ~env:(Ctx.to_env (Ctx.with_recorder (Ctx.null ()) recorder))
+      prof
+  in
+  let (_ : Driver.outcome) =
+    Driver.run ~env config w.Monsoon_workloads.Workload.catalog q
+  in
+  let executed =
+    List.filter_map
+      (function Recorder.Executed { nodes; _ } -> Some nodes | _ -> None)
+      (Recorder.events recorder)
+  in
+  let shared =
+    List.exists
+      (fun nodes ->
+        let exprs = List.map (fun n -> n.Recorder.node_expr) nodes in
+        List.length (List.sort_uniq compare exprs) < List.length exprs)
+      executed
+  in
+  Alcotest.(check bool) "some EXECUTE lists a node twice" true shared;
+  let profiled =
+    List.length
+      (List.filter
+         (fun n -> n.Recorder.node_profile <> None)
+         (List.concat executed))
+  in
+  Alcotest.(check int) "profiled rows = drained profile nodes"
+    (List.length (Profile.nodes prof))
+    profiled
+
 let () =
   Alcotest.run "profile"
     [ ( "differential",
@@ -492,4 +555,6 @@ let () =
         [ Alcotest.test_case "golden explain operator table" `Quick
             test_golden_operator_table;
           Alcotest.test_case "explain + qlog + spans agree" `Quick
-            test_panes_agree_on_one_trace ] ) ]
+            test_panes_agree_on_one_trace;
+          Alcotest.test_case "each profile attached once" `Quick
+            test_profile_attached_once ] ) ]

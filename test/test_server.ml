@@ -501,6 +501,25 @@ let test_http_overload_and_endpoints () =
     Alcotest.(check int) "connection refused after stop" (-1)
       (try status_of (http_get port "/healthz") with Unix.Unix_error _ -> -1)
 
+let test_http_negative_content_length () =
+  let t = make_server () in
+  match Server.listen t ~port:0 with
+  | Error e -> Alcotest.fail e
+  | Ok port ->
+    let resp =
+      http_request port
+        "POST /query HTTP/1.1\r\n\
+         Host: localhost\r\n\
+         Content-Length: -5\r\n\
+         \r\n"
+    in
+    Alcotest.(check int) "negative Content-Length is a 400" 400
+      (status_of resp);
+    ignore (assert_complete "400 response" resp);
+    Alcotest.(check int) "server still answers" 200
+      (status_of (http_get port "/healthz"));
+    Server.stop t
+
 (* --- load client + load generator --- *)
 
 let test_load_client_in_process () =
@@ -769,6 +788,8 @@ let () =
         [ Alcotest.test_case "concurrent hammer" `Quick test_http_hammer;
           Alcotest.test_case "overload and endpoints" `Quick
             test_http_overload_and_endpoints;
+          Alcotest.test_case "negative Content-Length" `Quick
+            test_http_negative_content_length;
           Alcotest.test_case "trace header, close by default" `Quick
             test_http_trace_header_and_keep_alive_optin ] );
       ( "load",
