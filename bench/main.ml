@@ -755,14 +755,20 @@ let () =
     match serve_port () with
     | None -> None
     | Some port ->
-      let tel = profile.Experiments.ctx in
-      Monitor.preregister tel.Ctx.registry;
-      let m = Monitor.create tel.Ctx.registry in
-      (match Monitor.serve m ~port with
-      | Ok bound ->
-        Printf.eprintf "bench: serving http://127.0.0.1:%d/metrics\n%!" bound
-      | Error msg -> Printf.eprintf "bench: --serve %d: %s\n%!" port msg);
-      Some m
+      let registry = profile.Experiments.ctx.Ctx.registry in
+      Monitor.preregister registry;
+      let m = Monitor.create registry in
+      let http =
+        match Monsoon_server.Http.serve ~registry ~port (fun _ -> None) with
+        | Ok http ->
+          Printf.eprintf "bench: serving http://127.0.0.1:%d/metrics\n%!"
+            (Monsoon_server.Http.port http);
+          Some http
+        | Error msg ->
+          Printf.eprintf "bench: --serve %d: %s\n%!" port msg;
+          None
+      in
+      Some (m, http)
   in
   Printf.printf "=== Experiment reproductions (profile: %s, jobs: %d) ===\n\n%!"
     profile.Experiments.label profile.Experiments.jobs;
@@ -773,4 +779,8 @@ let () =
       Printf.printf "--- %s: %s (%.1fs) ---\n%s\n%!" id descr
         (Timer.now () -. t0) output)
     Experiments.all;
-  Option.iter Monitor.stop monitor
+  Option.iter
+    (fun (m, http) ->
+      Option.iter Monsoon_server.Http.stop http;
+      Monitor.stop m)
+    monitor

@@ -56,10 +56,10 @@ let close_trace_dest = function
    sink (JSONL stream or Perfetto collector), when [keep] is set an
    in-memory buffer for the in-process report, and — when [serve] or
    [watch] asks for it — a live Monitor sampling every [interval]
-   seconds, optionally exposing /metrics, /healthz, and /snapshot.json
-   on 127.0.0.1:[serve]. With [watch], each sampler tick streams a
-   one-line differential to stderr and the run ends with the full
-   differential report on stdout. *)
+   seconds, and with [serve] an Http server exposing /metrics, /healthz,
+   and /snapshot.json on 127.0.0.1:[serve]. With [watch], each sampler
+   tick streams a one-line differential to stderr and the run ends with
+   the full differential report on stdout. *)
 let with_telemetry ~trace ~trace_format ~keep ~serve ~interval ~watch f =
   match open_trace_dest ~trace ~trace_format with
   | Error _ as e -> e
@@ -97,22 +97,25 @@ let with_telemetry ~trace ~trace_format ~keep ~serve ~interval ~watch f =
       end
     in
     let served =
-      match (monitor, serve) with
-      | Some m, Some port -> (
-        match Monitor.serve m ~port with
-        | Ok bound ->
+      match serve with
+      | None -> Ok None
+      | Some port -> (
+        match
+          Monsoon_server.Http.serve ~registry:tel.Ctx.registry ~port
+            (fun _ -> None)
+        with
+        | Ok http ->
           Printf.eprintf "monsoon: serving http://127.0.0.1:%d/metrics\n%!"
-            bound;
-          Ok ()
+            (Monsoon_server.Http.port http);
+          Ok (Some http)
         | Error msg -> Error (Printf.sprintf "--serve %d: %s" port msg))
-      | _ -> Ok ()
     in
     match served with
     | Error _ as e ->
       Option.iter Monitor.stop monitor;
       close_trace_dest dest;
       e
-    | Ok () ->
+    | Ok http ->
       Fun.protect
         ~finally:(fun () ->
           (* Every teardown step runs even when an earlier one raises — a
@@ -125,6 +128,7 @@ let with_telemetry ~trace ~trace_format ~keep ~serve ~interval ~watch f =
               if !failure = None then
                 failure := Some (e, Printexc.get_raw_backtrace ())
           in
+          step (fun () -> Option.iter Monsoon_server.Http.stop http);
           step (fun () -> Option.iter Monitor.stop monitor);
           step (fun () ->
               match monitor with

@@ -1,10 +1,12 @@
 open Monsoon_telemetry
 
+type conn = { fd : Unix.file_descr; rd : Http.reader }
+
 type http_state = {
   host : string;
   port : int;
   pool_lock : Mutex.t;
-  idle : Unix.file_descr Queue.t;  (* connections the server kept alive *)
+  idle : conn Queue.t;  (* connections the server kept alive *)
   mutable connects : int;  (* fresh TCP connects made so far *)
 }
 
@@ -19,11 +21,7 @@ let http ?(host = "127.0.0.1") ~port () =
 
 let connections = function
   | In_process _ -> 0
-  | Http state ->
-    Mutex.lock state.pool_lock;
-    let n = state.connects in
-    Mutex.unlock state.pool_lock;
-    n
+  | Http state -> Mutex.protect state.pool_lock (fun () -> state.connects)
 
 type outcome = {
   o_query : string;
@@ -34,194 +32,68 @@ type outcome = {
   o_queue_wait : float;
 }
 
-(* --- raw HTTP/1.1 with keep-alive connection reuse --- *)
+(* --- HTTP/1.1 with keep-alive connection reuse --- *)
 
-let find_substring s needle =
-  let n = String.length needle and m = String.length s in
-  let rec go i =
-    if i + n > m then None
-    else if String.sub s i n = needle then Some i
-    else go (i + 1)
-  in
-  go 0
-
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then
-      match Unix.write_substring fd s off (n - off) with
-      | written -> go (off + written)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-  in
-  go 0
-
-let header_value headers name =
-  String.split_on_char '\n' headers
-  |> List.find_map (fun line ->
-         match String.index_opt line ':' with
-         | None -> None
-         | Some i ->
-           if String.lowercase_ascii (String.trim (String.sub line 0 i)) = name
-           then
-             Some
-               (String.trim
-                  (String.sub line (i + 1) (String.length line - i - 1)))
-           else None)
-
-(* Reads one HTTP response. When the headers carry a Content-Length the
-   body is delimited by it — the path that lets a kept-alive connection
-   hand back exactly one response without waiting for EOF. Without one,
-   fall back to read-to-EOF (close-delimited). Returns the raw response
-   and whether the server agreed to keep the connection alive. *)
-let read_response fd =
-  let buf = Buffer.create 1024 in
-  let chunk = Bytes.create 4096 in
-  (* true when [stop] matched, false on EOF first *)
-  let rec read_until stop =
-    if stop (Buffer.contents buf) then true
-    else
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> stop (Buffer.contents buf)
-      | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        read_until stop
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_until stop
-  in
-  if not (read_until (fun s -> find_substring s "\r\n\r\n" <> None)) then
-    Error "eof before response headers"
-  else begin
-    let i =
-      match find_substring (Buffer.contents buf) "\r\n\r\n" with
-      | Some i -> i
-      | None -> assert false
-    in
-    let headers = String.sub (Buffer.contents buf) 0 i in
-    let keep_alive =
-      match header_value headers "connection" with
-      | Some v -> String.lowercase_ascii v = "keep-alive"
-      | None -> false
-    in
-    match
-      Option.bind (header_value headers "content-length") int_of_string_opt
-    with
-    | Some want ->
-      if read_until (fun s -> String.length s - (i + 4) >= want) then
-        Ok (Buffer.contents buf, keep_alive)
-      else Error "eof before response body"
-    | None ->
-      (* no length to trust the connection with — drain and close *)
-      ignore (read_until (fun _ -> false));
-      Ok (Buffer.contents buf, false)
-  end
-
-(* The Content-Length check catches short (or over-long) reads. *)
-let parse_response raw =
-  match find_substring raw "\r\n\r\n" with
-  | None -> Error "malformed response: no header terminator"
-  | Some i -> (
-    let headers = String.sub raw 0 i in
-    let body = String.sub raw (i + 4) (String.length raw - i - 4) in
-    match
-      Option.bind (header_value headers "content-length") int_of_string_opt
-    with
-    | Some want when want <> String.length body ->
-      Error
-        (Printf.sprintf "short read: Content-Length %d, body %d bytes" want
-           (String.length body))
-    | _ -> (
-      match
-        String.split_on_char ' ' (List.hd (String.split_on_char '\r' headers))
-      with
-      | _http :: code :: _ -> (
-        match int_of_string_opt code with
-        | Some c -> Ok (c, body)
-        | None -> Error ("malformed status line: " ^ code))
-      | _ -> Error "malformed status line"))
+let close_conn c = try Unix.close c.fd with Unix.Unix_error _ -> ()
 
 let take_idle state =
-  Mutex.lock state.pool_lock;
-  let fd = Queue.take_opt state.idle in
-  Mutex.unlock state.pool_lock;
-  fd
+  Mutex.protect state.pool_lock (fun () -> Queue.take_opt state.idle)
 
-let return_idle state fd =
-  Mutex.lock state.pool_lock;
-  Queue.push fd state.idle;
-  Mutex.unlock state.pool_lock
+let return_idle state c =
+  Mutex.protect state.pool_lock (fun () -> Queue.push c state.idle)
 
 let connect_fresh state =
   match
-    try
-      Ok
-        (try Unix.inet_addr_of_string state.host
-         with Failure _ ->
-           (Unix.gethostbyname state.host).Unix.h_addr_list.(0))
-    with Not_found -> Error ("unknown host: " ^ state.host)
+    let addr =
+      try Unix.inet_addr_of_string state.host
+      with Failure _ -> (Unix.gethostbyname state.host).Unix.h_addr_list.(0)
+    in
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    (try
+       Unix.connect fd (Unix.ADDR_INET (addr, state.port));
+       Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.0
+     with e ->
+       (try Unix.close fd with Unix.Unix_error _ -> ());
+       raise e);
+    fd
   with
-  | Error _ as e -> e
-  | Ok addr -> (
-    match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
-    | exception Unix.Unix_error (err, _, _) -> Error (Unix.error_message err)
-    | fd -> (
-      match
-        Unix.connect fd (Unix.ADDR_INET (addr, state.port));
-        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.0
-      with
-      | () ->
-        Mutex.lock state.pool_lock;
-        state.connects <- state.connects + 1;
-        Mutex.unlock state.pool_lock;
-        Ok fd
-      | exception Unix.Unix_error (err, _, _) ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        Error (Unix.error_message err)))
+  | exception Not_found -> Error ("unknown host: " ^ state.host)
+  | exception Unix.Unix_error (err, _, _) -> Error (Unix.error_message err)
+  | fd ->
+    Mutex.protect state.pool_lock (fun () ->
+        state.connects <- state.connects + 1);
+    Ok { fd; rd = Http.fd_reader fd }
 
 (* One request-response exchange. Connections the server keeps alive go
    back to the idle pool for the next request; a reused connection that
    fails (the server may have closed it between requests) is retried once
    on a fresh one before the failure is reported. *)
 let http_request state ~meth ~path ~body =
-  let exchange fd =
+  let request =
+    Http.render_request
+      ~host:(Printf.sprintf "%s:%d" state.host state.port)
+      { Http.meth; path; body; keep_alive = true }
+  in
+  let exchange c =
     match
-      write_all fd
-        (Printf.sprintf
-           "%s %s HTTP/1.1\r\n\
-            Host: %s:%d\r\n\
-            Content-Type: application/json\r\n\
-            Content-Length: %d\r\n\
-            Connection: keep-alive\r\n\
-            \r\n\
-            %s"
-           meth path state.host state.port (String.length body) body);
-      read_response fd
+      Http.write_all c.fd request;
+      Http.read_response c.rd
     with
     | r -> r
     | exception Unix.Unix_error (err, _, _) -> Error (Unix.error_message err)
   in
-  let rec go ~may_retry fd =
-    match exchange fd with
-    | Ok (raw, keep_alive) -> (
-      match parse_response raw with
-      | Ok _ as r ->
-        if keep_alive then return_idle state fd
-        else (try Unix.close fd with Unix.Unix_error _ -> ());
-        r
-      | Error _ as e -> retry ~may_retry fd e)
-    | Error _ as e -> retry ~may_retry fd e
-  and retry ~may_retry fd e =
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    if may_retry then
-      match connect_fresh state with
-      | Error _ as e -> e
-      | Ok fd -> go ~may_retry:false fd
-    else e
-  in
+  let rec go ~may_retry c =
+    match exchange c with
+    | Ok (code, body, keep_alive) ->
+      if keep_alive then return_idle state c else close_conn c;
+      Ok (code, body)
+    | Error msg ->
+      close_conn c;
+      if may_retry then fresh () else Error msg
+  and fresh () = Result.bind (connect_fresh state) (go ~may_retry:false) in
   match take_idle state with
-  | Some fd -> go ~may_retry:true fd
-  | None -> (
-    match connect_fresh state with
-    | Error _ as e -> e
-    | Ok fd -> go ~may_retry:false fd)
+  | Some c -> go ~may_retry:true c
+  | None -> fresh ()
 
 (* --- the interface --- *)
 
@@ -259,25 +131,26 @@ let query t qname =
     | Error _ as e -> e
     | Ok (code, body) -> parse_outcome qname code body)
 
+(* GET [path]: the body of a 200, else an error naming the status. *)
+let get state path =
+  match http_request state ~meth:"GET" ~path ~body:"" with
+  | Ok (200, body) -> Ok body
+  | Ok (code, _) -> Error (Printf.sprintf "%s answered %d" path code)
+  | Error _ as e -> e
+
 let queries t =
   match t with
   | In_process s -> Ok (Server.queries s)
   | Http state -> (
-    match http_request state ~meth:"GET" ~path:"/queries" ~body:"" with
+    match get state "/queries" with
     | Error _ as e -> e
-    | Ok (200, body) -> (
+    | Ok body -> (
       match Json.of_string body with
-      | Ok (Json.Arr items) ->
-        Ok (List.filter_map Json.to_str items)
+      | Ok (Json.Arr items) -> Ok (List.filter_map Json.to_str items)
       | Ok _ -> Error "expected a JSON array of query names"
-      | Error m -> Error ("unparseable /queries body: " ^ m))
-    | Ok (code, _) -> Error (Printf.sprintf "/queries answered %d" code))
+      | Error m -> Error ("unparseable /queries body: " ^ m)))
 
 let slo_report t =
   match t with
   | In_process s -> Ok (Slo.report (Server.slo s))
-  | Http state -> (
-    match http_request state ~meth:"GET" ~path:"/slo" ~body:"" with
-    | Error _ as e -> e
-    | Ok (200, body) -> Ok body
-    | Ok (code, _) -> Error (Printf.sprintf "/slo answered %d" code))
+  | Http state -> get state "/slo"

@@ -57,10 +57,7 @@ type t = {
   slow_explains : (int * string) Queue.t;
       (* slow-query captures, retained outside the ring (≤ slow_retain) *)
   stopped : bool Atomic.t;
-  live_conns : int Atomic.t;
-  mutable listen_fd : Unix.file_descr option;
-  mutable bound_port : int option;
-  mutable acceptor : Thread.t option;
+  mutable http : Http.t option;
 }
 
 let create ?(env = Env.default) ?(queries = []) config handler =
@@ -88,10 +85,7 @@ let create ?(env = Env.default) ?(queries = []) config handler =
     explains = Queue.create ();
     slow_explains = Queue.create ();
     stopped = Atomic.make false;
-    live_conns = Atomic.make 0;
-    listen_fd = None;
-    bound_port = None;
-    acceptor = None }
+    http = None }
 
 let slo t = t.slo_
 let queries t = t.queries
@@ -264,121 +258,6 @@ let response_json r =
 
 (* --- HTTP front end --- *)
 
-let reason_of_code = function
-  | 200 -> "OK"
-  | 400 -> "Bad Request"
-  | 404 -> "Not Found"
-  | 429 -> "Too Many Requests"
-  | 500 -> "Internal Server Error"
-  | 503 -> "Service Unavailable"
-  | 504 -> "Gateway Timeout"
-  | _ -> "Unknown"
-
-let http_response ?(extra_headers = []) ?(keep_alive = false) ~code
-    ~content_type body =
-  let headers =
-    String.concat ""
-      (List.map (fun (k, v) -> Printf.sprintf "%s: %s\r\n" k v) extra_headers)
-  in
-  Printf.sprintf
-    "HTTP/1.1 %d %s\r\n\
-     Content-Type: %s\r\n\
-     Content-Length: %d\r\n\
-     %sConnection: %s\r\n\
-     \r\n\
-     %s"
-    code (reason_of_code code) content_type (String.length body) headers
-    (if keep_alive then "keep-alive" else "close")
-    body
-
-let find_substring s needle =
-  let n = String.length needle and m = String.length s in
-  let rec go i =
-    if i + n > m then None
-    else if String.sub s i n = needle then Some i
-    else go (i + 1)
-  in
-  go 0
-
-let header_value headers name =
-  String.split_on_char '\n' headers
-  |> List.find_map (fun line ->
-         match String.index_opt line ':' with
-         | None -> None
-         | Some i ->
-           let n = String.lowercase_ascii (String.trim (String.sub line 0 i)) in
-           if n = name then
-             Some
-               (String.trim
-                  (String.sub line (i + 1) (String.length line - i - 1)))
-           else None)
-
-let content_length headers =
-  Option.value ~default:0
-    (Option.bind (header_value headers "content-length") int_of_string_opt)
-
-(* Keep-alive is strictly opt-in: only a client that says
-   [Connection: keep-alive] gets connection reuse; everything else
-   (curl's default, the existing tests) keeps close semantics. *)
-let wants_keep_alive headers =
-  match header_value headers "connection" with
-  | Some v -> String.lowercase_ascii v = "keep-alive"
-  | None -> false
-
-(* Reads request line + headers + (for POST) a Content-Length body.
-   Bounded: 8 KiB of headers, 64 KiB of body — a query name plus slack.
-   [Error] carries the reason for a 400 (a negative Content-Length). *)
-let read_request fd =
-  let buf = Buffer.create 256 in
-  let chunk = Bytes.create 4096 in
-  let rec read_more stop =
-    if not (stop (Buffer.contents buf)) then
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> ()
-      | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        read_more stop
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_more stop
-  in
-  read_more (fun s ->
-      String.length s > 8192 || find_substring s "\r\n\r\n" <> None);
-  let raw = Buffer.contents buf in
-  match find_substring raw "\r\n\r\n" with
-  | None -> None
-  | Some i ->
-    let headers = String.sub raw 0 i in
-    let body_start = i + 4 in
-    let want = min (content_length headers) 65536 in
-    if want < 0 then Some (Error "negative Content-Length")
-    else begin
-      read_more (fun s -> String.length s - body_start >= want);
-      let raw = Buffer.contents buf in
-      let have = String.length raw - body_start in
-      let body = String.sub raw body_start (min want have) in
-      match String.split_on_char ' ' (List.hd (String.split_on_char '\r' raw))
-      with
-      | meth :: target :: _ ->
-        let path =
-          match String.index_opt target '?' with
-          | Some q -> String.sub target 0 q
-          | None -> target
-        in
-        Some (Ok (meth, path, body, wants_keep_alive headers))
-      | _ -> None
-    end
-
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then
-      match Unix.write_substring fd s off (n - off) with
-      | written -> go (off + written)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-  in
-  go 0
-
 (* GET /query/ID/explain *)
 let explain_target path =
   match String.split_on_char '/' path with
@@ -397,169 +276,68 @@ let retry_after t =
   let est = ceil (mean *. float_of_int (queued + 1) /. float_of_int slots) in
   max 1 (min 60 (int_of_float est))
 
-let respond t ~keep_alive meth path body =
-  let http_response ?extra_headers ~code ~content_type body =
-    http_response ?extra_headers ~keep_alive ~code ~content_type body
+(* The server's own routes; [Http.serve] answers the telemetry routes and
+   404 for everything else. *)
+let respond t (req : Http.request) =
+  let json ?(headers = []) code body =
+    { Http.code; content_type = "application/json"; headers; body }
   in
-  match (meth, path) with
-  | "POST", "/query" -> (
-    match Json.of_string body with
-    | Error msg ->
-      http_response ~code:400 ~content_type:"text/plain"
-        (Printf.sprintf "bad request body: %s\n" msg)
-    | Ok j -> (
-      match Option.bind (Json.member "query" j) Json.to_str with
-      | None ->
-        http_response ~code:400 ~content_type:"text/plain"
-          "bad request body: expected {\"query\": NAME}\n"
-      | Some qname ->
-        let r = submit t qname in
-        let extra_headers =
-          ("X-Monsoon-Trace", r.rs_trace)
-          ::
-          (if r.rs_code = 429 then
-             [ ("Retry-After", string_of_int (retry_after t)) ]
-           else [])
-        in
-        http_response ~extra_headers ~code:r.rs_code
-          ~content_type:"application/json"
-          (Json.to_string (response_json r) ^ "\n")))
-  | "GET", "/metrics" ->
-    http_response ~code:200 ~content_type:Exporter.content_type
-      (Exporter.render t.ctx.Ctx.registry)
-  | "GET", "/healthz" ->
-    http_response ~code:200 ~content_type:"text/plain" "ok\n"
-  | "GET", "/snapshot.json" ->
-    http_response ~code:200 ~content_type:"application/json"
-      (Json.to_string (Snapshot.metrics_json t.ctx.Ctx.registry) ^ "\n")
-  | "GET", "/slo" ->
-    http_response ~code:200 ~content_type:"text/plain" (Slo.report t.slo_)
+  match (req.meth, req.path) with
+  | "POST", "/query" ->
+    Some
+      (match Json.of_string req.body with
+      | Error msg -> Http.text 400 ("bad request body: " ^ msg ^ "\n")
+      | Ok j -> (
+        match Option.bind (Json.member "query" j) Json.to_str with
+        | None ->
+          Http.text 400 "bad request body: expected {\"query\": NAME}\n"
+        | Some qname ->
+          let r = submit t qname in
+          let headers =
+            ("X-Monsoon-Trace", r.rs_trace)
+            ::
+            (if r.rs_code = 429 then
+               [ ("Retry-After", string_of_int (retry_after t)) ]
+             else [])
+          in
+          json ~headers r.rs_code (Json.to_string (response_json r) ^ "\n")))
+  | "GET", "/slo" -> Some (Http.text 200 (Slo.report t.slo_))
   | "GET", "/queries" ->
-    http_response ~code:200 ~content_type:"application/json"
-      (Json.to_string (Json.Arr (List.map (fun q -> Json.Str q) t.queries))
-      ^ "\n")
-  | "GET", p -> (
-    match explain_target p with
-    | Some id -> (
-      match explain t id with
-      | Some report ->
-        http_response ~code:200 ~content_type:"text/plain" report
-      | None ->
-        http_response ~code:404 ~content_type:"text/plain"
-          "no explain retained for that request id\n")
-    | None ->
-      http_response ~code:404 ~content_type:"text/plain" "not found\n")
-  | _ -> http_response ~code:404 ~content_type:"text/plain" "not found\n"
-
-let handle_conn t conn =
-  let finally () =
-    (try Unix.close conn with Unix.Unix_error _ -> ());
-    Atomic.decr t.live_conns
-  in
-  Fun.protect ~finally (fun () ->
-      Unix.setsockopt_float conn Unix.SO_RCVTIMEO 5.0;
-      (* Loop while the client keeps the connection alive; an idle reused
-         connection times out at SO_RCVTIMEO and closes cleanly. *)
-      let rec serve_one () =
-        match read_request conn with
-        | Some (Ok (meth, path, body, keep_alive)) ->
-          let keep_alive = keep_alive && not (Atomic.get t.stopped) in
-          (match write_all conn (respond t ~keep_alive meth path body) with
-          | () -> if keep_alive then serve_one ()
-          | exception Unix.Unix_error _ -> ())
-        | Some (Error reason) -> (
-          try
-            write_all conn
-              (http_response ~code:400 ~content_type:"text/plain"
-                 (Printf.sprintf "bad request: %s\n" reason))
-          with Unix.Unix_error _ -> ())
-        | None -> ()
-      in
-      serve_one ())
-
-(* One thread per connection: a slow query must not head-of-line-block a
-   /metrics scrape, and the admission queue — not the accept backlog — is
-   where requests are meant to wait. *)
-let rec accept_loop t fd =
-  match Unix.accept fd with
-  | conn, _ ->
-    if Atomic.get t.stopped then (
-      (try Unix.close conn with Unix.Unix_error _ -> ());
-      ())
-    else begin
-      Atomic.incr t.live_conns;
-      ignore (Thread.create (fun () -> try handle_conn t conn with _ -> ()) ());
-      accept_loop t fd
-    end
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop t fd
-  | exception Unix.Unix_error (_, _, _) ->
-    (* the listen socket was shut down by [stop] *)
-    ()
+    Some
+      (json 200
+         (Json.to_string (Json.Arr (List.map (fun q -> Json.Str q) t.queries))
+         ^ "\n"))
+  | "GET", path ->
+    Option.map
+      (fun id ->
+        match explain t id with
+        | Some report -> Http.text 200 report
+        | None -> Http.text 404 "no explain retained for that request id\n")
+      (explain_target path)
+  | _ -> None
 
 let listen t ~port =
   if Atomic.get t.stopped then Error "server already stopped"
-  else if t.listen_fd <> None then Error "server already listening"
+  else if t.http <> None then Error "server already listening"
   else
-    match
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try
-         Unix.setsockopt fd Unix.SO_REUSEADDR true;
-         Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-         Unix.listen fd 64
-       with e ->
-         (try Unix.close fd with Unix.Unix_error _ -> ());
-         raise e);
-      fd
-    with
-    | fd ->
-      let bound =
-        match Unix.getsockname fd with
-        | Unix.ADDR_INET (_, p) -> p
-        | _ -> port
-      in
-      t.listen_fd <- Some fd;
-      t.bound_port <- Some bound;
-      t.acceptor <- Some (Thread.create (accept_loop t) fd);
-      Ok bound
-    | exception Unix.Unix_error (err, _, _) -> Error (Unix.error_message err)
+    Result.map
+      (fun h ->
+        t.http <- Some h;
+        Http.port h)
+      (Http.serve ~registry:t.ctx.Ctx.registry ~port (respond t))
 
 let port t =
-  match t.bound_port with
-  | Some p -> p
+  match t.http with
+  | Some h -> Http.port h
   | None -> invalid_arg "Server.port: not listening"
 
 let stop t =
   if not (Atomic.exchange t.stopped true) then begin
-    (* 1. Stop accepting: shut the listener down and self-connect as a
-       fallback wake (the accept loop sees [stopped] and exits), exactly
-       the Monitor.stop dance. *)
-    (match (t.listen_fd, t.bound_port) with
-    | Some fd, bound ->
-      (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-      (match bound with
-      | Some p -> (
-        try
-          let c = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-          (try Unix.connect c (Unix.ADDR_INET (Unix.inet_addr_loopback, p))
-           with Unix.Unix_error _ -> ());
-          try Unix.close c with Unix.Unix_error _ -> ()
-        with Unix.Unix_error _ -> ())
-      | None -> ());
-      (match t.acceptor with Some th -> Thread.join th | None -> ());
-      t.acceptor <- None;
-      (try Unix.close fd with Unix.Unix_error _ -> ())
-    | None, _ -> ());
-    t.listen_fd <- None;
-    (* 2. Drain: every in-flight request finishes and releases its slot;
-       queued waiters resolve 503 (shed, not crashed). *)
-    Admission.drain t.adm;
-    (* 3. Let connection threads flush their responses. Reads are bounded
-       by SO_RCVTIMEO, so this terminates; the cap is belt and braces. *)
-    let waited = ref 0.0 in
-    while Atomic.get t.live_conns > 0 && !waited < 10.0 do
-      Thread.delay 0.01;
-      waited := !waited +. 0.01
-    done;
-    (* 4. Only now is the pool idle by construction. *)
+    (* Stop accepting; drain, so every in-flight request finishes and
+       queued waiters resolve 503 (shed, not crashed); let connection
+       threads flush their responses. Only then is the pool idle by
+       construction. *)
+    let drain () = Admission.drain t.adm in
+    (match t.http with Some h -> Http.stop ~drain h | None -> drain ());
     Pool.shutdown t.pool
   end

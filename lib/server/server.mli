@@ -18,9 +18,9 @@
     + classification — handler outcome to {!Slo.outcome} (degraded
       executions are successes), recorded with latency and queue wait.
 
-    The HTTP front end ({!listen}) is the stdlib-Unix accept-loop pattern
-    of [Monitor.serve], extended with POST bodies and one thread per
-    connection so slow queries do not head-of-line-block /metrics scrapes:
+    The HTTP front end ({!listen}) runs on {!Http.serve}, one thread per
+    connection, so slow queries do not head-of-line-block /metrics
+    scrapes:
 
     - [POST /query] — body [{"query": NAME}]; answers the response JSON
       with the outcome's HTTP code (200 / 404 / 429+Retry-After / 500 /
@@ -29,14 +29,12 @@
       request ID (the last [explain_ring] requests are retained);
     - [GET /queries] — the query names this server answers, as JSON;
     - [GET /slo] — the live {!Slo.report};
-    - [GET /metrics], [/healthz], [/snapshot.json] — as [Monitor.serve].
+    - [GET /metrics], [/healthz], [/snapshot.json] — {!Http.serve}'s
+      telemetry routes over the server's registry.
 
     [POST /query] responses carry the request's trace id as
     [X-Monsoon-Trace]; a 429's [Retry-After] is derived from the observed
-    queue depth and mean service latency. Connections close after one
-    request unless the client asks for [Connection: keep-alive], in which
-    case the socket is reused until the client closes or idles past the
-    read timeout.
+    queue depth and mean service latency.
 
     {!stop} is drain-then-stop: close the listener, let every in-flight
     request finish (queued requests resolve 503 — shed, not crashed), then
@@ -146,8 +144,8 @@ val inject_kills : t -> int -> unit
 (** Chaos hook: kill-and-respawn [n] pool workers ({!Monsoon_util.Pool.inject_kills}). *)
 
 val listen : t -> port:int -> (int, string) result
-(** Bind [127.0.0.1:port] ([0] picks an ephemeral port) and start the
-    accept loop. Returns the bound port — the programmatic alternative to
+(** Bind [127.0.0.1:port] ([0] picks an ephemeral port) and start serving
+    over HTTP. Returns the bound port — the programmatic alternative to
     scraping stderr. *)
 
 val port : t -> int

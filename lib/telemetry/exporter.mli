@@ -1,7 +1,7 @@
 (** Prometheus / OpenMetrics text exposition over a {!Registry}.
 
-    [render reg] produces the scrape body the {!Monitor}'s [/metrics]
-    endpoint serves: one [# HELP] / [# TYPE] header per (name, kind)
+    [render reg] produces the scrape body the [/metrics] endpoint
+    serves: one [# HELP] / [# TYPE] header per (name, kind)
     group, one sample line per labeled instrument. Counters become
     [monsoon_<name>_total], gauges [monsoon_<name>]; histograms emit
     cumulative [_bucket{le="..."}] lines (the underflow bucket as

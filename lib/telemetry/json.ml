@@ -111,7 +111,13 @@ let of_string s =
         | 'u' ->
           advance ();
           if !pos + 4 > n then fail "truncated \\u escape";
-          let code = int_of_string ("0x" ^ String.sub s !pos 4) in
+          let digits = String.sub s !pos 4 in
+          let hex = function
+            | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+            | _ -> false
+          in
+          if not (String.for_all hex digits) then fail "bad \\u escape";
+          let code = int_of_string ("0x" ^ digits) in
           pos := !pos + 4;
           (* Encode the code point as UTF-8 (surrogates are passed through
              as-is; traces never contain them). *)

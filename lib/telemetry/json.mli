@@ -17,7 +17,7 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 (** Parses one JSON value (surrounding whitespace allowed); [Error msg]
-    carries the character position of the failure. *)
+    carries the character position of the failure. Never raises. *)
 
 val member : string -> t -> t option
 (** Field lookup on [Obj]; [None] on anything else. *)

@@ -1,9 +1,8 @@
 (* Live monitoring: a sampler thread snapshotting the registry + GC into
-   a bounded ring, an lt_profile-style differential report over two
-   samples, and a stdlib-Unix HTTP server exposing /metrics (Prometheus
-   text via Exporter), /healthz, and /snapshot.json.
+   a bounded ring, and an lt_profile-style differential report over two
+   samples.
 
-   The sampler and server are systhreads, not domains, on purpose: an
+   The sampler is a systhread, not a domain, on purpose: an
    extra domain — even one asleep in [select] — turns every minor GC of
    the workload into a cross-domain stop-the-world barrier, which costs
    tens of percent on allocation-heavy single-domain runs (measured ~90%
@@ -163,7 +162,7 @@ let tick_line a b =
    very first scrape, before any query has run — CI smoke tests and
    dashboards need not race the first driver run. The list mirrors the
    names used in driver.ml / mcts.ml / executor.ml / runner.ml and the
-   serving layer (lib/server: admission.ml / slo.ml). *)
+   serving layer (lib/server: admission.ml / slo.ml / http.ml). *)
 
 let preregister reg =
   List.iter
@@ -177,8 +176,8 @@ let preregister reg =
       "mcts.transpositions"; "runner.cells"; "runner.retries";
       "runner.quarantined"; "monitor.ticks"; "server.requests"; "server.ok";
       "server.degraded"; "server.rejected"; "server.timeout"; "server.error";
-      "repo.lookups"; "repo.hits"; "repo.warm_starts"; "repo.flushes";
-      "repo.entries_written" ];
+      "http.conn_errors"; "repo.lookups"; "repo.hits"; "repo.warm_starts";
+      "repo.flushes"; "repo.entries_written" ];
   List.iter
     (fun n -> ignore (Registry.gauge reg n))
     [ "runner.cells_expected"; "pool.queued"; "pool.in_flight";
@@ -204,9 +203,6 @@ type t = {
   on_tick : (sample -> unit) option;
   flush_hook : (unit -> unit) option;
   mutable sampler : Thread.t option;
-  mutable server : Thread.t option;
-  mutable listen_fd : Unix.file_descr option;
-  mutable bound_port : int option;
 }
 
 let export_gc t (s : sample) =
@@ -257,17 +253,13 @@ let create ?(interval = 1.0) ?(ring = 600) ?on_tick ?flush reg =
       wake_w;
       on_tick;
       flush_hook = flush;
-      sampler = None;
-      server = None;
-      listen_fd = None;
-      bound_port = None }
+      sampler = None }
   in
   tick t;
   t.sampler <- Some (Thread.create sampler_loop t);
   t
 
 let interval t = t.interval
-let port t = t.bound_port
 
 let samples t =
   Mutex.lock t.lock;
@@ -280,130 +272,6 @@ let first t = match samples t with [] -> None | s :: _ -> Some s
 let latest t =
   match List.rev (samples t) with [] -> None | s :: _ -> Some s
 
-(* --- HTTP --- *)
-
-let http_response ~code ~reason ~content_type body =
-  Printf.sprintf
-    "HTTP/1.1 %d %s\r\n\
-     Content-Type: %s\r\n\
-     Content-Length: %d\r\n\
-     Connection: close\r\n\
-     \r\n\
-     %s"
-    code reason content_type (String.length body) body
-
-let contains s needle =
-  let n = String.length needle and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = needle || go (i + 1)) in
-  go 0
-
-(* Reads until the header terminator (we never need a body), a cap, or a
-   read timeout; returns the raw request text. *)
-let read_request fd =
-  let buf = Buffer.create 256 in
-  let chunk = Bytes.create 1024 in
-  let rec go () =
-    if
-      Buffer.length buf < 8192
-      && not (contains (Buffer.contents buf) "\r\n\r\n")
-    then
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> ()
-      | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        go ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-  in
-  go ();
-  Buffer.contents buf
-
-let request_path raw =
-  match String.split_on_char '\r' raw with
-  | [] -> None
-  | line :: _ -> (
-    match String.split_on_char ' ' line with
-    | _meth :: target :: _ ->
-      let path =
-        match String.index_opt target '?' with
-        | Some i -> String.sub target 0 i
-        | None -> target
-      in
-      Some path
-    | _ -> None)
-
-let respond t path =
-  match path with
-  | Some "/metrics" ->
-    http_response ~code:200 ~reason:"OK" ~content_type:Exporter.content_type
-      (Exporter.render t.reg)
-  | Some "/healthz" ->
-    http_response ~code:200 ~reason:"OK" ~content_type:"text/plain" "ok\n"
-  | Some "/snapshot.json" ->
-    http_response ~code:200 ~reason:"OK" ~content_type:"application/json"
-      (Json.to_string (Snapshot.metrics_json t.reg) ^ "\n")
-  | Some _ | None ->
-    http_response ~code:404 ~reason:"Not Found" ~content_type:"text/plain"
-      "not found\n"
-
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then
-      match Unix.write_substring fd s off (n - off) with
-      | written -> go (off + written)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-  in
-  go 0
-
-let handle t conn =
-  Unix.setsockopt_float conn Unix.SO_RCVTIMEO 5.0;
-  let raw = read_request conn in
-  if raw <> "" then write_all conn (respond t (request_path raw))
-
-let rec accept_loop t fd =
-  match Unix.accept fd with
-  | conn, _ ->
-    if Atomic.get t.stopped then ( try Unix.close conn with Unix.Unix_error _ -> ())
-    else begin
-      (try handle t conn with _ -> ());
-      (try Unix.close conn with Unix.Unix_error _ -> ());
-      accept_loop t fd
-    end
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop t fd
-  | exception Unix.Unix_error (_, _, _) ->
-    (* the listen socket was shut down by [stop] *)
-    ()
-
-let serve t ~port =
-  if Atomic.get t.stopped then Error "monitor already stopped"
-  else if t.listen_fd <> None then Error "monitor already serving"
-  else
-    match
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try
-         Unix.setsockopt fd Unix.SO_REUSEADDR true;
-         Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-         Unix.listen fd 16
-       with e ->
-         (try Unix.close fd with Unix.Unix_error _ -> ());
-         raise e);
-      fd
-    with
-    | fd ->
-      let bound =
-        match Unix.getsockname fd with
-        | Unix.ADDR_INET (_, p) -> p
-        | _ -> port
-      in
-      t.listen_fd <- Some fd;
-      t.bound_port <- Some bound;
-      t.server <- Some (Thread.create (accept_loop t) fd);
-      Ok bound
-    | exception Unix.Unix_error (err, _, _) ->
-      Error (Unix.error_message err)
-
 let stop t =
   if not (Atomic.exchange t.stopped true) then begin
     (* Wake the sampler for its final tick, then join it. *)
@@ -414,29 +282,6 @@ let stop t =
     (* The final sample, taken here so the ring always covers the whole
        run even when it was shorter than one interval. *)
     tick t;
-    (* Waking a thread blocked in accept needs more than close(2):
-       shutdown the listening socket (returns EINVAL from accept on
-       Linux) and self-connect as a fallback wake (the loop sees
-       [stopped] on the accepted connection and exits). Only then is
-       joining the server thread safe; the fd closes after the join. *)
-    (match (t.listen_fd, t.bound_port) with
-    | Some fd, port ->
-      (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-      (match port with
-      | Some p -> (
-        try
-          let c = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-          (try
-             Unix.connect c (Unix.ADDR_INET (Unix.inet_addr_loopback, p))
-           with Unix.Unix_error _ -> ());
-          try Unix.close c with Unix.Unix_error _ -> ()
-        with Unix.Unix_error _ -> ())
-      | None -> ());
-      (match t.server with Some d -> Thread.join d | None -> ());
-      t.server <- None;
-      (try Unix.close fd with Unix.Unix_error _ -> ())
-    | None, _ -> ());
-    t.listen_fd <- None;
     List.iter
       (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
       [ t.wake_r; t.wake_w ]

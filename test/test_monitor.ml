@@ -1,4 +1,5 @@
 open Monsoon_telemetry
+open Monsoon_server
 
 let contains s needle =
   let n = String.length needle and m = String.length s in
@@ -321,12 +322,11 @@ let test_http_endpoints () =
   Monitor.preregister reg;
   Metric.Counter.add (Registry.counter reg "driver.steps") 9.0;
   let m = Monitor.create ~interval:0.05 reg in
-  match Monitor.serve m ~port:0 with
+  match Http.serve ~registry:reg ~port:0 (fun _ -> None) with
   | Error e -> Alcotest.fail e
-  | Ok port ->
+  | Ok http ->
+    let port = Http.port http in
     Alcotest.(check bool) "ephemeral port" true (port > 0);
-    Alcotest.(check (option int)) "port accessor" (Some port)
-      (Monitor.port m);
     let health = http_get port "/healthz" in
     check_contains "healthz" health "HTTP/1.1 200";
     check_contains "healthz" health "ok";
@@ -344,17 +344,33 @@ let test_http_endpoints () =
     | Error e -> Alcotest.failf "snapshot.json does not parse: %s" e);
     let missing = http_get port "/nope" in
     check_contains "unknown path" missing "HTTP/1.1 404";
-    (* A second monitor cannot double-serve. *)
-    (match Monitor.serve m ~port:0 with
-    | Ok _ -> Alcotest.fail "second serve should fail"
-    | Error _ -> ());
+    Http.stop http;
     Monitor.stop m;
-    (match Monitor.serve m ~port:0 with
-    | Ok _ -> Alcotest.fail "serve after stop should fail"
-    | Error _ -> ());
     (* At least the initial and the final tick landed. *)
     Alcotest.(check bool) "samples recorded" true
       (List.length (Monitor.samples m) >= 2)
+
+(* An idle keep-alive client must not hold up anyone else's scrape. *)
+let test_http_idle_client () =
+  let reg = Registry.create () in
+  match Http.serve ~registry:reg ~port:0 (fun _ -> None) with
+  | Error e -> Alcotest.fail e
+  | Ok http ->
+    let port = Http.port http in
+    let idle = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () ->
+        (try Unix.close idle with Unix.Unix_error _ -> ());
+        Http.stop http)
+      (fun () ->
+        Unix.connect idle (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+        Unix.sleepf 0.05;
+        let t0 = Unix.gettimeofday () in
+        check_contains "healthz" (http_get port "/healthz") "HTTP/1.1 200";
+        let took = Unix.gettimeofday () -. t0 in
+        Alcotest.(check bool)
+          (Printf.sprintf "/healthz within 1 s of an idle client (%.2fs)" took)
+          true (took < 1.0))
 
 let () =
   Alcotest.run "monitor"
@@ -374,4 +390,6 @@ let () =
           Alcotest.test_case "ring bound & stop" `Quick
             test_sampler_ring_and_stop ] );
       ( "http",
-        [ Alcotest.test_case "endpoints" `Quick test_http_endpoints ] ) ]
+        [ Alcotest.test_case "endpoints" `Quick test_http_endpoints;
+          Alcotest.test_case "idle client does not block" `Quick
+            test_http_idle_client ] ) ]

@@ -218,6 +218,11 @@ let synthetic_handler ~id:_ ~rng:_ ~env:_ ~recorder ~trace:_ qname =
     Recorder.record recorder
       (Recorder.Degraded { step = 0; reason = "served slowly"; fallback = "p" });
     Ok ok
+  | "huge" ->
+    (* Long enough for the caller to hang up first; a plan too big for
+       one write(2). *)
+    Thread.delay 0.1;
+    Ok { ok with Server.x_plan = String.make 200_000 'p' }
   | "degraded" -> Ok { ok with Server.x_degraded = true }
   | "overrun" -> Ok { ok with Server.x_timed_out = true }
   | "boom" -> failwith "kaboom"
@@ -520,6 +525,124 @@ let test_http_negative_content_length () =
       (status_of (http_get port "/healthz"));
     Server.stop t
 
+(* --- HTTP framing: bad input, pipelining, hang-ups --- *)
+
+let connect port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  fd
+
+let read_to_eof fd =
+  let buf = Buffer.create 1024 in
+  let chunk = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | n ->
+      Buffer.add_subbytes buf chunk 0 n;
+      go ()
+  in
+  go ();
+  Buffer.contents buf
+
+let occurrences s needle =
+  let n = String.length needle in
+  let rec go i acc =
+    if i + n > String.length s then acc
+    else if String.sub s i n = needle then go (i + n) (acc + 1)
+    else go (i + 1) acc
+  in
+  go 0 0
+
+let with_listening ?ctx f =
+  let t = make_server ?ctx () in
+  match Server.listen t ~port:0 with
+  | Error e -> Alcotest.fail e
+  | Ok port -> Fun.protect ~finally:(fun () -> Server.stop t) (fun () -> f port)
+
+let test_http_bad_json_escape () =
+  with_listening @@ fun port ->
+  let resp = http_post port "/query" {|{"query": "\uZZZZ"}|} in
+  Alcotest.(check int) "bad \\u escape is a 400" 400 (status_of resp);
+  check_contains "reason" (assert_complete "400 response" resp)
+    "bad request body"
+
+let test_http_pipelined () =
+  with_listening @@ fun port ->
+  let fd = connect port in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      let req =
+        "GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: keep-alive\r\n\r\n\
+         GET /queries HTTP/1.1\r\nHost: x\r\n\r\n"
+      in
+      Http.write_all fd req;
+      let resp = read_to_eof fd in
+      Alcotest.(check int) "both pipelined requests answered" 2
+        (occurrences resp "HTTP/1.1 200 OK");
+      check_contains "second response" resp "\"fast\"")
+
+let test_http_oversized_body () =
+  with_listening @@ fun port ->
+  let fd = connect port in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Http.write_all fd
+        "POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: 100000\r\n\r\n";
+      let resp = read_to_eof fd in
+      Alcotest.(check int) "over 64 KiB is a 413" 413 (status_of resp);
+      check_contains "413" resp "Connection: close";
+      ignore (assert_complete "413 response" resp));
+  Alcotest.(check int) "server still answers" 200
+    (status_of (http_get port "/healthz"))
+
+let reset_close fd =
+  Unix.setsockopt_optint fd Unix.SO_LINGER (Some 0);
+  Unix.close fd
+
+let await_counter c want =
+  let rec go polls =
+    if Metric.Counter.value c < want && polls > 0 then begin
+      Thread.delay 0.01;
+      go (polls - 1)
+    end
+  in
+  go 300;
+  Metric.Counter.value c
+
+let test_http_client_hangup () =
+  let ctx = Ctx.null () in
+  with_listening ~ctx @@ fun port ->
+  let fd = connect port in
+  let body = {|{"query":"huge"}|} in
+  Http.write_all fd
+    (Printf.sprintf "POST /query HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+       (String.length body) body);
+  Unix.close fd;
+  let errors = Ctx.counter ctx "http.conn_errors" in
+  Alcotest.(check (float 0.0)) "dropped response counted" 1.0
+    (await_counter errors 1.0);
+  Alcotest.(check int) "process alive, server still answers" 200
+    (status_of (http_get port "/healthz"))
+
+let test_http_conn_errors () =
+  let ctx = Ctx.null () in
+  with_listening ~ctx @@ fun port ->
+  let fd = connect port in
+  Http.write_all fd "GET /healthz HTTP/1.1\r\nHo";
+  Thread.delay 0.05;
+  reset_close fd;
+  let errors = Ctx.counter ctx "http.conn_errors" in
+  Alcotest.(check (float 0.0)) "reset connection counted" 1.0
+    (await_counter errors 1.0);
+  Alcotest.(check int) "server still answers" 200
+    (status_of (http_get port "/healthz"));
+  check_contains "/metrics" (http_get port "/metrics")
+    "monsoon_http_conn_errors_total 1"
+
 (* --- load client + load generator --- *)
 
 let test_load_client_in_process () =
@@ -791,7 +914,14 @@ let () =
           Alcotest.test_case "negative Content-Length" `Quick
             test_http_negative_content_length;
           Alcotest.test_case "trace header, close by default" `Quick
-            test_http_trace_header_and_keep_alive_optin ] );
+            test_http_trace_header_and_keep_alive_optin;
+          Alcotest.test_case "bad \\u escape" `Quick test_http_bad_json_escape;
+          Alcotest.test_case "pipelined requests" `Quick test_http_pipelined;
+          Alcotest.test_case "oversized body" `Quick test_http_oversized_body;
+          Alcotest.test_case "client hang-up mid-response" `Quick
+            test_http_client_hangup;
+          Alcotest.test_case "connection errors counted" `Quick
+            test_http_conn_errors ] );
       ( "load",
         [ Alcotest.test_case "client in process" `Quick
             test_load_client_in_process;

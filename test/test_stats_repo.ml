@@ -224,6 +224,25 @@ let test_warm_dominates () =
     "warm strictly dominates cold on objects and replans" true
     (contains report "WARMSTART DOMINANCE: objects=yes replans=yes")
 
+(* A line torn inside a \u escape by a crash mid-append is skipped like
+   any other unparseable line, never raised through open_. *)
+let test_torn_escape_line_skipped () =
+  let path = fresh_path () in
+  let oc = open_out path in
+  output_string oc
+    {|{"k":"c","key":"before","v":5}
+{"k":"c","key":"\u00{"k":"c","key":"torn","v":1}
+{"k":"c","key":"after","v":7}
+|};
+  close_out oc;
+  let keys =
+    List.map
+      (fun e -> e.Stats_repo.e_key)
+      (Stats_repo.entries (Stats_repo.open_ path))
+  in
+  Alcotest.(check (list string)) "the intact lines load" [ "after"; "before" ]
+    (List.sort compare keys)
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "stats_repo"
@@ -233,7 +252,9 @@ let () =
             test_roundtrip_and_ladder;
           Alcotest.test_case "order invariance" `Quick test_order_invariance;
           Alcotest.test_case "snapshots, gc, diff" `Quick
-            test_snapshots_gc_diff ] );
+            test_snapshots_gc_diff;
+          Alcotest.test_case "torn \\u escape line skipped" `Quick
+            test_torn_escape_line_skipped ] );
       ("planning invariance", qc [ prop_empty_repo_is_invisible ]);
       ( "warm start",
         [ Alcotest.test_case "dominance" `Slow test_warm_dominates ] ) ]

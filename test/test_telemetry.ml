@@ -392,6 +392,71 @@ let test_driver_breakdown () =
     | Some c -> c.Snapshot.comp_spans = out.Driver.executes
     | None -> out.Driver.executes = 0)
 
+(* --- JSON --- *)
+
+let json_value =
+  let open QCheck.Gen in
+  let finite = map (fun f -> if Float.is_finite f then f else 0.0) float in
+  let leaf =
+    oneof
+      [ return Json.Null; map (fun b -> Json.Bool b) bool;
+        map (fun v -> Json.Num v) finite;
+        map (fun i -> Json.Num (float_of_int i)) small_signed_int;
+        map (fun s -> Json.Str s) string_printable;
+        map (fun s -> Json.Str s) (string_size (0 -- 8)) ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 0 then leaf
+         else
+           frequency
+             [ (3, leaf);
+               (1, map (fun l -> Json.Arr l) (list_size (0 -- 4) (self (n / 4))));
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (0 -- 4)
+                      (pair string_printable (self (n / 4))))) ])
+
+(* Arbitrary input never raises, and printed values parse back. *)
+let prop_json_total_and_roundtrip =
+  let arbitrary =
+    QCheck.(
+      oneof
+        [ string;
+          (* string bodies dense in escapes, valid and not *)
+          map
+            (fun frags -> "\"" ^ String.concat "" frags)
+            (list_of_size Gen.(0 -- 8)
+               (oneofl [ "\\u"; "0"; "4"; "a"; "F"; "Z"; "_"; "\""; "\\"; "{" ]));
+          (* near-JSON: a valid document with one byte spliced in *)
+          map
+            (fun (v, i, c) ->
+              let s = Json.to_string v in
+              let i = i mod (String.length s + 1) in
+              String.sub s 0 i ^ String.make 1 c
+              ^ String.sub s i (String.length s - i))
+            (triple (make json_value) small_nat char) ])
+  in
+  QCheck.Test.make
+    ~name:"of_string never raises; of_string (to_string v) = Ok v"
+    ~count:2000
+    (QCheck.pair arbitrary (QCheck.make ~print:Json.to_string json_value))
+    (fun (s, v) ->
+      (match Json.of_string s with Ok _ | Error _ -> ());
+      Json.of_string (Json.to_string v) = Ok v)
+
+let test_json_bad_escapes () =
+  List.iter
+    (fun s ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s is rejected" s)
+        true
+        (Result.is_error (Json.of_string s)))
+    [ {|{"query": "\uZZZZ"}|}; {|"\u0_41"|}; {|"\u00{"|}; {|"\u12"|} ];
+  Alcotest.(check bool) "\\u0041 decodes" true
+    (Json.of_string {|"\u0041"|} = Ok (Json.Str "A"))
+
 let () =
   Alcotest.run "telemetry"
     [ ( "histogram",
@@ -423,4 +488,7 @@ let () =
           Alcotest.test_case "parallel spans" `Quick test_parallel_spans ] );
       ( "driver",
         [ Alcotest.test_case "component breakdown" `Quick
-            test_driver_breakdown ] ) ]
+            test_driver_breakdown ] );
+      ( "json",
+        [ Alcotest.test_case "bad \\u escapes" `Quick test_json_bad_escapes;
+          QCheck_alcotest.to_alcotest prop_json_total_and_roundtrip ] ) ]
