@@ -224,6 +224,81 @@ let test_warm_dominates () =
     "warm strictly dominates cold on objects and replans" true
     (contains report "WARMSTART DOMINANCE: objects=yes replans=yes")
 
+(* Characterization of the experiment's report: the totals and the
+   verdict of the quick cold-vs-warm run, byte for byte. *)
+let test_warmstart_report_pinned () =
+  let report =
+    Experiments.warmstart ~repo_path:(fresh_path ()) Experiments.quick
+  in
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) ("report line: " ^ line) true
+        (contains report (line ^ "\n")))
+    [ "  totals: objects cold 57.5k warm 34.5k; Σ objects cold 36.2k \
+       warm 7371";
+      "  replans/query: cold 8.25 warm 5.62; warm-start seeds: 51";
+      "  WARMSTART DOMINANCE: objects=yes replans=yes" ]
+
+(* --- Serving with a repository ---
+
+   Two passes of the same requests through the serving handler: the first
+   flushes every request's measurements (a pinned number of lines each),
+   the second reopens the log and warm-starts from it. *)
+
+let line_count path =
+  match open_in path with
+  | exception Sys_error _ -> 0
+  | ic ->
+    let rec go n =
+      match input_line ic with _ -> go (n + 1) | exception End_of_file -> n
+    in
+    let n = go 0 in
+    close_in ic;
+    n
+
+let serve_pass path =
+  let tel = Monsoon_telemetry.Ctx.null () in
+  let profile = { Experiments.quick with Experiments.ctx = tel } in
+  let repo = Stats_repo.open_ path in
+  match Experiments.service profile ~experiment:"udf" ~stats_repo:repo () with
+  | Error e -> Alcotest.fail e
+  | Ok (handler, names) ->
+    let server =
+      Monsoon_server.Server.create ~queries:names
+        { Monsoon_server.Server.default_config with
+          Monsoon_server.Server.request_timeout = None;
+          seed = profile.Experiments.seed }
+        handler
+    in
+    let written =
+      List.map
+        (fun name ->
+          let before = line_count path in
+          let r = Monsoon_server.Server.submit server name in
+          Alcotest.(check int) ("served " ^ name) 200
+            r.Monsoon_server.Server.rs_code;
+          line_count path - before)
+        (List.filteri (fun i _ -> i < 4) names)
+    in
+    Monsoon_server.Server.stop server;
+    let counter n =
+      int_of_float
+        (Monsoon_telemetry.Metric.Counter.value
+           (Monsoon_telemetry.Ctx.counter tel n))
+    in
+    (written, counter "repo.flushes", counter "repo.warm_starts")
+
+let test_service_with_repo () =
+  let path = fresh_path () in
+  let written, flushes, warm = serve_pass path in
+  Alcotest.(check (list int)) "lines flushed per request" [ 13; 7; 15; 13 ]
+    written;
+  Alcotest.(check int) "one flush per request" 4 flushes;
+  Alcotest.(check int) "a cold log warm-starts nothing" 0 warm;
+  let _, flushes, warm = serve_pass path in
+  Alcotest.(check int) "second pass flushes too" 4 flushes;
+  Alcotest.(check bool) "second pass warm-starts" true (warm > 0)
+
 (* A line torn inside a \u escape by a crash mid-append is skipped like
    any other unparseable line, never raised through open_. *)
 let test_torn_escape_line_skipped () =
@@ -257,4 +332,9 @@ let () =
             test_torn_escape_line_skipped ] );
       ("planning invariance", qc [ prop_empty_repo_is_invisible ]);
       ( "warm start",
-        [ Alcotest.test_case "dominance" `Slow test_warm_dominates ] ) ]
+        [ Alcotest.test_case "dominance" `Slow test_warm_dominates;
+          Alcotest.test_case "report totals pinned" `Slow
+            test_warmstart_report_pinned ] );
+      ( "serving",
+        [ Alcotest.test_case "two passes over one repository" `Quick
+            test_service_with_repo ] ) ]
