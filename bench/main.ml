@@ -256,7 +256,7 @@ let tests =
              let prof = Monsoon_exec.Profile.create () in
              let exec =
                Monsoon_exec.Executor.create
-                 ~env:(Monsoon_exec.Profile.to_env prof)
+                 ~profile:prof
                  exec_cat exec_join_q
                  (Monsoon_exec.Executor.budget 1e7)
              in

@@ -946,17 +946,6 @@ let qlog_cmd =
       & info [ "top" ] ~docv:"N"
           ~doc:"Rows in the slowest / worst-misestimate rankings.")
   in
-  let top_nodes_arg =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "top-nodes" ] ~docv:"K"
-          ~doc:
-            "Also print the $(docv) hottest operators by total wall time, \
-             aggregated from the per-node profiles of profiled records \
-             (runs under an execution profile collector). 0 (the default) \
-             omits the table.")
-  in
   let threshold_arg =
     Arg.(
       value
@@ -966,21 +955,13 @@ let qlog_cmd =
             "Mean-cost growth ratio above which a class counts as \
              regressed (default 1.1 = +10%).")
   in
-  let run diff top top_nodes threshold file =
+  let run diff top threshold file =
     match Qlog.load file with
     | Error msg -> Error (Printf.sprintf "%s: %s" file msg)
     | Ok records -> (
       match diff with
       | None ->
         print_string (Qlog.report ~top records);
-        if top_nodes > 0 then begin
-          match Qlog.top_nodes ~top:top_nodes records with
-          | "" ->
-            print_string
-              "\nNo operator profiles in this log (run under a profile \
-               collector to record them).\n"
-          | tbl -> print_string ("\n" ^ tbl)
-        end;
         Ok ()
       | Some old_file -> (
         match Qlog.load old_file with
@@ -998,8 +979,7 @@ let qlog_cmd =
   in
   Cmd.v (Cmd.info "qlog" ~doc)
     Term.(
-      const run $ diff_arg $ top_arg $ top_nodes_arg $ threshold_arg
-      $ file_arg)
+      const run $ diff_arg $ top_arg $ threshold_arg $ file_arg)
 
 let stats_cmd =
   let doc =

@@ -2,6 +2,9 @@ open Monsoon_util
 open Monsoon_storage
 open Monsoon_relalg
 open Monsoon_exec
+open Monsoon_telemetry
+module Driver = Monsoon_core.Driver
+module Stats_repo = Monsoon_stats_repo.Stats_repo
 
 type outcome = {
   cost : float;
@@ -152,54 +155,106 @@ let skinner =
           degraded = 0;
           plan = Printf.sprintf "%d episodes" out.Skinner.episodes }) }
 
-let monsoon ?(iterations = 2000) ?(scale_with_size = true)
-    ?(selection = Monsoon_mcts.Mcts.Uct (sqrt 2.0)) ?(mcts_workers = 1)
-    ?stats_repo prior =
+let monsoon_config ?(iterations = 2000) ?(scale_with_size = true)
+    ?(selection = Monsoon_mcts.Mcts.Uct (sqrt 2.0)) ?(mcts_workers = 1) prior
+    ~rng ~budget q =
+  (* MCTS effort scales with the size of the join-order problem: the
+     action space roughly squares with the instance count. *)
+  let iterations =
+    if not scale_with_size then iterations
+    else if Query.n_rels q >= 7 then iterations * 3
+    else if Query.n_rels q >= 6 then iterations * 2
+    else iterations
+  in
+  { Driver.prior;
+    prior_of = None;
+    known_distincts = [];
+    mcts =
+      { (Monsoon_mcts.Mcts.default_config ~rng) with
+        Monsoon_mcts.Mcts.iterations;
+        selection };
+    mcts_workers;
+    budget;
+    max_steps = 200 }
+
+(* One run of a [monsoon_config] against the statistics repository.
+   Before it, the warm-start ladder resolves every interesting term, in
+   term order, into the config: a Known answer becomes a known distinct
+   (the MDP prunes its Σ action), a Hint answer a per-term prior. After
+   it, what the run measured is flushed. With no answers the config is
+   untouched, so an empty repository leaves the run byte-identical to a
+   repository-free one. *)
+let run_on_repo repo ?env config catalog q =
+  let tel = Ctx.of_env (Option.value env ~default:Env.default) in
+  let lookups = Ctx.counter tel "repo.lookups" in
+  let hits = Ctx.counter tel "repo.hits" in
+  let known, hints =
+    List.fold_left
+      (fun (known, hints) (tm : Term.t) ->
+        Metric.Counter.inc lookups;
+        match Stats_repo.lookup_distinct repo ~query:q ~term:tm with
+        | Stats_repo.Cold -> (known, hints)
+        | Stats_repo.Known d ->
+          Metric.Counter.inc hits;
+          ((tm.Term.id, d) :: known, hints)
+        | Stats_repo.Hint p ->
+          Metric.Counter.inc hits;
+          (known, (tm.Term.id, p) :: hints))
+      ([], [])
+      (Query.interesting_terms q (Query.all_mask q))
+  in
+  if known <> [] then
+    Metric.Counter.add
+      (Ctx.counter tel "repo.warm_starts")
+      (float_of_int (List.length known));
+  let config =
+    { config with
+      Driver.known_distincts = List.rev known;
+      prior_of =
+        (match hints with
+        | [] -> None
+        | hints ->
+          Some
+            (fun tid ->
+              match List.assoc_opt tid hints with
+              | Some p -> p
+              | None -> config.Driver.prior)) }
+  in
+  let out = Driver.run ?env config catalog q in
+  let wrote =
+    Stats_repo.flush_query repo ~query:q ~counts:out.Driver.measured_counts
+      ~distincts:out.Driver.measured_distincts
+      ~udf:out.Driver.udf_observations
+  in
+  Metric.Counter.inc (Ctx.counter tel "repo.flushes");
+  Metric.Counter.add
+    (Ctx.counter tel "repo.entries_written")
+    (float_of_int wrote);
+  out
+
+let monsoon ?iterations ?scale_with_size ?selection ?mcts_workers ?stats_repo
+    prior =
   { name = "Monsoon";
     applicable = always_applicable;
     run =
       (fun ?env ~rng ~budget catalog q ->
-        (* The repository rides the env so it survives the Runner's
-           per-attempt env reconstruction; [None] leaves the env untouched
-           and the run byte-identical to a repository-free build. *)
-        let env =
-          match stats_repo with
-          | None -> env
-          | Some repo ->
-            let base = Option.value env ~default:Env.default in
-            Some (Monsoon_stats_repo.Stats_repo.to_env ~env:base repo)
-        in
-        (* MCTS effort scales with the size of the join-order problem: the
-           action space roughly squares with the instance count. *)
-        let iterations =
-          if not scale_with_size then iterations
-          else if Query.n_rels q >= 7 then iterations * 3
-          else if Query.n_rels q >= 6 then iterations * 2
-          else iterations
-        in
-        let mcts =
-          { (Monsoon_mcts.Mcts.default_config ~rng) with
-            Monsoon_mcts.Mcts.iterations;
-            selection }
-        in
         let config =
-          { Monsoon_core.Driver.prior;
-            prior_of = None;
-            known_distincts = [];
-            mcts;
-            mcts_workers;
-            budget;
-            max_steps = 200 }
+          monsoon_config ?iterations ?scale_with_size ?selection ?mcts_workers
+            prior ~rng ~budget q
         in
-        let out = Monsoon_core.Driver.run ?env config catalog q in
-        { cost = out.Monsoon_core.Driver.cost;
-          timed_out = out.Monsoon_core.Driver.timed_out;
-          wall = out.Monsoon_core.Driver.wall;
-          plan_time = out.Monsoon_core.Driver.mcts_time;
-          stats_cost = out.Monsoon_core.Driver.stats_cost;
-          result_card = out.Monsoon_core.Driver.result_card;
-          degraded = out.Monsoon_core.Driver.degraded;
-          plan = String.concat " | " out.Monsoon_core.Driver.actions }) }
+        let out =
+          match stats_repo with
+          | None -> Driver.run ?env config catalog q
+          | Some repo -> run_on_repo repo ?env config catalog q
+        in
+        { cost = out.Driver.cost;
+          timed_out = out.Driver.timed_out;
+          wall = out.Driver.wall;
+          plan_time = out.Driver.mcts_time;
+          stats_cost = out.Driver.stats_cost;
+          result_card = out.Driver.result_card;
+          degraded = out.Driver.degraded;
+          plan = String.concat " | " out.Driver.actions }) }
 
 let fixed_plan ~name plan_of =
   { name;

@@ -47,6 +47,20 @@ val on_demand : t
 val sampling : t
 val skinner : t
 
+val monsoon_config :
+  ?iterations:int ->
+  ?scale_with_size:bool ->
+  ?selection:Monsoon_mcts.Mcts.selection ->
+  ?mcts_workers:int ->
+  Monsoon_stats.Prior.t ->
+  rng:Monsoon_util.Rng.t ->
+  budget:float ->
+  Query.t ->
+  Monsoon_core.Driver.config
+(** The driver config {!monsoon} runs a query with — the one owner of the
+    Monsoon effort policy, so [explain] replays exactly the measured run.
+    Arguments and defaults as for {!monsoon}. *)
+
 val monsoon :
   ?iterations:int ->
   ?scale_with_size:bool ->
@@ -60,10 +74,13 @@ val monsoon :
     iteration budget for 6- and 7-instance queries, whose action spaces are
     much larger. [mcts_workers] (default 1) turns on root-parallel planning
     ({!Monsoon_core.Driver.config.mcts_workers}). [stats_repo] attaches a
-    cross-query statistics repository: measured statistics are flushed at
-    every query's end and warm-start the next run's MDP
-    ({!Monsoon_stats_repo.Stats_repo}); omitted, runs are byte-identical
-    to builds without the repository. *)
+    cross-query statistics repository ({!Monsoon_stats_repo.Stats_repo}).
+    Before each run its warm-start answers become the config's
+    [known_distincts] (Known) and [prior_of] (Hint), counted on
+    [repo.lookups] / [repo.hits] / [repo.warm_starts]; after it the run's
+    measured statistics are flushed, counted on [repo.flushes] /
+    [repo.entries_written]. Omitted, or empty, runs are byte-identical to
+    runs without the repository. *)
 
 val fixed_plan : name:string -> (Query.t -> Expr.t) -> t
 (** Execute a externally supplied plan (the OTT benchmark's hand-written

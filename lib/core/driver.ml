@@ -3,7 +3,6 @@ open Monsoon_relalg
 open Monsoon_stats
 open Monsoon_exec
 open Monsoon_telemetry
-module Stats_repo = Monsoon_stats_repo.Stats_repo
 
 type config = {
   prior : Prior.t;
@@ -35,6 +34,9 @@ type outcome = {
   degraded : int;
   actions : string list;
   result_card : float;
+  measured_counts : (Relset.t * float) list;
+  measured_distincts : (int * float) list;
+  udf_observations : (int * float * float) list;
 }
 
 let selection_name = function
@@ -156,7 +158,8 @@ let bump ?(by = 1.0) t =
   Metric.Counter.add t.counter by;
   t.total <- t.total +. by
 
-let run ?(env = Env.default) config catalog query =
+let run ?(profile = Profile.disabled) ?(env = Env.default) config catalog
+    query =
   let tel = Ctx.of_env env in
   let env = Ctx.to_env ~env tel in
   let deadline = Env.deadline env in
@@ -173,42 +176,12 @@ let run ?(env = Env.default) config catalog query =
   @@ fun run_span ->
   let t0 = Timer.now () in
   let ctx = Mdp.make_ctx catalog query in
-  let exec = Executor.create ~env catalog query (Executor.budget config.budget) in
   (* Every execute step drains exactly what the executor profiled since the
-     previous drain, so each Executed event carries only its own operators.
-     With no packed collector the drain is the empty list and every record
-     stays byte-identical. *)
-  let prof = Executor.profile exec in
-  (* Cross-query statistics repository: resolve every warm-start answer up
-     front — before any planning RNG is created or drawn — so a missing or
-     empty repository leaves the run byte-identical to a repository-free
-     build, and a populated one only changes what the init state knows. *)
-  let repo = Stats_repo.of_env env in
-  let warm_known = ref [] in
-  let warm_priors = ref [] in
-  (match repo with
-  | None -> ()
-  | Some r ->
-    let c_lookups = Ctx.counter tel "repo.lookups" in
-    let c_hits = Ctx.counter tel "repo.hits" in
-    List.iter
-      (fun (tm : Term.t) ->
-        Metric.Counter.inc c_lookups;
-        match Stats_repo.lookup_distinct r ~query ~term:tm with
-        | Stats_repo.Cold -> ()
-        | Stats_repo.Known d ->
-          Metric.Counter.inc c_hits;
-          (* Caller-supplied known distincts win over history. *)
-          if not (List.mem_assoc tm.Term.id config.known_distincts) then
-            warm_known := (tm.Term.id, d) :: !warm_known
-        | Stats_repo.Hint p ->
-          Metric.Counter.inc c_hits;
-          warm_priors := (tm.Term.id, p) :: !warm_priors)
-      (Query.interesting_terms query (Query.all_mask query)));
-  (* Terms whose Wildcard entry is a seed, not a measurement: excluded from
-     the end-of-query flush so the repository never re-absorbs its own
-     answers (or the caller's assumptions) as fresh observations. *)
-  let seeded = List.map fst config.known_distincts @ List.map fst !warm_known in
+     previous drain, so each Executed event carries only its own operators;
+     with the disabled collector the drain is empty. *)
+  let exec =
+    Executor.create ~profile ~env catalog query (Executor.budget config.budget)
+  in
   (* The cell deadline also bounds the planner, unless the caller already
      set a tighter one on the MCTS config itself. *)
   let mcts_cfg =
@@ -226,31 +199,6 @@ let run ?(env = Env.default) config catalog query =
         | Some inter -> float_of_int (Intermediate.cardinality inter)
         | None -> 0.0
     in
-    (* The Query_finish repository hook: flush what this run genuinely
-       measured. Counts come from the hardened catalog, distincts exclude
-       warm-start / known-distinct seeds, UDF observations come straight
-       from the executor's accumulator. *)
-    (match repo with
-    | None -> ()
-    | Some r ->
-      let measured =
-        Stats_catalog.distincts state.Mdp.stats
-        |> List.filter_map (fun (tm, scope, d) ->
-               match scope with
-               | Stats_catalog.Wildcard when not (List.mem tm seeded) ->
-                 Some (tm, d)
-               | _ -> None)
-      in
-      let wrote =
-        Stats_repo.flush_query r ~query
-          ~counts:(Stats_catalog.counts state.Mdp.stats)
-          ~distincts:measured
-          ~udf:(Executor.udf_observations exec)
-      in
-      Metric.Counter.inc (Ctx.counter tel "repo.flushes");
-      Metric.Counter.add
-        (Ctx.counter tel "repo.entries_written")
-        (float_of_int wrote));
     let stats_cost = Executor.sigma_objects exec in
     let n_executes = int_of_float executes.total in
     Metric.Histogram.observe h_replans replans.total;
@@ -273,7 +221,19 @@ let run ?(env = Env.default) config catalog query =
       executes = n_executes;
       degraded = int_of_float degraded.total;
       actions = List.rev !trace;
-      result_card }
+      result_card;
+      measured_counts = Stats_catalog.counts state.Mdp.stats;
+      (* A known distinct is a seed, not a measurement. *)
+      measured_distincts =
+        List.filter_map
+          (fun (tm, scope, d) ->
+            match scope with
+            | Stats_catalog.Wildcard
+              when not (List.mem_assoc tm config.known_distincts) ->
+              Some (tm, d)
+            | _ -> None)
+          (Stats_catalog.distincts state.Mdp.stats);
+      udf_observations = Executor.udf_observations exec }
   in
   (* The one place plans run: execute [plans] in order, folding each call's
      observations into [stats] as it completes. Mid-plan death keeps what
@@ -283,7 +243,7 @@ let run ?(env = Env.default) config catalog query =
     let obs_nodes = ref [] in
     let nodes () =
       exec_nodes query stats ~predictions ~obs_nodes:!obs_nodes
-        ~profiles:(Profile.drain prof) plans
+        ~profiles:(Profile.drain profile) plans
     in
     match
       Ctx.with_span tel span ~attrs @@ fun _ ->
@@ -328,7 +288,7 @@ let run ?(env = Env.default) config catalog query =
       bump degraded;
       (* The aborted attempt's operators have no Executed event to ride
          on; drop them so the fallback's event carries only its own. *)
-      ignore (Profile.drain prof);
+      ignore (Profile.drain profile);
       let fallback =
         List.fold_left
           (fun acc i -> Expr.join acc (Expr.base i))
@@ -367,19 +327,6 @@ let run ?(env = Env.default) config catalog query =
       Stats_catalog.set_distinct init.Mdp.stats ~term
         ~scope:Stats_catalog.Wildcard d)
     config.known_distincts;
-  (* Warm start: tight history behaves exactly like a caller-known
-     distinct — the Σ action for the term is pruned by [stats_useful]
-     and the paid pass becomes a lookup. *)
-  (match !warm_known with
-  | [] -> ()
-  | ks ->
-    let c_warm = Ctx.counter tel "repo.warm_starts" in
-    List.iter
-      (fun (term, d) ->
-        Metric.Counter.inc c_warm;
-        Stats_catalog.set_distinct init.Mdp.stats ~term
-          ~scope:Stats_catalog.Wildcard d)
-      (List.rev ks));
   if Recorder.enabled recorder then
     Recorder.record recorder
       (Recorder.Query_start
@@ -397,22 +344,8 @@ let run ?(env = Env.default) config catalog query =
     | None -> finish ~timed_out:true init
   else begin
     let sim_rng = config.mcts.Monsoon_mcts.Mcts.rng in
-    (* Repository Hint priors override the configured family per term; with
-       no hints this is exactly the old [config.prior_of] dispatch, so a
-       repository-free run constructs the very same simulators. *)
-    let prior_of_effective =
-      match (!warm_priors, config.prior_of) with
-      | [], base -> base
-      | hints, base ->
-        Some
-          (fun tid ->
-            match List.assoc_opt tid hints with
-            | Some p -> p
-            | None -> (
-              match base with Some f -> f tid | None -> config.prior))
-    in
     let make_sim rng =
-      match prior_of_effective with
+      match config.prior_of with
       | Some prior_of -> Simulator.create_with ctx ~prior_of rng
       | None -> Simulator.create ctx config.prior rng
     in

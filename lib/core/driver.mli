@@ -20,7 +20,10 @@ type config = {
           generic prior" *)
   known_distincts : (int * float) list;
       (** statistics available up front (term id → distinct count): the
-          paper initializes the problem with any known statistics *)
+          paper initializes the problem with any known statistics. This
+          and [prior_of] are the only ways seeds reach a run; a
+          statistics repository's warm start fills them
+          ([Strategy.monsoon ~stats_repo]). *)
   mcts : Monsoon_mcts.Mcts.config;
   mcts_workers : int;
       (** root-parallel MCTS width: [> 1] plans each step with that many
@@ -48,9 +51,18 @@ type outcome = {
           left-deep plan *)
   actions : string list;  (** the action trace, for inspection *)
   result_card : float;  (** cardinality of the final result; 0 on timeout *)
+  measured_counts : (Relset.t * float) list;
+      (** every result count hardened into the catalog *)
+  measured_distincts : (int * float) list;
+      (** term id → Wildcard distinct count the run measured; the
+          [known_distincts] seeds are left out *)
+  udf_observations : (int * float * float) list;
+      (** {!Monsoon_exec.Executor.udf_observations}: term id, rows
+          evaluated, kept fraction *)
 }
 
 val run :
+  ?profile:Monsoon_exec.Profile.t ->
   ?env:Monsoon_util.Env.t ->
   config -> Catalog.t -> Query.t -> outcome
 (** Every EXECUTE — including the single scan of a one-instance query,
@@ -86,9 +98,9 @@ val run :
     full decision trajectory: [Query_start], one [Decision] per chosen
     action (state fingerprint, legal-action count, MCTS root statistics of
     every candidate), one [Executed] per EXECUTE with per-node predicted vs
-    observed cardinalities and q-errors (with a packed
-    {!Monsoon_exec.Profile} collector, each operator profile attaches once,
-    to the plan node that materialized it), one [Stat_observed] per statistic
+    observed cardinalities and q-errors (with a live [profile] collector —
+    default {!Monsoon_exec.Profile.disabled} — each operator profile
+    attaches once, to the plan node that materialized it), one [Stat_observed] per statistic
     hardened into the catalog, and [Query_finish]. Predictions are sampled
     from a private split of the planning rng, so recording never perturbs
     the optimizer's random stream. Default: a null recorder — the

@@ -41,7 +41,8 @@ type t = {
   m : counters;
 }
 
-let create ?(env = Env.default) catalog query bud =
+let create ?(profile = Profile.disabled) ?(env = Env.default) catalog query
+    bud =
   let tel = Ctx.of_env env in
   let m =
     { m_scanned = Ctx.counter tel "exec.tuples_scanned";
@@ -66,10 +67,8 @@ let create ?(env = Env.default) catalog query bud =
     fault = Env.fault env;
     deadline = Env.deadline env;
     tel;
-    prof = Profile.of_env env;
+    prof = profile;
     m }
-
-let profile t = t.prof
 
 let set_budget t bud = t.bud <- bud
 

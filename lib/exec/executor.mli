@@ -37,7 +37,9 @@ type t
     materialized intermediates keyed by instance mask. Persists across the
     multiple EXECUTE steps of a Monsoon run. *)
 
-val create : ?env:Monsoon_util.Env.t -> Catalog.t -> Query.t -> budget -> t
+val create :
+  ?profile:Profile.t -> ?env:Monsoon_util.Env.t -> Catalog.t -> Query.t ->
+  budget -> t
 (** The execution environment bundles the telemetry context, fault plan
     and deadline; [Monsoon_util.Env.default] (the default) is all Null
     sinks. With a packed context ([Monsoon_telemetry.Ctx.to_env]),
@@ -48,8 +50,8 @@ val create : ?env:Monsoon_util.Env.t -> Catalog.t -> Query.t -> budget -> t
     attributes — set even when the call raises {!Timeout} — and
     [exec.sigma]).
 
-    With a packed profile collector ([Profile.to_env]), every [execute]
-    call additionally records one {!Profile.node} per plan node it
+    With a live [profile] collector (default {!Profile.disabled}), every
+    [execute] call additionally records one {!Profile.node} per plan node it
     materializes — kind, path taken, representation mix, rows,
     selectivity, batch counts, chain shape, budget drawn and wall time —
     and each node's wall time lands on the [exec.node_ms] histogram.
@@ -68,11 +70,6 @@ val create : ?env:Monsoon_util.Env.t -> Catalog.t -> Query.t -> budget -> t
     off. *)
 
 val set_budget : t -> budget -> unit
-
-val profile : t -> Profile.t
-(** The profile collector this executor writes to — the one packed in the
-    creation [env], or [Profile.disabled]. Lets direct embedders (tests,
-    bench) read {!Profile.nodes} without going through the driver. *)
 
 type stat_obs = {
   obs_counts : (Relset.t * float) list;

@@ -177,13 +177,3 @@ let fingerprint q n =
     (Expr.describe q n.n_expr) p.Recorder.p_kind p.p_path p.p_repr p.p_rows_in
     p.p_rows_out p.p_selectivity p.p_batches p.p_sel_density p.p_chain_max
     p.p_chain_mean p.p_budget p.p_complete
-
-(* --- Env packing (mirrors Ctx.to_env / of_env) --- *)
-
-type Monsoon_util.Env.profile += Packed of t
-
-let to_env ?(env = Monsoon_util.Env.default) t =
-  Monsoon_util.Env.with_profile env (Packed t)
-
-let of_env (env : Monsoon_util.Env.t) =
-  match Monsoon_util.Env.profile env with Packed t -> t | _ -> disabled

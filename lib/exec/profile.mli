@@ -1,7 +1,7 @@
 (** Per-plan-node execution profiles for the vectorized executor.
 
-    A collector rides in the execution environment
-    ([Env.with_profile] via {!to_env}); when live, {!Executor.execute}
+    A collector is an explicit [?profile] argument of [Executor.create]
+    and [Driver.run] (default {!disabled}); when live, {!Executor.execute}
     records one {!node} per plan node it materializes — operator kind,
     wall time (on the {!Monsoon_util.Timer} monotonic clock, the span
     clock), rows in/out, observed selectivity, chunk/batch counts, the
@@ -103,11 +103,3 @@ val fingerprint : Query.t -> node -> string
 (** Deterministic one-line digest of everything except the wall time
     (hex floats, so equality is bit-exact) — the byte-identity tests
     compare concatenations of these. *)
-
-(** {2 Env packing (mirrors [Ctx.to_env] / [Ctx.of_env])} *)
-
-type Monsoon_util.Env.profile += Packed of t
-
-val to_env : ?env:Monsoon_util.Env.t -> t -> Monsoon_util.Env.t
-val of_env : Monsoon_util.Env.t -> t
-(** The packed collector, or {!disabled} for an unpacked slot. *)

@@ -690,41 +690,41 @@ let warmstart ?repo_path profile =
 let workload_for profile id =
   match String.lowercase_ascii id with
   | "table2" | "tpch" ->
-    Some
+    Ok
       ( Tpch.workload
           { Tpch.seed = profile.seed; scale = profile.tpch_scale; skew = Tpch.Plain },
         profile.tpch_budget,
         profile.tpch_queries )
   | "table3" | "table4" | "table5" | "imdb" ->
-    Some
+    Ok
       ( Imdb.workload { Imdb.seed = profile.seed; scale = profile.imdb_scale },
         profile.imdb_budget,
         profile.imdb_queries )
   | "table6" | "ott" ->
-    Some
+    Ok
       ( Ott.workload
           { Ott.seed = profile.seed; scale = profile.ott_scale; domain = 100 },
         profile.ott_budget,
         None )
   | "table7" | "figure3" | "udf" ->
-    Some
+    Ok
       ( Udf_bench.workload
           { Udf_bench.seed = profile.seed;
             imdb_scale = profile.udf_imdb_scale;
             tpch_scale = profile.udf_tpch_scale },
         profile.udf_budget,
         None )
-  | _ -> None
+  | _ ->
+    Error
+      (Printf.sprintf
+         "unknown experiment %S; known: tpch (table2), imdb \
+          (table3/table4/table5), ott (table6), udf (table7/figure3)"
+         id)
 
 let explain ?(op_profile = false) profile ~experiment ~query =
   match workload_for profile experiment with
-  | None ->
-    Error
-      (Printf.sprintf
-         "unknown experiment %S; explainable: tpch (table2), imdb \
-          (table3/table4/table5), ott (table6), udf (table7/figure3)"
-         experiment)
-  | Some (w, budget, _queries) -> (
+  | Error e -> Error e
+  | Ok (w, budget, _queries) -> (
     match List.assoc_opt query w.Workload.queries with
     | None ->
       Error
@@ -733,54 +733,35 @@ let explain ?(op_profile = false) profile ~experiment ~query =
            (String.concat ", " (List.map fst w.Workload.queries)))
     | Some q ->
       (* Mirror the Runner's per-(strategy, query) seeding and the Monsoon
-         strategy's size-scaled MCTS effort, so the explained run is the
-         same run an experiment table would have measured. *)
+         strategy's own config, so the explained run is the same run an
+         experiment table would have measured. *)
       let rng =
         Runner.cell_rng ~seed:profile.seed ~strategy:"Monsoon" ~query
       in
-      let iterations =
-        let i = profile.monsoon_iterations in
-        if Query.n_rels q >= 7 then i * 3
-        else if Query.n_rels q >= 6 then i * 2
-        else i
-      in
-      let mcts =
-        { (Monsoon_mcts.Mcts.default_config ~rng) with
-          Monsoon_mcts.Mcts.iterations }
-      in
       let config =
-        { Driver.prior = Prior.spike_and_slab;
-          prior_of = None;
-          known_distincts = [];
-          mcts;
-          mcts_workers = 1;
-          budget;
-          max_steps = 200 }
+        Strategy.monsoon_config ~iterations:profile.monsoon_iterations
+          Prior.spike_and_slab ~rng ~budget q
       in
       let recorder = Recorder.create () in
       let env = Ctx.to_env (Ctx.with_recorder profile.ctx recorder) in
-      (* Operator profiling is opt-in: a packed collector turns on the
+      (* Operator profiling is opt-in: a live collector turns on the
          per-node scratch in the executor, and the driver joins the
          drained nodes onto the Executed events the report renders. *)
-      let env =
-        if op_profile then
-          Monsoon_exec.Profile.to_env ~env (Monsoon_exec.Profile.create ())
-        else env
+      let _outcome =
+        Driver.run
+          ~profile:
+            (if op_profile then Monsoon_exec.Profile.create ()
+             else Monsoon_exec.Profile.disabled)
+          ~env config w.Workload.catalog q
       in
-      let _outcome = Driver.run ~env config w.Workload.catalog q in
       Ok recorder)
 
 (* --- The serving handler (`monsoon serve` / `monsoon load`) --- *)
 
 let service profile ~experiment ?(faults = Fault.no_faults) ?stats_repo () =
   match workload_for profile experiment with
-  | None ->
-    Error
-      (Printf.sprintf
-         "unknown experiment %S; servable: tpch (table2), imdb \
-          (table3/table4/table5), ott (table6), udf (table7/figure3)"
-         experiment)
-  | Some (w, budget, queries) ->
+  | Error e -> Error e
+  | Ok (w, budget, queries) ->
     let names =
       match queries with
       | Some qs -> List.filter (fun q -> List.mem_assoc q w.Workload.queries) qs
@@ -820,13 +801,8 @@ let service profile ~experiment ?(faults = Fault.no_faults) ?stats_repo () =
 
 let chaos profile ~experiment ~faults ~retries ~cell_deadline ?qlog () =
   match workload_for profile experiment with
-  | None ->
-    Error
-      (Printf.sprintf
-         "unknown experiment %S; chaos targets: tpch (table2), imdb \
-          (table3/table4/table5), ott (table6), udf (table7/figure3)"
-         experiment)
-  | Some (w, budget, queries) ->
+  | Error e -> Error e
+  | Ok (w, budget, queries) ->
     let config =
       { Runner.budget;
         seed = profile.seed;

@@ -102,12 +102,12 @@ val explain :
   (Monsoon_telemetry.Recorder.t, string) result
 (** Re-run Monsoon on one query of a benchmark experiment with the decision
     flight recorder attached, reproducing the exact run the experiment
-    table would have measured (same per-query rng seeding, same size-scaled
-    MCTS effort, same budget). [experiment] names a benchmark-backed
-    experiment ([tpch]/[table2], [imdb]/[table3..5], [ott]/[table6],
-    [udf]/[table7]/[figure3]). [Error] carries a usage message listing
-    valid ids or queries. With [op_profile] (default false, the CLI's
-    [--profile]) an execution profile collector rides the env, so the
+    table would have measured (same per-query rng seeding, the same
+    {!Monsoon_baselines.Strategy.monsoon_config}, same budget).
+    [experiment] names a benchmark-backed experiment ([tpch]/[table2],
+    [imdb]/[table3..5], [ott]/[table6], [udf]/[table7]/[figure3]).
+    [Error] carries a usage message listing valid ids or queries. With [op_profile] (default false, the CLI's
+    [--profile]) the run gets a live execution profile collector, so the
     report's plan tables gain per-operator rows (time share, rows,
     selectivity, representation mix, path taken) — profiling only reads,
     so the run's decisions and costs are unchanged. Render the result

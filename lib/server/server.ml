@@ -215,8 +215,8 @@ let submit t qname =
           match
             Pool.run t.pool (fun () ->
                 (* The handler env derives from the creation env, so
-                   anything the embedder packed into it — a telemetry
-                   context, a profile collector — reaches every request. *)
+                   the embedder's telemetry context and fault plan reach
+                   every request. *)
                 t.handler ~id ~rng
                   ~env:(Env.with_deadline t.env deadline)
                   ~recorder ~trace qname)

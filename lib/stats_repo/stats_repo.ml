@@ -1,4 +1,3 @@
-open Monsoon_util
 open Monsoon_relalg
 open Monsoon_stats
 open Monsoon_telemetry
@@ -75,22 +74,31 @@ let parse_line line =
     match (Json.member "k" j, Json.member "key" j, Json.member "v" j) with
     | Some k, Some key, Some v -> (
       match (Json.to_str k, Json.to_str key, Json.to_float v) with
-      | Some k, Some key, Some v when List.mem k kinds -> Some (k, key, v)
+      (* No observation is negative, and [Json] already refuses non-finite
+         numbers. A "u" may exceed 1: a Σ pass records its estimated
+         distinct count over its rows, and the estimate can overshoot. *)
+      | Some k, Some key, Some v when List.mem k kinds && v >= 0.0 ->
+        Some (k, key, v)
       | _ -> None)
     | _ -> None)
 
+(* The observations of the log at [path] and the number of lines skipped
+   as unusable (torn, malformed or out of range). *)
 let read_lines path =
   match open_in path with
-  | exception Sys_error _ -> []
+  | exception Sys_error _ -> ([], 0)
   | ic ->
-    let rec go acc =
+    let rec go acc skipped =
       match input_line ic with
-      | line -> go (match parse_line line with Some o -> o :: acc | None -> acc)
-      | exception End_of_file -> List.rev acc
+      | line -> (
+        match parse_line line with
+        | Some o -> go (o :: acc) skipped
+        | None -> go acc (skipped + 1))
+      | exception End_of_file -> (List.rev acc, skipped)
     in
-    let obs = go [] in
+    let read = go [] 0 in
     close_in_noerr ic;
-    obs
+    read
 
 (* Canonical fold: append order varies across [--jobs] settings, so sort
    the observation multiset before summing — float addition is not
@@ -113,7 +121,7 @@ let aggregate obs =
     (List.sort compare obs);
   tbl
 
-let open_ path = { path; baseline = aggregate (read_lines path) }
+let open_ path = { path; baseline = aggregate (fst (read_lines path)) }
 let path t = t.path
 
 let kind_name = function
@@ -175,11 +183,13 @@ type warm = Known of float | Hint of Prior.t | Cold
 
 let warm_of_agg a =
   let mean = a.sum /. float_of_int a.n in
+  (* A sum past the float range has no usable mean. *)
+  if not (Float.is_finite mean) then Cold
   (* Confidence gate: a tight history (every observation within 10% of the
      mean) is treated as a known value — the Σ action for the term becomes
      pointless and the MDP prunes it. A dispersed history still informs the
      prior but keeps the buy-statistics action on the table. *)
-  if a.hi -. a.lo <= 0.1 *. Float.max 1.0 mean then Known mean
+  else if a.hi -. a.lo <= 0.1 *. Float.max 1.0 mean then Known mean
   else Hint (Prior.empirical ~name:"Repository" ~mean ~lo:a.lo ~hi:a.hi)
 
 let lookup_distinct t ~query ~term =
@@ -243,7 +253,7 @@ let snapshot t =
   (* Snapshot the *log*, not the in-memory baseline: the handle's baseline
      is frozen at [open_] while the log keeps growing; a snapshot taken
      after a run must see that run's flushes. *)
-  let tbl = aggregate (read_lines t.path) in
+  let tbl = aggregate (fst (read_lines t.path)) in
   let es = entries { t with baseline = tbl } in
   let next =
     1
@@ -363,11 +373,16 @@ let diff ~old_ ~new_ =
     Ok (Buffer.contents buf)
 
 let show t =
-  let es = entries { t with baseline = aggregate (read_lines t.path) } in
+  let obs, skipped = read_lines t.path in
+  let es = entries { t with baseline = aggregate obs } in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "Statistics repository %s: %d keys\n" t.path
        (List.length es));
+  if skipped > 0 then
+    Buffer.add_string buf
+      (Printf.sprintf "  skipped %d unusable line%s\n" skipped
+         (if skipped = 1 then "" else "s"));
   List.iter
     (fun e ->
       Buffer.add_string buf
@@ -375,10 +390,3 @@ let show t =
            e.e_kind e.e_key e.e_n e.e_mean e.e_lo e.e_hi))
     es;
   Buffer.contents buf
-
-(* --- Env plumbing (the Ctx.to_env / of_env packer pattern) --- *)
-
-type Env.repo += Packed of t
-
-let to_env ?(env = Env.default) t = Env.with_repo env (Packed t)
-let of_env env = match Env.repo env with Packed t -> Some t | _ -> None

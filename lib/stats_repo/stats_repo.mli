@@ -3,8 +3,10 @@
     MONSOON re-learns every distinct count from scratch on every query,
     even when the same (relation, term) pair was measured minutes earlier.
     This module makes the observations durable: at every query's end the
-    driver flushes what the run *measured* — result counts, Σ-pass distinct
-    counts, per-UDF cost and selectivity — to a JSONL observation log, and
+    Monsoon strategy ([Strategy.monsoon ~stats_repo]) flushes what the run
+    *measured* — result counts, Σ-pass distinct counts, per-UDF cost and
+    selectivity, read from the driver's outcome — to a JSONL observation
+    log, and
     at the start of a later run the same keys answer the MDP's
     buy-statistics question without paying for the Σ pass.
 
@@ -27,11 +29,11 @@
 
     For each interesting term, {!lookup_distinct} answers one of:
     - [Known d] — history exists and is tight (all observations within 10%
-      of the mean): the driver seeds [d] as a measured Wildcard entry, so
-      the MDP prunes the Σ action for the term;
+      of the mean): the run gets [d] as a known distinct, so the MDP prunes
+      the Σ action for the term;
     - [Hint p] — history exists but is dispersed: [p] is
-      {!Monsoon_stats.Prior.empirical} (point mass ± observed spread), the
-      Σ action stays available;
+      {!Monsoon_stats.Prior.empirical} (point mass ± observed spread),
+      used as the term's prior; the Σ action stays available;
     - [Cold] — no history: the caller falls back to its configured prior
       (spike-and-slab by default). *)
 
@@ -42,7 +44,11 @@ type t
 
 val open_ : string -> t
 (** [open_ path] loads the observation log at [path] (a missing file is an
-    empty repository) and freezes the aggregate baseline. *)
+    empty repository) and freezes the aggregate baseline. A line that does
+    not parse, names an unknown kind, or carries a negative value is
+    skipped ({!show} counts them), and
+    [Json.of_string] refuses numbers that overflow to infinity, so no
+    lookup answers with a non-finite or negative value. *)
 
 val path : t -> string
 
@@ -70,9 +76,9 @@ val flush_query :
   int
 (** Appends one run's measured observations — [counts] from the statistics
     catalog, [distincts] as (term id, measured d) for genuinely measured
-    Wildcard entries (warm-start seeds excluded by the caller), [udf] as
-    (term id, rows evaluated, observed fraction) from
-    [Executor.udf_observations] — as JSONL lines under one line-lock hold.
+    Wildcard entries (warm-start seeds excluded), [udf] as (term id, rows
+    evaluated, observed fraction) — the [measured_*] and
+    [udf_observations] fields of a [Driver.outcome] — as JSONL lines under one line-lock hold.
     Returns the number of lines written. Write errors are swallowed (the
     repository is an accelerator, never a correctness dependency). *)
 
@@ -102,7 +108,8 @@ val entries : t -> entry list
 
 val show : t -> string
 (** Deterministic rendering of the *current* log (re-read, not the frozen
-    baseline), one row per key. *)
+    baseline), one row per key, after a count of skipped lines when there
+    are any. *)
 
 val snapshot : t -> (string, string) result
 (** Writes the current log's aggregate to ["<path>.snap-NNNNNN.json"]
@@ -119,13 +126,3 @@ val diff : old_:string -> new_:string -> (string, string) result
 (** Deterministic report between two snapshot files: new / changed / lost
     keys with +1-smoothed estimate drift, in canonical key order, no
     wall-clock content — the [qlog --diff] idiom. *)
-
-(** {2 Env plumbing} *)
-
-type Monsoon_util.Env.repo += Packed of t
-
-val to_env : ?env:Monsoon_util.Env.t -> t -> Monsoon_util.Env.t
-val of_env : Monsoon_util.Env.t -> t option
-(** [None] when the env carries no repository ([Env.No_repo]) — every
-    consumer must behave byte-identically to a repository-free build in
-    that case. *)

@@ -149,8 +149,10 @@ let of_string s =
       advance ()
     done;
     match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some v -> v
-    | None -> fail "bad number"
+    (* [1e999] overflows to infinity, which no writer emits (it writes
+       [null]) and no reader can use. *)
+    | Some v when Float.is_finite v -> v
+    | _ -> fail "bad number"
   in
   let rec parse_value () =
     skip_ws ();

@@ -17,7 +17,8 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 (** Parses one JSON value (surrounding whitespace allowed); [Error msg]
-    carries the character position of the failure. Never raises. *)
+    carries the character position of the failure. A number that
+    overflows to ±infinity (e.g. [1e999]) is an error. Never raises. *)
 
 val member : string -> t -> t option
 (** Field lookup on [Obj]; [None] on anything else. *)

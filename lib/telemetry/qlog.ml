@@ -1,18 +1,3 @@
-(* One operator's compact profile inside a record: the deterministic core
-   of a [Recorder.node_profile] plus its wall time. Only profiled runs
-   carry these; the JSON field is omitted entirely when empty, so
-   unprofiled lines are byte-identical to the pre-profile schema. *)
-type qnode = {
-  qn_expr : string;
-  qn_kind : string;
-  qn_path : string;
-  qn_repr : string;
-  qn_rows_in : float;
-  qn_rows_out : float;
-  qn_selectivity : float;
-  qn_ms : float;
-}
-
 type record = {
   r_trace : string;
   r_query : string;
@@ -30,7 +15,6 @@ type record = {
   r_worst_q_error : float option;
   r_detail : string;
   r_plan : string;
-  r_nodes : qnode list;
 }
 
 (* The plan column is a summary, not an archive: explain captures keep the
@@ -48,7 +32,6 @@ let of_events ~trace ~query ~strategy ~outcome ~latency ~queue_wait
   let degraded = ref 0 in
   let fault_detail = ref [] in
   let worst_q = ref None in
-  let rev_nodes = ref [] in
   List.iter
     (fun (ev : Recorder.event) ->
       match ev with
@@ -57,19 +40,6 @@ let of_events ~trace ~query ~strategy ~outcome ~latency ~queue_wait
         incr executes;
         List.iter
           (fun (n : Recorder.exec_node) ->
-            (match n.Recorder.node_profile with
-            | None -> ()
-            | Some p ->
-              rev_nodes :=
-                { qn_expr = n.Recorder.node_expr;
-                  qn_kind = p.Recorder.p_kind;
-                  qn_path = p.Recorder.p_path;
-                  qn_repr = p.Recorder.p_repr;
-                  qn_rows_in = p.Recorder.p_rows_in;
-                  qn_rows_out = p.Recorder.p_rows_out;
-                  qn_selectivity = p.Recorder.p_selectivity;
-                  qn_ms = p.Recorder.p_ms }
-                :: !rev_nodes);
             match n.Recorder.node_q_error with
             | None -> ()
             | Some q ->
@@ -101,41 +71,13 @@ let of_events ~trace ~query ~strategy ~outcome ~latency ~queue_wait
     r_fault_detail = List.rev !fault_detail;
     r_worst_q_error = !worst_q;
     r_detail = detail;
-    r_plan = truncate_plan plan;
-    r_nodes = List.rev !rev_nodes }
+    r_plan = truncate_plan plan }
 
 (* --- JSON --- *)
 
-let qnode_json n =
-  Json.Obj
-    [ ("expr", Json.Str n.qn_expr);
-      ("kind", Json.Str n.qn_kind);
-      ("path", Json.Str n.qn_path);
-      ("repr", Json.Str n.qn_repr);
-      ("rows_in", Json.Num n.qn_rows_in);
-      ("rows_out", Json.Num n.qn_rows_out);
-      ("selectivity", Json.Num n.qn_selectivity);
-      ("ms", Json.Num n.qn_ms) ]
-
-let qnode_of_json j =
-  let str name d =
-    Option.value ~default:d (Option.bind (Json.member name j) Json.to_str)
-  in
-  let num name =
-    Option.value ~default:0.0 (Option.bind (Json.member name j) Json.to_float)
-  in
-  { qn_expr = str "expr" "?";
-    qn_kind = str "kind" "?";
-    qn_path = str "path" "";
-    qn_repr = str "repr" "";
-    qn_rows_in = num "rows_in";
-    qn_rows_out = num "rows_out";
-    qn_selectivity = num "selectivity";
-    qn_ms = num "ms" }
-
 let to_json r =
   Json.Obj
-    ([ ("trace", Json.Str r.r_trace);
+    [ ("trace", Json.Str r.r_trace);
       ("query", Json.Str r.r_query);
       ("strategy", Json.Str r.r_strategy);
       ("outcome", Json.Str r.r_outcome);
@@ -152,12 +94,6 @@ let to_json r =
        match r.r_worst_q_error with None -> Json.Null | Some q -> Json.Num q);
       ("detail", Json.Str r.r_detail);
       ("plan", Json.Str r.r_plan) ]
-    @
-    (* Omitted, not empty, when unprofiled: pre-profile consumers (and the
-       byte-stability tests) see the exact old line shape. *)
-    match r.r_nodes with
-    | [] -> []
-    | ns -> [ ("nodes", Json.Arr (List.map qnode_json ns)) ])
 
 let of_json j =
   let ( let* ) r f = Result.bind r f in
@@ -192,11 +128,6 @@ let of_json j =
     | _ -> []
   in
   let worst_q_error = Option.bind (Json.member "worst_q_error" j) Json.to_float in
-  let nodes =
-    match Json.member "nodes" j with
-    | Some (Json.Arr items) -> List.map qnode_of_json items
-    | _ -> []
-  in
   Ok
     { r_trace = trace;
       r_query = query;
@@ -213,8 +144,7 @@ let of_json j =
       r_fault_detail = fault_detail;
       r_worst_q_error = worst_q_error;
       r_detail = detail;
-      r_plan = plan;
-      r_nodes = nodes }
+      r_plan = plan }
 
 (* --- the bounded writer --- *)
 
@@ -427,49 +357,6 @@ let worst_misestimates ?(top = 10) records =
              num r.r_cost ])
          ranked)
 
-(* Hottest operators across every profiled record: one row per
-   (class, plan node), summing wall time over all occurrences. Empty when
-   no record carries profiles, so unprofiled reports are untouched. *)
-let top_nodes ?(top = 10) records =
-  let tbl : (string * string, int * float * float * string * string) Hashtbl.t
-      =
-    Hashtbl.create 32
-  in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun n ->
-          let key = (r.r_query, n.qn_expr) in
-          let count, ms, rows =
-            match Hashtbl.find_opt tbl key with
-            | Some (c, m, rw, _, _) -> (c, m, rw)
-            | None -> (0, 0.0, 0.0)
-          in
-          Hashtbl.replace tbl key
-            ( count + 1, ms +. n.qn_ms, rows +. n.qn_rows_out, n.qn_kind,
-              n.qn_path ))
-        r.r_nodes)
-    (canonical records);
-  let ranked =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.stable_sort (fun (ka, (_, ma, _, _, _)) (kb, (_, mb, _, _, _)) ->
-           match compare (mb : float) ma with 0 -> compare ka kb | c -> c)
-    |> List.filteri (fun i _ -> i < top)
-  in
-  if ranked = [] then ""
-  else
-    Snapshot.table
-      ~title:
-        (Printf.sprintf "Hottest operators (top %d by total wall time)"
-           (List.length ranked))
-      ~header:
-        [ "Class"; "Plan node"; "Op"; "Path"; "Hits"; "Total ms"; "Rows out" ]
-      (List.map
-         (fun ((klass, expr), (count, ms, rows, kind, path)) ->
-           [ klass; expr; kind; path; string_of_int count;
-             Printf.sprintf "%.3f" ms; num rows ])
-         ranked)
-
 let report ?top records =
   if records = [] then "Query log: no records\n"
   else begin
@@ -486,84 +373,6 @@ let report ?top records =
   end
 
 (* --- the regression differ --- *)
-
-(* class -> plan node -> summed wall ms, over profiled records. *)
-let node_ms_by_class records =
-  let tbl : (string, (string, float) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun n ->
-          let inner =
-            match Hashtbl.find_opt tbl r.r_query with
-            | Some h -> h
-            | None ->
-              let h = Hashtbl.create 8 in
-              Hashtbl.replace tbl r.r_query h;
-              h
-          in
-          Hashtbl.replace inner n.qn_expr
-            (n.qn_ms
-            +. Option.value ~default:0.0 (Hashtbl.find_opt inner n.qn_expr)))
-        r.r_nodes)
-    (canonical records);
-  tbl
-
-(* Operator time-share shifts between two profiled runs: for each class
-   present on both sides, compare every plan node's share of the class's
-   total operator wall time and surface shifts of >= [min_shift] share
-   points. Wall time varies between byte-identical runs, so this section
-   is advisory only — it never counts toward the regression total and is
-   absent entirely when either side is unprofiled. *)
-let time_share_table ?(min_shift = 0.05) ~old_ new_ =
-  let old_ms = node_ms_by_class old_ and new_ms = node_ms_by_class new_ in
-  let total h = Hashtbl.fold (fun _ v a -> a +. v) h 0.0 in
-  let shifts = ref [] in
-  Hashtbl.iter
-    (fun klass new_h ->
-      match Hashtbl.find_opt old_ms klass with
-      | None -> ()
-      | Some old_h ->
-        let t_old = total old_h and t_new = total new_h in
-        if t_old > 0.0 && t_new > 0.0 then begin
-          let exprs =
-            List.sort_uniq compare
-              (Hashtbl.fold
-                 (fun k _ a -> k :: a)
-                 old_h
-                 (Hashtbl.fold (fun k _ a -> k :: a) new_h []))
-          in
-          List.iter
-            (fun e ->
-              let share h t =
-                Option.value ~default:0.0 (Hashtbl.find_opt h e) /. t
-              in
-              let so = share old_h t_old and sn = share new_h t_new in
-              if Float.abs (sn -. so) >= min_shift then
-                shifts := (Float.abs (sn -. so), klass, e, so, sn) :: !shifts)
-            exprs
-        end)
-    new_ms;
-  let ranked =
-    List.stable_sort (fun a b -> compare b a) !shifts
-    |> List.filteri (fun i _ -> i < 10)
-  in
-  if ranked = [] then ""
-  else
-    Snapshot.table
-      ~title:
-        "Operator time-share shifts (advisory — wall time, never counted \
-         as regressions)"
-      ~header:[ "Class"; "Plan node"; "Share old"; "Share new"; "Delta" ]
-      (List.map
-         (fun (_, klass, e, so, sn) ->
-           [ klass; e;
-             Printf.sprintf "%.1f%%" (100.0 *. so);
-             Printf.sprintf "%.1f%%" (100.0 *. sn);
-             Printf.sprintf "%+.1f pts" (100.0 *. (sn -. so)) ])
-         ranked)
 
 let diff_report ?(threshold = 1.1) ~old_ new_ =
   let old_by = by_class old_ and new_by = by_class new_ in
@@ -618,8 +427,4 @@ let diff_report ?(threshold = 1.1) ~old_ new_ =
        %.2fx; deterministic fields only — latency never compared)\n"
       (List.length classes) !regressions !improvements threshold
   in
-  let advisory = time_share_table ~old_ new_ in
-  let body =
-    if advisory = "" then table else table ^ "\n" ^ advisory
-  in
-  (summary ^ "\n" ^ body, !regressions)
+  (summary ^ "\n" ^ table, !regressions)

@@ -22,20 +22,6 @@
     fresh file starts — the two files together never exceed roughly twice
     the bound. *)
 
-type qnode = {
-  qn_expr : string;  (** plan node, as {!Recorder.exec_node.node_expr} *)
-  qn_kind : string;  (** operator kind: scan / hash-join / cross / sigma *)
-  qn_path : string;  (** execution path taken (e.g. [join_ints], [scalar]) *)
-  qn_repr : string;  (** comma-joined input representation mix *)
-  qn_rows_in : float;
-  qn_rows_out : float;
-  qn_selectivity : float;
-  qn_ms : float;  (** operator wall time — the one nondeterministic field *)
-}
-(** One operator's compact profile: the deterministic core of a
-    {!Recorder.node_profile} plus wall time. Present only on profiled
-    runs. *)
-
 type record = {
   r_trace : string;  (** request trace id; joins spans and explains *)
   r_query : string;  (** query fingerprint (the suite name, e.g. ["iq7"]) *)
@@ -56,11 +42,6 @@ type record = {
           predicted *)
   r_detail : string;  (** failure reason, or extra server detail *)
   r_plan : string;  (** compact plan summary (truncated to 200 chars) *)
-  r_nodes : qnode list;
-      (** per-operator profiles in completion order, [[]] when the run
-          was not profiled. The JSON field ([nodes]) is omitted entirely
-          for the empty list, so unprofiled lines are byte-identical to
-          the pre-profile schema and old files load fine. *)
 }
 
 val of_events :
@@ -110,7 +91,9 @@ val close : t -> unit
 
 val load : string -> (record list, string) result
 (** Reads a qlog file back (blank lines skipped); [Error] carries the
-    first offending line number. *)
+    first offending line number. Fields a record does not define — such
+    as the per-operator [nodes] array older profiled runs wrote — are
+    ignored, so such files still load. *)
 
 val report : ?top:int -> record list -> string
 (** The audit report: a per-class table (one row per query fingerprint —
@@ -119,12 +102,6 @@ val report : ?top:int -> record list -> string
     cardinality misestimates. Aggregation folds records in sorted order,
     so the same multiset of records renders identically regardless of
     append order (parallel runs). *)
-
-val top_nodes : ?top:int -> record list -> string
-(** Hottest operators across every profiled record: one row per
-    (class, plan node), summing wall time over all occurrences, ranked by
-    total ms (ties broken by name, so the layout is stable for a fixed
-    dataset). Empty string when no record carries profiles. *)
 
 val diff_report : ?threshold:float -> old_:record list -> record list -> string * int
 (** [diff_report ~old_ new_] compares two runs per query class on the
@@ -135,8 +112,4 @@ val diff_report : ?threshold:float -> old_:record list -> record list -> string 
     1.1, i.e. +10%) or its run gets strictly worse categorically (new
     timeouts/errors, a lost class). Returns the report and the regression
     count; two runs with identical deterministic fields produce a
-    byte-stable report and 0. When both runs carry operator profiles, an
-    advisory "time-share shifts" table follows — per-class operator
-    wall-time shares that moved by 5 points or more — which never counts
-    toward the regression total (wall time varies between byte-identical
-    runs). *)
+    byte-stable report and 0. *)

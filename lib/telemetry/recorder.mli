@@ -32,8 +32,8 @@ type candidate = {
 }
 
 (** One plan node's execution profile: the single operator record, built
-    by [Monsoon_exec.Profile.finish] and carried unchanged into explain,
-    qlog and JSON. Every field except [p_ms] is deterministic —
+    by [Monsoon_exec.Profile.finish] and carried unchanged into explain
+    and JSON. Every field except [p_ms] is deterministic —
     byte-identical across worker counts and audited/unaudited runs. *)
 type node_profile = {
   p_kind : string;  (** operator kind: ["scan"]/["hash-join"]/["cross"]/["sigma"] *)

@@ -1,34 +1,12 @@
 type ctx = ..
 type ctx += Null_ctx
 
-type profile = ..
-type profile += No_profile
+type t = { ctx : ctx; fault : Fault.t; deadline : Deadline.t }
 
-type repo = ..
-type repo += No_repo
-
-type t = {
-  ctx : ctx;
-  fault : Fault.t;
-  deadline : Deadline.t;
-  profile : profile;
-  repo : repo;
-}
-
-let default =
-  { ctx = Null_ctx;
-    fault = Fault.disabled;
-    deadline = Deadline.none;
-    profile = No_profile;
-    repo = No_repo }
-
+let default = { ctx = Null_ctx; fault = Fault.disabled; deadline = Deadline.none }
 let with_ctx t ctx = { t with ctx }
 let with_fault t fault = { t with fault }
 let with_deadline t deadline = { t with deadline }
-let with_profile t profile = { t with profile }
-let with_repo t repo = { t with repo }
 let ctx t = t.ctx
 let fault t = t.fault
 let deadline t = t.deadline
-let profile t = t.profile
-let repo t = t.repo

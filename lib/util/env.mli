@@ -11,9 +11,7 @@
     The telemetry slot is an extensible variant because this library sits
     below [Monsoon_telemetry] in the dependency order: the telemetry layer
     registers its own [ctx] constructor and provides the packing functions
-    ([Ctx.to_env] / [Ctx.of_env]). Future capabilities (a statistics
-    repository, a spill budget) extend the record without touching any
-    call site. *)
+    ([Ctx.to_env] / [Ctx.of_env]). *)
 
 type ctx = ..
 (** Extension point for the telemetry context (see
@@ -22,44 +20,15 @@ type ctx = ..
 type ctx += Null_ctx
 (** The empty slot; consumers treat it as a fresh Null-sink context. *)
 
-type profile = ..
-(** Extension point for the per-plan-node execution profile collector
-    (see [Monsoon_exec.Profile.to_env]); an extensible variant for the
-    same reason as {!ctx} — the collector's type lives above this
-    library in the dependency order. *)
-
-type profile += No_profile
-(** The empty slot; consumers treat it as profiling disabled. *)
-
-type repo = ..
-(** Extension point for the cross-query statistics repository (see
-    [Monsoon_stats_repo.Stats_repo.to_env]); extensible for the same
-    dependency-order reason as {!ctx}. *)
-
-type repo += No_repo
-(** The empty slot; consumers treat it as no repository attached — all
-    warm-start lookups miss and nothing is flushed at query end. *)
-
-type t = {
-  ctx : ctx;
-  fault : Fault.t;
-  deadline : Deadline.t;
-  profile : profile;
-  repo : repo;
-}
+type t = { ctx : ctx; fault : Fault.t; deadline : Deadline.t }
 
 val default : t
-(** [Null_ctx] + {!Fault.disabled} + {!Deadline.none} + {!No_profile}
-    + {!No_repo}. *)
+(** [Null_ctx] + {!Fault.disabled} + {!Deadline.none}. *)
 
 val with_ctx : t -> ctx -> t
 val with_fault : t -> Fault.t -> t
 val with_deadline : t -> Deadline.t -> t
-val with_profile : t -> profile -> t
-val with_repo : t -> repo -> t
 
 val ctx : t -> ctx
 val fault : t -> Fault.t
 val deadline : t -> Deadline.t
-val profile : t -> profile
-val repo : t -> repo

@@ -76,8 +76,7 @@ let contains s sub =
 
 let run_profiled ?env cat q exprs =
   let prof = Profile.create () in
-  let env = Profile.to_env ?env prof in
-  let exec = Executor.create ~env cat q (Executor.budget 1e7) in
+  let exec = Executor.create ~profile:prof ?env cat q (Executor.budget 1e7) in
   List.iter (fun e -> ignore (Executor.execute exec e)) exprs;
   prof
 
@@ -250,8 +249,8 @@ let test_timeout_flushes_profile_and_counters () =
   let cat = two_table_catalog rng ~n_r:500 ~n_s:500 ~d:1 in
   let tel = Ctx.create () in
   let prof = Profile.create () in
-  let env = Profile.to_env ~env:(Ctx.to_env tel) prof in
-  let exec = Executor.create ~env cat q (Executor.budget 1000.0) in
+  let env = Ctx.to_env tel in
+  let exec = Executor.create ~profile:prof ~env cat q (Executor.budget 1000.0) in
   Alcotest.check_raises "timeout" Executor.Timeout (fun () ->
       ignore (Executor.execute exec full_join));
   let nodes = Profile.nodes prof in
@@ -284,10 +283,8 @@ let test_deadline_leaves_no_phantom_node () =
   let cat = two_table_catalog rng ~n_r:100 ~n_s:100 ~d:5 in
   let prof = Profile.create () in
   let dl = Deadline.after 0.0 in
-  let env =
-    Profile.to_env ~env:(Env.with_deadline Env.default dl) prof
-  in
-  let exec = Executor.create ~env cat q (Executor.budget 1e6) in
+  let env = Env.with_deadline Env.default dl in
+  let exec = Executor.create ~profile:prof ~env cat q (Executor.budget 1e6) in
   Alcotest.check_raises "deadline" Deadline.Expired (fun () ->
       ignore (Executor.execute exec full_join));
   Deadline.cancel dl;
@@ -304,8 +301,8 @@ let test_fault_flushes_incomplete_node () =
   let fault =
     Fault.plan { Fault.no_faults with Fault.udf_rate = 1.0 } (Rng.create 7)
   in
-  let env = Profile.to_env ~env:(Env.with_fault Env.default fault) prof in
-  let exec = Executor.create ~env cat q (Executor.budget 1e6) in
+  let env = Env.with_fault Env.default fault in
+  let exec = Executor.create ~profile:prof ~env cat q (Executor.budget 1e6) in
   (try
      ignore (Executor.execute exec full_join);
      Alcotest.fail "expected an injected fault"
@@ -373,7 +370,7 @@ let test_golden_operator_table () =
   Alcotest.(check bool) "no profile table without profiles" false
     (contains (Explain.plan_tables r2) "Operator profile")
 
-(* --- End to end: one driver run, one trace id, three panes agree --- *)
+(* --- End to end: one driver run, one trace id, two panes agree --- *)
 
 let test_panes_agree_on_one_trace () =
   let buf = Span.memory_buffer () in
@@ -384,12 +381,12 @@ let test_panes_agree_on_one_trace () =
       "t-obs-1"
   in
   let prof = Profile.create () in
-  let env = Profile.to_env ~env:(Ctx.to_env tel) prof in
+  let env = Ctx.to_env tel in
   let rng = Rng.create 51 in
   let q = two_table_query ~select_const:(Some 1) () in
   let cat = two_table_catalog rng ~n_r:200 ~n_s:150 ~d:10 in
   let config = Driver.default_config ~rng:(Rng.create 52) in
-  let (_ : Driver.outcome) = Driver.run ~env config cat q in
+  let (_ : Driver.outcome) = Driver.run ~profile:prof ~env config cat q in
   Ctx.flush tel;
   (* Pull the join node's profile out of the recorder. *)
   let profiled =
@@ -415,33 +412,7 @@ let test_panes_agree_on_one_trace () =
     (contains report "Operator profile");
   Alcotest.(check bool) "explain shows the join path" true
     (contains report p.Recorder.p_path);
-  (* Pane 2: qlog record carries the same node with the same rows. *)
-  let qr =
-    Qlog.of_events ~trace:"t-obs-1" ~query:"two" ~strategy:"monsoon"
-      ~outcome:"ok" ~latency:0.0 ~queue_wait:0.0
-      (Recorder.events recorder)
-  in
-  let qn =
-    List.find
-      (fun (qn : Qlog.qnode) ->
-        qn.Qlog.qn_expr = n.Recorder.node_expr
-        && qn.Qlog.qn_kind = "hash-join")
-      qr.Qlog.r_nodes
-  in
-  Alcotest.(check (float 0.0)) "qlog rows agree with recorder"
-    p.Recorder.p_rows_out qn.Qlog.qn_rows_out;
-  Alcotest.(check string) "qlog path agrees" p.Recorder.p_path
-    qn.Qlog.qn_path;
-  (* ... and survives the JSONL round trip. *)
-  (match Qlog.of_json (Qlog.to_json qr) with
-  | Error e -> Alcotest.failf "round trip: %s" e
-  | Ok qr2 ->
-    Alcotest.(check int) "nodes survive the round trip"
-      (List.length qr.Qlog.r_nodes)
-      (List.length qr2.Qlog.r_nodes));
-  Alcotest.(check bool) "top-nodes report renders" true
-    (contains (Qlog.top_nodes [ qr ]) "Hottest operators");
-  (* Pane 3: the span timeline has one exec.node child per operator,
+  (* Pane 2: the span timeline has one exec.node child per operator,
      joined on the same expression and trace id. *)
   let spans = Span.buffer_spans buf in
   let node_spans =
@@ -497,12 +468,9 @@ let test_profile_attached_once () =
   in
   let recorder = Recorder.create () in
   let prof = Profile.create () in
-  let env =
-    Profile.to_env ~env:(Ctx.to_env (Ctx.with_recorder (Ctx.null ()) recorder))
-      prof
-  in
+  let env = Ctx.to_env (Ctx.with_recorder (Ctx.null ()) recorder) in
   let (_ : Driver.outcome) =
-    Driver.run ~env config w.Monsoon_workloads.Workload.catalog q
+    Driver.run ~profile:prof ~env config w.Monsoon_workloads.Workload.catalog q
   in
   let executed =
     List.filter_map
@@ -554,7 +522,7 @@ let () =
       ( "panes",
         [ Alcotest.test_case "golden explain operator table" `Quick
             test_golden_operator_table;
-          Alcotest.test_case "explain + qlog + spans agree" `Quick
+          Alcotest.test_case "explain + spans agree" `Quick
             test_panes_agree_on_one_trace;
           Alcotest.test_case "each profile attached once" `Quick
             test_profile_attached_once ] ) ]

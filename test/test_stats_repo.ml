@@ -10,6 +10,7 @@ open Monsoon_baselines
 open Monsoon_workloads
 open Monsoon_harness
 module Stats_repo = Monsoon_stats_repo.Stats_repo
+module Json = Monsoon_telemetry.Json
 
 let fresh_path =
   let n = ref 0 in
@@ -211,8 +212,8 @@ let prop_empty_repo_is_invisible =
     (fun seed ->
       let bare = run_small_suite ~seed () in
       let repo = Stats_repo.open_ (fresh_path ()) in
-      let with_repo = run_small_suite ~stats_repo:repo ~seed () in
-      deterministic_fingerprint bare = deterministic_fingerprint with_repo)
+      let repo_run = run_small_suite ~stats_repo:repo ~seed () in
+      deterministic_fingerprint bare = deterministic_fingerprint repo_run)
 
 (* --- Warm dominance (the cold-vs-warm experiment's pinned verdict) --- *)
 
@@ -288,7 +289,7 @@ let serve_pass path =
     in
     (written, counter "repo.flushes", counter "repo.warm_starts")
 
-let test_service_with_repo () =
+let test_service_over_repo () =
   let path = fresh_path () in
   let written, flushes, warm = serve_pass path in
   Alcotest.(check (list int)) "lines flushed per request" [ 13; 7; 15; 13 ]
@@ -318,6 +319,150 @@ let test_torn_escape_line_skipped () =
   Alcotest.(check (list string)) "the intact lines load" [ "after"; "before" ]
     (List.sort compare keys)
 
+(* --- Non-finite and out-of-range values never reach the planner --- *)
+
+let write_lines path lines =
+  let oc = open_out path in
+  List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+  close_out oc
+
+let obs_line k key v = Printf.sprintf {|{"k":%S,"key":%S,"v":%s}|} k key v
+
+(* A distinct count of [1e999] parses to infinity unless the reader
+   refuses it; a warm start from it fed NaN candidate means to MCTS. *)
+let test_overflowing_distinct_skipped () =
+  Alcotest.(check bool) "1e999 is not a JSON number" true
+    (Result.is_error (Json.of_string "1e999"));
+  Alcotest.(check bool) "-1e999 is not a JSON number" true
+    (Result.is_error (Json.of_string "[-1e999]"));
+  let path = fresh_path () in
+  let d i = Stats_repo.distinct_key q (term i) in
+  let u = Stats_repo.udf_key q (term 3) in
+  write_lines path
+    [ obs_line "d" (d 0) "1e999";
+      obs_line "d" (d 1) "-3";
+      obs_line "u" u "-0.5";
+      obs_line "uc" u "100";
+      obs_line "d" (d 2) "5" ];
+  let repo = Stats_repo.open_ path in
+  let cold i =
+    match Stats_repo.lookup_distinct repo ~query:q ~term:(term i) with
+    | Stats_repo.Cold -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "an overflowing distinct stays Cold" true (cold 0);
+  Alcotest.(check bool) "a negative distinct stays Cold" true (cold 1);
+  Alcotest.(check bool) "a negative selectivity leaves the UDF unknown" true
+    (Stats_repo.lookup_udf repo ~query:q ~term:(term 3) = None);
+  match Stats_repo.lookup_distinct repo ~query:q ~term:(term 2) with
+  | Stats_repo.Known v -> Alcotest.(check (float 0.0)) "the good line" 5.0 v
+  | _ -> Alcotest.fail "the good line should seed a Known value"
+
+(* The measured case end to end: a cold run's log with every distinct
+   rewritten to [1e999] warm-starts nothing, so planning matches a run
+   without a repository. *)
+let test_overflowed_log_plans_like_no_repo () =
+  let path = fresh_path () in
+  ignore (run_small_suite ~stats_repo:(Stats_repo.open_ path) ~seed:3 ());
+  let ic = open_in path in
+  let rec read acc =
+    match input_line ic with
+    | l -> read (l :: acc)
+    | exception End_of_file -> List.rev acc
+  in
+  let lines = read [] in
+  close_in ic;
+  let overflow l =
+    match Json.of_string l with
+    | Ok j when Json.member "k" j = Some (Json.Str "d") ->
+      let key = Option.bind (Json.member "key" j) Json.to_str in
+      obs_line "d" (Option.get key) "1e999"
+    | _ -> l
+  in
+  let rewritten = List.map overflow lines in
+  Alcotest.(check bool) "the cold run measured distincts" true
+    (rewritten <> lines);
+  write_lines path rewritten;
+  let warm = run_small_suite ~stats_repo:(Stats_repo.open_ path) ~seed:3 () in
+  Alcotest.(check bool) "planning matches the repository-free run" true
+    (deterministic_fingerprint (run_small_suite ~seed:3 ())
+    = deterministic_fingerprint warm)
+
+let test_skipped_lines_counted () =
+  let path = fresh_path () in
+  write_lines path
+    [ obs_line "c" "kept" "4";
+      obs_line "c" "negative" "-1";
+      obs_line "x" "unknown-kind" "1";
+      {|{"k":"c","key":"torn","v":|};
+      "" ];
+  let repo = Stats_repo.open_ path in
+  Alcotest.(check (list string)) "one key kept" [ "kept" ]
+    (List.map (fun e -> e.Stats_repo.e_key) (Stats_repo.entries repo));
+  Alcotest.(check bool) "show reports the count" true
+    (contains (Stats_repo.show repo) "\n  skipped 4 unusable lines\n");
+  write_lines path [ obs_line "c" "kept" "4" ];
+  Alcotest.(check bool) "show is silent without skips" false
+    (contains (Stats_repo.show (Stats_repo.open_ path)) "skipped")
+
+(* Arbitrary mixes of well-formed, out-of-range, overflowing, torn and
+   garbage lines over the query's keys: [open_] never raises, and every
+   warm-start answer is finite and non-negative. *)
+let gen_line =
+  let open QCheck.Gen in
+  let keys =
+    List.concat_map
+      (fun i ->
+        [ Stats_repo.distinct_key q (term i); Stats_repo.udf_key q (term i) ])
+      [ 0; 1; 2; 3 ]
+  in
+  let value =
+    frequency
+      [ (3, map (Printf.sprintf "%.17g") float);
+        (1, map (Printf.sprintf "%.17g") (float_range 0.0 1.0));
+        (2, map string_of_int (int_range (-5) 1_000_000));
+        (* Two near-max values sum past the float range. *)
+        (3, oneofl [ "1.7976931348623157e308"; "1e308"; "1e999"; "-1e999" ]);
+        (1, oneofl [ "0"; "-0"; "1e-999"; "null"; "\"7\""; "nan"; "inf" ]) ]
+  in
+  let well_formed =
+    map3 (fun k key v -> obs_line k key v)
+      (frequency
+         [ (4, return "d"); (1, return "c"); (1, return "u");
+           (1, return "uc"); (1, return "x") ])
+      (oneofl keys) value
+  in
+  frequency
+    [ (6, well_formed);
+      (1, map2 (fun l n -> String.sub l 0 (min n (String.length l)))
+            well_formed (int_range 0 40));
+      (1, string_printable) ]
+
+let prop_open_never_yields_bad_values =
+  QCheck.Test.make ~name:"open_ never yields a non-finite or negative value"
+    ~count:200
+    QCheck.(
+      make ~print:(String.concat "\n") Gen.(list_size (int_range 0 30) gen_line))
+    (fun lines ->
+      let path = fresh_path () in
+      write_lines path
+        (List.filter (fun l -> not (String.contains l '\n')) lines);
+      let repo = Stats_repo.open_ path in
+      let rng = Monsoon_util.Rng.create 1 in
+      List.for_all
+        (fun i ->
+          match Stats_repo.lookup_distinct repo ~query:q ~term:(term i) with
+          | Stats_repo.Cold -> true
+          | Stats_repo.Known d -> Float.is_finite d && d >= 0.0
+          | Stats_repo.Hint p ->
+            (* No upper clamp: a non-finite draw shows through. *)
+            List.for_all
+              (fun _ ->
+                Float.is_finite
+                  (Prior.sample p rng ~c_own:Float.infinity ~c_partner:None))
+              (List.init 20 Fun.id))
+        [ 0; 1; 2; 3 ])
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "stats_repo"
@@ -329,7 +474,14 @@ let () =
           Alcotest.test_case "snapshots, gc, diff" `Quick
             test_snapshots_gc_diff;
           Alcotest.test_case "torn \\u escape line skipped" `Quick
-            test_torn_escape_line_skipped ] );
+            test_torn_escape_line_skipped;
+          Alcotest.test_case "overflowing distinct skipped" `Quick
+            test_overflowing_distinct_skipped;
+          Alcotest.test_case "overflowed log plans like no repository" `Quick
+            test_overflowed_log_plans_like_no_repo;
+          Alcotest.test_case "skipped lines counted" `Quick
+            test_skipped_lines_counted ] );
+      ("bad values", qc [ prop_open_never_yields_bad_values ]);
       ("planning invariance", qc [ prop_empty_repo_is_invisible ]);
       ( "warm start",
         [ Alcotest.test_case "dominance" `Slow test_warm_dominates;
@@ -337,4 +489,4 @@ let () =
             test_warmstart_report_pinned ] );
       ( "serving",
         [ Alcotest.test_case "two passes over one repository" `Quick
-            test_service_with_repo ] ) ]
+            test_service_over_repo ] ) ]
