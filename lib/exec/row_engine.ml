@@ -274,14 +274,14 @@ let execute t expr =
     (* Batch boundary: one cooperative deadline check per plan node. *)
     Deadline.check t.deadline;
     match e with
-    | Expr.Stats inner ->
+    | Expr.Stats { inner; _ } ->
       let inter = go ~is_root inner in
       let ds = stats_pass t inter in
       cost := !cost +. float_of_int (Intermediate.cardinality inter);
       stats_cost := !stats_cost +. float_of_int (Intermediate.cardinality inter);
       obs_distincts := ds @ !obs_distincts;
       inter
-    | Expr.Leaf m -> (
+    | Expr.Leaf { mask = m; _ } -> (
       match Hashtbl.find_opt t.store m with
       | Some inter -> inter
       | None -> (
@@ -293,8 +293,7 @@ let execute t expr =
           obs_nodes := (e, c) :: !obs_nodes;
           inter
         | _ -> invalid_arg "Executor.execute: unmaterialized intermediate leaf"))
-    | Expr.Join (a, b) -> (
-      let m = Expr.mask e in
+    | Expr.Join { left = a; right = b; mask = m; _ } -> (
       match Hashtbl.find_opt t.store m with
       | Some inter -> inter
       | None ->

@@ -35,10 +35,9 @@ let join_pred_selectivity q env ~pid ~lm ~lc ~rm ~rc =
       let d2 = distinct env ~tm:tr ~pred:(Some pid) ~c_own:rc ~c_partner:(Some lc) in
       join_selectivity ~d1 ~d2
     in
-    if Relset.subset (Term.rels left) lm && Relset.subset (Term.rels right) rm
-    then orient left right
-    else if Relset.subset (Term.rels right) lm && Relset.subset (Term.rels left) rm
-    then orient right left
+    let lt = Query.join_left_mask q pid and rt = Query.join_right_mask q pid in
+    if Relset.subset lt lm && Relset.subset rt rm then orient left right
+    else if Relset.subset rt lm && Relset.subset lt rm then orient right left
     else begin
       (* Straddling predicate: usable only as a post-join filter. *)
       let c_own = lc *. rc in
@@ -52,21 +51,21 @@ let join_pred_selectivity q env ~pid ~lm ~lc ~rm ~rc =
 
 let rec estimate q env expr =
   match expr with
-  | Expr.Stats e -> estimate q env e
-  | (Expr.Leaf _ | Expr.Join _) as e -> (
+  | Expr.Stats { inner; _ } -> estimate q env inner
+  | Expr.Leaf { mask; _ } | Expr.Join { mask; _ } -> (
     (* "Step 1": a count already in S short-circuits generation. *)
-    match env.count_of (Expr.mask e) with
+    match env.count_of mask with
     | Some c -> c
-    | None -> estimate_fresh q env e)
+    | None -> estimate_fresh q env expr)
 
 and estimate_fresh q env expr =
   match expr with
   | Expr.Stats _ -> assert false
-  | Expr.Leaf m -> (
-    match Relset.to_list m with
-    | [ i ] ->
+  | Expr.Leaf { mask = m; _ } ->
+    if m land (m - 1) = 0 then begin
       (* Unexecuted base instance: raw size reduced by pushed-down
          selections. *)
+      let i = Relset.min_elt m in
       let raw = env.raw_count i in
       let c =
         List.fold_left
@@ -76,32 +75,29 @@ and estimate_fresh q env expr =
       in
       env.record_count m c;
       c
-    | _ ->
+    end
+    else
       (* A multi-instance leaf always refers to a materialized intermediate,
          whose count must be known. *)
-      invalid_arg "Cost_model.estimate: unmaterialized intermediate leaf")
-  | Expr.Join (a, b) ->
+      invalid_arg "Cost_model.estimate: unmaterialized intermediate leaf"
+  | Expr.Join { left = a; right = b; mask; _ } ->
     let lc = estimate q env a and rc = estimate q env b in
     let lm = Expr.mask a and rm = Expr.mask b in
-    let new_preds = Query.newly_evaluable q ~left:lm ~right:rm in
-    let joins, selects =
-      List.partition
-        (fun pid ->
-          match Query.pred q pid with
-          | Predicate.Join _ -> true
-          | Predicate.Select _ -> false)
-        new_preds
-    in
     let c = ref (lc *. rc) in
-    List.iter
-      (fun pid -> c := !c *. join_pred_selectivity q env ~pid ~lm ~lc ~rm ~rc)
-      joins;
-    (* Multi-instance selections apply after the join predicates. *)
-    List.iter
-      (fun pid -> c := !c *. select_selectivity q env ~pid ~c_own:!c)
-      selects;
+    (* The newly evaluable predicates in id order: join predicates first,
+       then multi-instance selections, which apply after them. *)
+    for pid = 0 to Query.n_preds q - 1 do
+      if Query.is_join_pred q pid && Query.becomes_evaluable q pid ~left:lm ~right:rm
+      then c := !c *. join_pred_selectivity q env ~pid ~lm ~lc ~rm ~rc
+    done;
+    for pid = 0 to Query.n_preds q - 1 do
+      if
+        (not (Query.is_join_pred q pid))
+        && Query.becomes_evaluable q pid ~left:lm ~right:rm
+      then c := !c *. select_selectivity q env ~pid ~c_own:!c
+    done;
     let c = !c in
-    env.record_count (Expr.mask expr) c;
+    env.record_count mask c;
     c
 
 let cost q env expr =
@@ -109,16 +105,16 @@ let cost q env expr =
   let rec node_cost ~is_root e =
     match e with
     | Expr.Leaf _ -> 0.0
-    | Expr.Stats inner ->
+    | Expr.Stats { inner; _ } ->
       (* Materialize the inner expression, then one extra pass for Σ. *)
       let c = estimate q env inner in
       c +. node_cost ~is_root inner
-    | Expr.Join (a, b) ->
+    | Expr.Join { left = a; right = b; mask; _ } ->
       let c = estimate q env e in
       let self =
         (* The complete query's final result is not charged (the paper
            excludes the cost of writing the final result). *)
-        if is_root && Relset.equal (Expr.mask e) full then 0.0 else c
+        if is_root && Relset.equal mask full then 0.0 else c
       in
       self +. node_cost ~is_root:false a +. node_cost ~is_root:false b
   in

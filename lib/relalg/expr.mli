@@ -14,9 +14,10 @@
     by mask. *)
 
 type t = private
-  | Leaf of Relset.t
-  | Join of t * t
-  | Stats of t
+  | Leaf of { mask : Relset.t; key : string }
+  | Join of { left : t; right : t; mask : Relset.t; key : string }
+  | Stats of { inner : t; mask : Relset.t; key : string }
+(** Every node carries its {!mask} and {!key}, computed when it is built. *)
 
 val leaf : Relset.t -> t
 (** Requires a non-empty mask. *)
@@ -37,9 +38,13 @@ val has_stats : t -> bool
 
 val strip_stats : t -> t
 val key : t -> string
-(** Canonical key: equal for structurally identical plans. *)
+(** Canonical key: equal for structurally identical plans. A leaf's key is
+    its mask in decimal, a join's ["(a*b)"] over its children's keys, a
+    Σ's ["S"] before its input's key. *)
 
 val compare : t -> t -> int
+(** [String.compare] on the keys. *)
+
 val equal : t -> t -> bool
 
 val join_nodes : t -> (Relset.t * Relset.t) list
