@@ -156,7 +156,7 @@ let skinner =
           plan = Printf.sprintf "%d episodes" out.Skinner.episodes }) }
 
 let monsoon_config ?(iterations = 2000) ?(scale_with_size = true)
-    ?(selection = Monsoon_mcts.Mcts.Uct (sqrt 2.0)) ?(mcts_workers = 1) prior
+    ?(selection = Monsoon_mcts.Mcts.Uct (sqrt 2.0)) prior
     ~rng ~budget q =
   (* MCTS effort scales with the size of the join-order problem: the
      action space roughly squares with the instance count. *)
@@ -173,7 +173,6 @@ let monsoon_config ?(iterations = 2000) ?(scale_with_size = true)
       { (Monsoon_mcts.Mcts.default_config ~rng) with
         Monsoon_mcts.Mcts.iterations;
         selection };
-    mcts_workers;
     budget;
     max_steps = 200 }
 
@@ -232,15 +231,14 @@ let run_on_repo repo ?env config catalog q =
     (float_of_int wrote);
   out
 
-let monsoon ?iterations ?scale_with_size ?selection ?mcts_workers ?stats_repo
-    prior =
+let monsoon ?iterations ?scale_with_size ?selection ?stats_repo prior =
   { name = "Monsoon";
     applicable = always_applicable;
     run =
       (fun ?env ~rng ~budget catalog q ->
         let config =
-          monsoon_config ?iterations ?scale_with_size ?selection ?mcts_workers
-            prior ~rng ~budget q
+          monsoon_config ?iterations ?scale_with_size ?selection prior ~rng
+            ~budget q
         in
         let out =
           match stats_repo with

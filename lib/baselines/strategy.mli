@@ -51,7 +51,6 @@ val monsoon_config :
   ?iterations:int ->
   ?scale_with_size:bool ->
   ?selection:Monsoon_mcts.Mcts.selection ->
-  ?mcts_workers:int ->
   Monsoon_stats.Prior.t ->
   rng:Monsoon_util.Rng.t ->
   budget:float ->
@@ -65,15 +64,13 @@ val monsoon :
   ?iterations:int ->
   ?scale_with_size:bool ->
   ?selection:Monsoon_mcts.Mcts.selection ->
-  ?mcts_workers:int ->
   ?stats_repo:Monsoon_stats_repo.Stats_repo.t ->
   Monsoon_stats.Prior.t ->
   t
 (** The Monsoon optimizer with the given prior (2000 MCTS iterations and
     UCT(√2) by default). [scale_with_size] (default true) multiplies the
     iteration budget for 6- and 7-instance queries, whose action spaces are
-    much larger. [mcts_workers] (default 1) turns on root-parallel planning
-    ({!Monsoon_core.Driver.config.mcts_workers}). [stats_repo] attaches a
+    much larger. [stats_repo] attaches a
     cross-query statistics repository ({!Monsoon_stats_repo.Stats_repo}).
     Before each run its warm-start answers become the config's
     [known_distincts] (Known) and [prior_of] (Hint), counted on

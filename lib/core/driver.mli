@@ -25,11 +25,6 @@ type config = {
           statistics repository's warm start fills them
           ([Strategy.monsoon ~stats_repo]). *)
   mcts : Monsoon_mcts.Mcts.config;
-  mcts_workers : int;
-      (** root-parallel MCTS width: [> 1] plans each step with that many
-          independent trees on separate domains (each on its own simulator
-          replica and split RNG stream), pooling root statistics before the
-          choice. 1 = sequential planning (the default). *)
   budget : float;  (** tuple budget standing in for the paper's 20-min timeout *)
   max_steps : int;  (** safety valve on the number of MDP actions *)
 }

@@ -65,29 +65,15 @@ type 'a stats = {
 
 val plan :
   ?env:Monsoon_util.Env.t ->
-  ?workers:int ->
-  ?problem_of:(Monsoon_util.Rng.t -> ('s, 'a) problem) ->
   config -> ('s, 'a) problem -> 's -> ('a * 'a stats) option
 (** [plan cfg p s] returns the preferred action from [s], or [None] when
     [s] is terminal. The returned stats carry the full root-child
     statistics ([candidates]) so callers (e.g. the driver's flight
     recorder) can report why the action won.
 
-    [?workers] (default 1) enables root-parallel search: [k > 1] runs [k]
-    independent trees on [k] domains, each with [iterations / k] (at least
-    1) simulations and an RNG split from [cfg.rng] in worker order before
-    any tree starts, then pools the per-action root visit counts and return
-    totals before the final best-mean choice. [workers <= 1] is exactly the
-    sequential search ([root_visits = iterations]).
-
-    [?problem_of] builds a private problem replica per worker from that
-    worker's RNG. Required whenever the problem closures are not
-    domain-safe (the Monsoon {!Monsoon_core.Simulator} is not: it owns an
-    RNG and memo tables); without it all workers share [p].
-
     With a context packed into [?env] (the planner's deadline lives on
     {!config}, not the environment), each call bumps [mcts.plans] / [mcts.iterations] /
     [mcts.expansions] counters, observes per-iteration tree depth in the
     [mcts.tree_depth] histogram, and emits an [mcts.plan] span carrying
-    iteration, worker, expansion, and selection attributes
+    iteration, expansion, and selection attributes
     ([root_visits], [chosen_visits], [chosen_mean]). *)

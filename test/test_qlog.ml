@@ -356,7 +356,6 @@ let test_explain_plan_tables_golden () =
       prior_of = None;
       known_distincts = [];
       mcts;
-      mcts_workers = 1;
       budget = 1e6;
       max_steps = 200 }
   in
