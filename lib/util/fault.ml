@@ -10,9 +10,15 @@ type spec = {
 let no_faults =
   { udf_rate = 0.0; row_rate = 0.0; build_rate = 0.0; worker_kills = 0 }
 
+(* %g when it reads back as the same float (every rate typed on a command
+   line so far), else the 17 digits that always do. *)
+let rate_to_string r =
+  let short = Printf.sprintf "%g" r in
+  if Float.equal (float_of_string short) r then short else Printf.sprintf "%.17g" r
+
 let spec_to_string s =
-  Printf.sprintf "udf:%g,row:%g,build:%g,worker:%d" s.udf_rate s.row_rate
-    s.build_rate s.worker_kills
+  Printf.sprintf "udf:%s,row:%s,build:%s,worker:%d" (rate_to_string s.udf_rate)
+    (rate_to_string s.row_rate) (rate_to_string s.build_rate) s.worker_kills
 
 let spec_of_string str =
   let parse_rate key v =

@@ -43,7 +43,10 @@ val spec_of_string : string -> (spec, string) result
     stay at {!no_faults}. *)
 
 val spec_to_string : spec -> string
-(** Canonical round-trippable rendering (every class listed). *)
+(** Canonical round-trippable rendering (every class listed): a rate
+    prints as [%g] when that reads back as the same float, else as
+    [%.17g], so [spec_of_string (spec_to_string s) = Ok s] for every
+    valid spec. *)
 
 type t
 (** A fault plan: {!disabled}, or a spec armed with a private RNG. *)

@@ -37,6 +37,38 @@ let test_spec_rejects () =
   bad "gremlin:0.2";
   bad "udf=0.2"
 
+let gen_rate =
+  QCheck.Gen.(
+    oneof
+      [ float_bound_inclusive 1.0;
+        oneofl [ 0.0; 1.0; 0.05; 0.1234567; 1e-9; 5e-324; 1.0 -. epsilon_float ] ])
+
+let gen_spec =
+  QCheck.Gen.(
+    map
+      (fun (udf_rate, row_rate, build_rate, worker_kills) ->
+        { Fault.udf_rate; row_rate; build_rate; worker_kills })
+      (quad gen_rate gen_rate gen_rate (oneof [ small_nat; oneofl [ 0; max_int ] ])))
+
+let prop_spec_roundtrip =
+  QCheck.Test.make ~name:"spec_to_string round-trips every valid spec" ~count:1000
+    (QCheck.make ~print:Fault.spec_to_string gen_spec)
+    (fun s -> Fault.spec_of_string (Fault.spec_to_string s) = Ok s)
+
+(* Arbitrary bytes, and strings over the spec's own alphabet. *)
+let prop_spec_parse_total =
+  QCheck.Test.make ~name:"spec_of_string never raises" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(
+         oneof
+           [ string;
+             string_of
+               (oneofl
+                  [ 'u'; 'd'; 'f'; 'r'; 'o'; 'w'; 'b'; 'i'; 'l'; 'k'; 'e'; ':'; ',';
+                    ' '; '-'; '+'; '.'; '0'; '1'; '5'; '9'; 'x'; 'p'; '_'; 'n'; 'a' ]) ]))
+    (fun str ->
+      match Fault.spec_of_string str with Ok _ | Error _ -> true)
+
 let test_disabled_is_noop () =
   (* Every checkpoint on the disabled plan is silent; nothing counts. *)
   for _ = 1 to 100 do
@@ -406,7 +438,9 @@ let () =
     [ ( "spec",
         [ Alcotest.test_case "parse" `Quick test_spec_parse;
           Alcotest.test_case "roundtrip" `Quick test_spec_roundtrip;
-          Alcotest.test_case "rejects" `Quick test_spec_rejects ] );
+          Alcotest.test_case "rejects" `Quick test_spec_rejects;
+          QCheck_alcotest.to_alcotest prop_spec_roundtrip;
+          QCheck_alcotest.to_alcotest prop_spec_parse_total ] );
       ( "plan",
         [ Alcotest.test_case "disabled noop" `Quick test_disabled_is_noop;
           Alcotest.test_case "determinism" `Quick test_plan_determinism;
