@@ -402,62 +402,7 @@ let tests =
                   terms
               done)) ]
 
-(* --- Worker-pool scaling: one small suite, sequential vs parallel ---
-
-   Runs the same (strategy, query) grid with jobs=1 and jobs=N and reports
-   the wall-clock ratio plus whether the deterministic projection of the
-   rows matched (it must: Runner seeds every cell independently). On a
-   single-core host the speedup hovers around 1.0 — the interesting number
-   needs >= 4 cores. *)
-
-type suite_speedup = {
-  ss_jobs : int;
-  ss_workers : int;  (* actual pool size (jobs = 0 resolves to core count) *)
-  ss_seq_seconds : float;
-  ss_par_seconds : float;
-  ss_identical : bool;
-}
-
-let row_fingerprint (rows : Runner.row list) =
-  List.map
-    (fun (r : Runner.row) ->
-      ( r.Runner.strategy,
-        List.map
-          (fun (c : Runner.cell) ->
-            ( c.Runner.query,
-              Option.map
-                (fun (o : Strategy.outcome) ->
-                  ( o.Strategy.cost, o.Strategy.timed_out,
-                    o.Strategy.stats_cost, o.Strategy.result_card,
-                    o.Strategy.plan ))
-                c.Runner.outcome ))
-          r.Runner.cells ))
-    rows
-
-let measure_suite_speedup ~jobs =
-  let w = Tpch.workload { Tpch.seed = 11; scale = 0.05; skew = Tpch.Plain } in
-  let strategies = [ Strategy.defaults; Strategy.greedy; Strategy.sampling ] in
-  let config jobs =
-    { Runner.default_config with
-      Runner.budget = 1e6;
-      seed = 11;
-      queries = Some [ "tq1"; "tq2"; "tq12" ];
-      jobs }
-  in
-  let rows_seq, seq_s =
-    Timer.time (fun () -> Runner.run_suite (config 1) strategies w)
-  in
-  let rows_par, par_s =
-    Timer.time (fun () -> Runner.run_suite (config jobs) strategies w)
-  in
-  let workers = if jobs < 1 then Pool.default_jobs () else jobs in
-  { ss_jobs = jobs;
-    ss_workers = workers;
-    ss_seq_seconds = seq_s;
-    ss_par_seconds = par_s;
-    ss_identical = row_fingerprint rows_seq = row_fingerprint rows_par }
-
-(* --- Sampler overhead: the same small suite with the Monitor ticking at
+(* --- Sampler overhead: a small TPC-H suite with the Monitor ticking at
    a 100 ms cadence vs without one. The sampler runs on its own domain
    and only reads atomics + Gc.quick_stat, so the delta should stay
    within noise (a few percent); the measurement keeps it honest. *)
@@ -529,7 +474,7 @@ let overhead_pct o =
    performance across commits (see EXPERIMENTS.md). *)
 let bench_results_file = "BENCH_results.json"
 
-let write_results_json ~jobs rows speedup overhead =
+let write_results_json ~jobs rows overhead =
   let entry (name, ns) =
     Json.Obj
       [ ("kernel", Json.Str name);
@@ -537,18 +482,6 @@ let write_results_json ~jobs rows speedup overhead =
         ( "ops_per_sec",
           if Float.is_nan ns || ns <= 0.0 then Json.Null
           else Json.Num (1e9 /. ns) ) ]
-  in
-  let speedup_json =
-    Json.Obj
-      [ ("jobs", Json.Num (float_of_int speedup.ss_jobs));
-        ("workers", Json.Num (float_of_int speedup.ss_workers));
-        ("seq_seconds", Json.Num speedup.ss_seq_seconds);
-        ("par_seconds", Json.Num speedup.ss_par_seconds);
-        ( "speedup",
-          if speedup.ss_par_seconds > 0.0 then
-            Json.Num (speedup.ss_seq_seconds /. speedup.ss_par_seconds)
-          else Json.Null );
-        ("identical_rows", Json.Bool speedup.ss_identical) ]
   in
   let overhead_json =
     Json.Obj
@@ -571,10 +504,9 @@ let write_results_json ~jobs rows speedup overhead =
            (Json.Obj
               [ ("jobs", Json.Num (float_of_int jobs));
                 ("kernels", Json.Arr (List.map entry rows));
-                ("suite_speedup", speedup_json);
                 ("sampler_overhead", overhead_json) ]));
       output_char oc '\n');
-  Printf.printf "  (wrote %d kernel results + suite speedup to %s)\n\n"
+  Printf.printf "  (wrote %d kernel results + sampler overhead to %s)\n\n"
     (List.length rows) bench_results_file
 
 (* `bench --append-history FILE` (or MONSOON_BENCH_HISTORY=FILE) appends
@@ -667,9 +599,8 @@ let profile () =
     Printf.eprintf "unknown MONSOON_PROFILE %S (quick|full); using full\n" other;
     Experiments.full
 
-(* `bench --jobs N` (or MONSOON_JOBS=N) sets the suite parallelism: the
-   speedup measurement's parallel leg and the experiment runs both use it.
-   0 = one domain per recommended core. *)
+(* `bench --jobs N` (or MONSOON_JOBS=N) sets the parallelism of the
+   experiment runs. 0 = one domain per recommended core. *)
 let jobs () =
   let parse where v =
     match int_of_string_opt v with
@@ -724,22 +655,9 @@ let () =
      poison whichever leg runs inside the recovery window. *)
   let overhead = measure_sampler_overhead () in
   let kernel_rows = run_microbenchmarks () in
-  let speedup =
-    measure_suite_speedup
-      ~jobs:(if jobs <= 1 then Pool.default_jobs () else jobs)
-  in
   Printf.printf
-    "=== Suite scaling (3 strategies x 3 TPC-H queries) ===\n\
-    \  jobs=1: %.2fs   jobs=%d (%d workers): %.2fs   speedup: %.2fx   rows \
-     identical: %b\n\n"
-    speedup.ss_seq_seconds speedup.ss_jobs speedup.ss_workers
-    speedup.ss_par_seconds
-    (if speedup.ss_par_seconds > 0.0 then
-       speedup.ss_seq_seconds /. speedup.ss_par_seconds
-     else nan)
-    speedup.ss_identical;
-  Printf.printf
-    "=== Sampler overhead (suite above x%d, %.0f ms cadence) ===\n\
+    "=== Sampler overhead (3 strategies x 3 TPC-H queries, x%d, %.0f ms \
+     cadence) ===\n\
     \  off: %.2fs   on: %.2fs   overhead: %s   samples: %d\n\n"
     overhead.so_reps
     (overhead.so_interval *. 1000.0)
@@ -748,7 +666,7 @@ let () =
     | Some p -> Printf.sprintf "%.1f%%" p
     | None -> "n/a")
     overhead.so_samples;
-  write_results_json ~jobs kernel_rows speedup overhead;
+  write_results_json ~jobs kernel_rows overhead;
   Option.iter (fun p -> append_history p ~jobs kernel_rows) (history_path ());
   let profile = { (profile ()) with Experiments.jobs } in
   let monitor =
