@@ -10,8 +10,6 @@ let rels = function
   | Join { left; right; _ } -> Relset.union (Term.rels left) (Term.rels right)
   | Select { term; _ } -> Term.rels term
 
-let evaluable p mask = Relset.subset (rels p) mask
-
 let terms = function
   | Join { left; right; _ } -> [ left; right ]
   | Select { term; _ } -> [ term ]

@@ -19,10 +19,6 @@ val id : t -> int
 val rels : t -> Relset.t
 (** All relation instances the predicate touches. *)
 
-val evaluable : t -> Relset.t -> bool
-(** True when every referenced instance is inside the mask, i.e. the
-    predicate can be checked on tuples of such an expression. *)
-
 val terms : t -> Term.t list
 val describe : t -> string
 
