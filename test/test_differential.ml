@@ -91,18 +91,18 @@ let check_cell ~label ?env_new ?env_old cat q ~budget exprs =
     (run_old ?env:env_old cat q ~budget exprs)
     (run_new ?env:env_new cat q ~budget exprs)
 
+let left_deep order =
+  List.fold_left
+    (fun acc i -> Expr.join acc (Expr.base i))
+    (Expr.base (List.hd order))
+    (List.tl order)
+
 (* Step sequences per query: a Σ pass on a base, a join prefix (later
    reused from cache), the full left-deep plan, the full plan again (pure
    cache hit), then Σ on the now-cached prefix, then the reversed join
    order (distinct shape, same final mask). *)
 let step_sequences q =
   let n = Query.n_rels q in
-  let left_deep order =
-    List.fold_left
-      (fun acc i -> Expr.join acc (Expr.base i))
-      (Expr.base (List.hd order))
-      (List.tl order)
-  in
   let fwd = List.init n Fun.id in
   let rev = List.rev fwd in
   if n = 1 then [ [ Expr.stats (Expr.base 0); Expr.base 0 ] ]
@@ -143,6 +143,46 @@ let test_ott () =
 let test_imdb () =
   check_workload ~queries:3
     (Imdb.workload { Imdb.seed = 14; scale = 0.05 })
+
+(* Bushy steps, where neither join input is a base table: two cached
+   composites joined (in both step orders), and the same join after a Σ
+   on each composite. These pin the result row layout and order of
+   composite ⨝ composite. *)
+let bushy_sequences ls rs =
+  let l = left_deep ls and r = left_deep rs in
+  let top = Expr.join (Expr.leaf (Expr.mask l)) (Expr.leaf (Expr.mask r)) in
+  [ [ l; r; top ]; [ r; l; top ]; [ Expr.stats l; Expr.stats r; top ] ]
+
+let check_bushy (w : Workload.t) cells =
+  List.iter
+    (fun (name, ls, rs) ->
+      let q = List.assoc name w.Workload.queries in
+      List.iteri
+        (fun i exprs ->
+          check_cell
+            ~label:(Printf.sprintf "bushy %s/%s #%d" w.Workload.name name i)
+            w.Workload.catalog q ~budget:1e7 exprs)
+        (bushy_sequences ls rs))
+    cells
+
+(* OTT results are empty once both filtered instances are covered: the
+   oq18 shape [a,b] ⨝ [c,d,e] pins cost and counts, [b,c] ⨝ [d,e] (one
+   filter) pins non-empty rows. IMDB's five-instance queries give the
+   oq18 shape with rows. *)
+let test_bushy () =
+  check_bushy
+    (Ott.workload { Ott.seed = 19; scale = 0.05; domain = 40 })
+    [ ("oq18", [ 0; 1 ], [ 2; 3; 4 ]);
+      ("oq18", [ 1; 2 ], [ 3; 4 ]);
+      ("oq20", [ 0; 1 ], [ 2; 3 ]) ];
+  let imdb = Imdb.workload { Imdb.seed = 14; scale = 0.05 } in
+  check_bushy imdb
+    (List.filteri
+       (fun i _ -> i < 3)
+       (List.filter_map
+          (fun (name, q) ->
+            if Query.n_rels q = 5 then Some (name, [ 0; 1 ], [ 2; 3; 4 ]) else None)
+          imdb.Workload.queries))
 
 (* Opaque (non-identity) UDF terms force the scalar fallback inside the
    vectorized engine; the fallback must still match the frozen engine. *)
@@ -206,6 +246,36 @@ let test_tricky_values () =
       ("s", Some ("n", Value.Int 2));
       ("n", Some ("f", Value.Float Float.nan)) ]
 
+(* Σ over a join intermediate, so columns gathered from Dict, Floats and
+   Boxed (Null-bearing) base columns feed the HLL: a three-key join on s,
+   f and the Null-poisoned n (Null = Null under [Value.equal]); then a
+   one-key join on s after selections that drop every Null from A.n. *)
+let tricky_multi_query ~name ~joins ~selects =
+  let b = Query.Builder.create ~name in
+  let a = Query.Builder.rel b ~table:"A" ~alias:"A" in
+  let c = Query.Builder.rel b ~table:"B" ~alias:"B" in
+  let term rel col = Query.Builder.term b (Udf.identity col) [ (rel, col) ] in
+  List.iter (fun col -> Query.Builder.join_pred b (term a col) (term c col)) joins;
+  List.iter
+    (fun (on_a, col, v) ->
+      Query.Builder.select_pred b (term (if on_a then a else c) col) v)
+    selects;
+  Query.Builder.build b
+
+let test_tricky_sigma_on_join () =
+  let cat = tricky_fixture () in
+  let full = Expr.join (Expr.base 0) (Expr.base 1) in
+  List.iter
+    (fun (name, joins, selects) ->
+      let q = tricky_multi_query ~name ~joins ~selects in
+      check_cell ~label:name cat q ~budget:1e7 [ Expr.stats full ];
+      check_cell ~label:(name ^ " after join") cat q ~budget:1e7
+        [ full; Expr.stats (Expr.leaf (Expr.mask full)) ])
+    [ ("sigma s,f,n keys", [ "s"; "f"; "n" ], []);
+      ( "sigma s key, null-free n",
+        [ "s" ],
+        [ (true, "n", Value.Int 2); (false, "f", Value.Float 1.5) ] ) ]
+
 (* No connecting predicate: the cross-product path. *)
 let test_cross_product () =
   let cat = tricky_fixture () in
@@ -235,6 +305,30 @@ let test_budget_timeout_parity () =
               (step_sequences q))
         w.Workload.queries)
     [ 50.0; 400.0; 3_000.0 ]
+
+(* Budget exhaustion inside the two-key (x and y) chained join of OTT:
+   the budget covers the scans and half of the join's output. *)
+let test_ott_chained_timeout () =
+  let w = Ott.workload { Ott.seed = 20; scale = 0.2; domain = 40 } in
+  List.iter
+    (fun (name, l, r) ->
+      let q = List.assoc name w.Workload.queries in
+      let join = Expr.join (Expr.base l) (Expr.base r) in
+      let produced exprs =
+        let exec = E.create w.Workload.catalog q (E.budget 1e9) in
+        List.iter (fun e -> ignore (E.execute exec e)) exprs;
+        E.total_produced exec
+      in
+      let scans = produced [ Expr.base l; Expr.base r ] in
+      let total = produced [ join ] in
+      Alcotest.(check bool) (name ^ " join emits rows") true (total -. scans > 100.0);
+      let budget = Float.round (scans +. ((total -. scans) /. 2.0)) in
+      let label = Printf.sprintf "ott chained timeout %s @%g" name budget in
+      let fp = run_new w.Workload.catalog q ~budget [ join ] in
+      Alcotest.(check bool) (label ^ " times out") true
+        (String.length fp >= 7 && String.sub fp 0 7 = "timeout");
+      check_cell ~label w.Workload.catalog q ~budget [ join ])
+    [ ("oq1", 1, 2); ("oq7", 2, 3) ]
 
 (* Fault checkpoints: same spec + same seed must fire at the same draw in
    both engines (an armed plan pins the new engine to the scalar path). *)
@@ -277,8 +371,11 @@ let () =
           Alcotest.test_case "imdb" `Quick test_imdb;
           Alcotest.test_case "udf bench (opaque terms)" `Quick test_udf_bench;
           Alcotest.test_case "tricky values" `Quick test_tricky_values;
+          Alcotest.test_case "tricky sigma on join" `Quick test_tricky_sigma_on_join;
+          Alcotest.test_case "bushy composites" `Quick test_bushy;
           Alcotest.test_case "cross product" `Quick test_cross_product ] );
       ( "checkpoints",
         [ Alcotest.test_case "budget timeout" `Quick test_budget_timeout_parity;
+          Alcotest.test_case "ott chained timeout" `Quick test_ott_chained_timeout;
           Alcotest.test_case "fault plans" `Quick test_fault_parity;
           Alcotest.test_case "deadlines" `Quick test_deadline_parity ] ) ]
