@@ -138,7 +138,9 @@ let sec23_mdp ~seed =
   in
   (ctx, state, sim)
 
-let figure1 () =
+(* Figure 1's numbers: the expected cost of guessing, the expected cost
+   of Σ-first, and the action MCTS picks from the start state. *)
+let figure1_data () =
   let ctx, state, sim = sec23_mdp ~seed:7 in
   let r = Relset.singleton 0 and s = Relset.singleton 1 and t = Relset.singleton 2 in
   let after edits =
@@ -179,8 +181,19 @@ let figure1 () =
       Monsoon_mcts.Mcts.iterations = 20_000 }
   in
   let chosen =
-    match Monsoon_mcts.Mcts.plan cfg (Simulator.problem sim) state with
-    | Some (a, _) -> Mdp.describe_action ctx a
+    Option.map fst (Monsoon_mcts.Mcts.plan cfg (Simulator.problem sim) state)
+  in
+  (ctx, guess_rs, sigma_first, chosen)
+
+let figure1_first_action () =
+  let _, _, _, chosen = figure1_data () in
+  chosen
+
+let figure1 () =
+  let ctx, guess_rs, sigma_first, chosen = figure1_data () in
+  let chosen =
+    match chosen with
+    | Some a -> Mdp.describe_action ctx a
     | None -> "(terminal)"
   in
   Report.series ~title:"Figure 1: the Sec 2.3 MDP — expected strategy costs"
@@ -294,12 +307,13 @@ let memoized key compute =
     Hashtbl.replace memo_cache key v;
     v
 
-let tables3_4_5_uncached profile =
+let imdb_suite profile =
   let w = Imdb.workload { Imdb.seed = profile.seed; scale = profile.imdb_scale } in
-  let rows =
-    run_workload profile ~budget:profile.imdb_budget ?queries:profile.imdb_queries
-      (seven profile) w
-  in
+  run_workload profile ~budget:profile.imdb_budget ?queries:profile.imdb_queries
+    (seven profile) w
+
+let tables3_4_5_uncached profile =
+  let rows = imdb_suite profile in
   let budget = profile.imdb_budget in
   let t3 =
     Report.agg_table
@@ -341,14 +355,17 @@ let tables3_4_5_uncached profile =
 let tables3_4_5 profile =
   memoized ("t345-" ^ profile.label) (fun () -> tables3_4_5_uncached profile)
 
-let table6 profile =
+let ott_suite profile =
   let cfg = { Ott.seed = profile.seed; scale = profile.ott_scale; domain = 100 } in
   let w = Ott.workload cfg in
   let strategies =
     Strategy.fixed_plan ~name:"Hand-written" (fun q -> Ott.hand_written (Query.name q) q)
     :: seven profile
   in
-  let rows = run_workload profile ~budget:profile.ott_budget strategies w in
+  run_workload profile ~budget:profile.ott_budget strategies w
+
+let table6 profile =
+  let rows = ott_suite profile in
   Report.agg_table
     ~title:
       "Table 6: Optimizer Torture Tests (correlated columns; every result is empty)"

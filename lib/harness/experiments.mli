@@ -41,6 +41,9 @@ val figure1 : unit -> string
 (** The example MDP: expected costs of guessing vs collecting statistics
     first, and the action MCTS actually picks. *)
 
+val figure1_first_action : unit -> Monsoon_core.Mdp.action option
+(** The action {!figure1} reports MCTS choosing from the start state. *)
+
 val figure2 : unit -> string
 (** The five continuous prior densities. *)
 
@@ -51,7 +54,16 @@ val tables3_4_5 : profile -> string * string * string
 (** One IMDB run shared by Table 3 (all queries), Table 4 (relative to
     Postgres) and Table 5 (20 most expensive). *)
 
+val imdb_suite : profile -> Runner.row list
+(** The IMDB run behind Tables 3–5: one row per strategy of the standard
+    seven. *)
+
 val table6 : profile -> string
+
+val ott_suite : profile -> Runner.row list
+(** The OTT run behind Table 6: the hand-written plans, then the standard
+    seven. *)
+
 val table7_figure3 : profile -> string * string
 
 val table8 : profile -> string
