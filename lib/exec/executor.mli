@@ -6,14 +6,18 @@
     connects the sides, and the Σ statistics-collection pass via
     HyperLogLog.
 
-    Execution is batch-at-a-time over typed columnar chunks
-    ({!Monsoon_storage.Column} / {!Chunk}): identity-projection terms are
+    Intermediates are late-materialized ({!Intermediate}): a tuple is one
+    base-row id per covered instance, so a join emits ints, not boxed
+    rows. Execution is batch-at-a-time over typed columnar chunks
+    ({!Monsoon_storage.Column} / {!Chunk}) gathered from the base tables'
+    cached columns through the ids: identity-projection terms are
     evaluated directly against Bigarray-backed columns with selection
     vectors, hash-join keys are hashed and verified unboxed, and Σ feeds
     column hashes straight into HyperLogLog. Opaque (non-identity) UDF
-    terms and armed fault plans take the scalar row path, which is
-    observationally identical — the differential suite pins charged cost,
-    [stat_obs], counters and checkpoint draw order against the frozen
+    terms and armed fault plans take the scalar path, which reads base
+    rows through the ids one tuple at a time and is observationally
+    identical — the differential suite pins charged cost, [stat_obs],
+    result rows, counters and checkpoint draw order against the frozen
     {!Row_engine}.
 
     Cost accounting matches {!Monsoon_relalg.Cost_model}: each join node is
@@ -93,7 +97,9 @@ val execute : t -> Expr.t -> float * stat_obs
 val materialized : t -> Relset.t -> Intermediate.t option
 
 val result_rows : t -> Expr.t -> Table.row array
-(** Rows of a previously executed expression. *)
+(** Rows of a previously executed expression, boxed on request
+    ({!Intermediate.rows}): the base rows of each tuple concatenated in
+    the intermediate's layout, in emission order. *)
 
 val total_produced : t -> float
 (** Total tuples emitted by this context so far (diagnostics). *)

@@ -13,6 +13,47 @@ open Monsoon_relalg
 open Monsoon_sketch
 open Monsoon_telemetry
 
+(* The boxed intermediate layout this engine was written against (the
+   executor's intermediates hold row ids instead): a tuple is the
+   concatenation of one full base row per covered instance, laid out in
+   the order recorded in [offsets], left input first. *)
+module Intermediate = struct
+  type t = {
+    mask : Relset.t;
+    offsets : int array;  (* indexed by instance id; -1 when absent *)
+    width : int;
+    rows : Table.row array;
+  }
+
+  let of_base q catalog ~rows rel =
+    let table = Catalog.find catalog (Query.rel_by_id q rel).Query.table in
+    let offsets = Array.make (Query.n_rels q) (-1) in
+    offsets.(rel) <- 0;
+    { mask = Relset.singleton rel;
+      offsets;
+      width = Schema.arity (Table.schema table);
+      rows }
+
+  let cardinality t = Array.length t.rows
+
+  let col_index q catalog t ~rel ~col =
+    if t.offsets.(rel) < 0 then
+      invalid_arg
+        (Printf.sprintf "Intermediate.col_index: instance %d absent" rel);
+    let table = Catalog.find catalog (Query.rel_by_id q rel).Query.table in
+    t.offsets.(rel) + Schema.index_of (Table.schema table) col
+
+  let combined_layout a b =
+    assert (Relset.disjoint a.mask b.mask);
+    let n = Array.length a.offsets in
+    let offsets = Array.make n (-1) in
+    for i = 0 to n - 1 do
+      if a.offsets.(i) >= 0 then offsets.(i) <- a.offsets.(i)
+      else if b.offsets.(i) >= 0 then offsets.(i) <- a.width + b.offsets.(i)
+    done;
+    (Relset.union a.mask b.mask, offsets, a.width + b.width)
+end
+
 exception Timeout
 
 type budget = { mutable remaining : float }
@@ -75,8 +116,6 @@ type stat_obs = {
   obs_stats_cost : float;
   obs_nodes : (Expr.t * float) list;
 }
-
-let materialized t mask = Hashtbl.find_opt t.store mask
 
 let total_produced t = t.produced
 
@@ -328,6 +367,6 @@ let execute t expr =
     raise e)
 
 let result_rows t expr =
-  match materialized t (Expr.mask expr) with
+  match Hashtbl.find_opt t.store (Expr.mask expr) with
   | Some inter -> inter.Intermediate.rows
   | None -> invalid_arg "Executor.result_rows: not materialized"

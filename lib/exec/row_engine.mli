@@ -29,7 +29,6 @@ type stat_obs = {
 }
 
 val execute : t -> Expr.t -> float * stat_obs
-val materialized : t -> Relset.t -> Intermediate.t option
 val result_rows : t -> Expr.t -> Table.row array
 val total_produced : t -> float
 val sigma_objects : t -> float
