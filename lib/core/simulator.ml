@@ -12,8 +12,6 @@ let create ctx prior rng = create_with ctx ~prior_of:(fun _ -> prior) rng
    (scoped to their predicate) so one EXECUTE transition is internally
    consistent. *)
 let env_over t stats =
-  let q = t.ctx.Mdp.query in
-  ignore q;
   { Cost_model.count_of = (fun mask -> Stats_catalog.count stats mask);
     raw_count = (fun i -> t.ctx.Mdp.raw_counts.(i));
     distinct_of =
@@ -36,7 +34,7 @@ let env_over t stats =
    the prior when a Σ pass hardens a wildcard measurement: the other side of
    the first join predicate the term appears in, approximated by the product
    of its base instances' (filtered) sizes. *)
-let partner_card t env stats tm =
+let partner_card t env tm =
   let q = t.ctx.Mdp.query in
   let partner_term =
     List.find_map
@@ -52,7 +50,6 @@ let partner_card t env stats tm =
   match partner_term with
   | None -> None
   | Some pt ->
-    ignore stats;
     let c =
       List.fold_left
         (fun acc i ->
@@ -75,7 +72,7 @@ let harden_sigma_into t env stats r_p =
         List.iter
           (fun tm ->
             if not (Stats_catalog.has_measurement stats ~term:tm.Term.id) then begin
-              let c_partner = partner_card t env stats tm in
+              let c_partner = partner_card t env tm in
               let d =
                 Cost_model.clamp_distinct ~c_own:c
                   (Prior.sample (t.prior_of tm.Term.id) t.rng ~c_own:c ~c_partner)
