@@ -129,7 +129,8 @@ let exec_cat, exec_scan_q, exec_join_q =
   in
   (* Probe-dominated selective join: E2's 500 keys are the multiples of 3
      below 1500, so ~4% of E1's 40k probe rows match one build row each —
-     the kernel measures the build + probe machinery, not row emission. *)
+     the kernel measures the build + probe machinery, not tuple emission
+     (exec/join-chain-columnar below prices that). *)
   Sto.Catalog.add cat (mk "E1" 40_000 13 7);
   Sto.Catalog.add cat (mk "E2" 500 3 5);
   List.iter Sto.Table.prime_columns (Sto.Catalog.tables cat);
@@ -151,11 +152,48 @@ let exec_cat, exec_scan_q, exec_join_q =
   in
   (cat, scan_q, join_q)
 
-let exec_columnar q e () =
+let exec_columnar ?(cat = exec_cat) q e () =
   let exec =
-    Monsoon_exec.Executor.create exec_cat q (Monsoon_exec.Executor.budget 1e7)
+    Monsoon_exec.Executor.create cat q (Monsoon_exec.Executor.budget 1e7)
   in
   ignore (Monsoon_exec.Executor.execute exec e)
+
+(* Emission-heavy fixture: an OTT-shaped chain C1 - C2 - C3, consecutive
+   instances joined on both x and y (y = x, domain 100), 1400 rows each.
+   (C1 ⨝ C2) emits ~20k tuples and the top join ~270k, so the kernel
+   prices per-tuple emission and intermediate materialization through the
+   two-key chained join. *)
+let chain_cat, chain_q =
+  let cat = Sto.Catalog.create () in
+  let schema =
+    Sto.Schema.make
+      [ { Sto.Schema.name = "pk"; ty = Sto.Value.TInt };
+        { Sto.Schema.name = "x"; ty = Sto.Value.TInt };
+        { Sto.Schema.name = "y"; ty = Sto.Value.TInt } ]
+  in
+  let rng = Rng.create 23 in
+  let names = [ "C1"; "C2"; "C3" ] in
+  List.iter
+    (fun name ->
+      Sto.Catalog.add cat
+        (Sto.Table.of_row_array ~name schema
+           (Array.init 1400 (fun i ->
+                let x = Rng.int rng 100 in
+                [| Sto.Value.Int i; Sto.Value.Int x; Sto.Value.Int x |]))))
+    names;
+  List.iter Sto.Table.prime_columns (Sto.Catalog.tables cat);
+  let b = Query.Builder.create ~name:"exec-chain" in
+  let rels = List.map (fun t -> Query.Builder.rel b ~table:t ~alias:t) names in
+  let at rel col = Query.Builder.term b (Udf.identity col) [ (rel, col) ] in
+  let rec chain = function
+    | a :: (c :: _ as rest) ->
+      Query.Builder.join_pred b (at a "x") (at c "x");
+      Query.Builder.join_pred b (at a "y") (at c "y");
+      chain rest
+    | [ _ ] | [] -> ()
+  in
+  chain rels;
+  (cat, Query.Builder.build b)
 
 let exec_row q e () =
   let exec =
@@ -243,6 +281,10 @@ let tests =
       Test.make ~name:"exec/hash-join-row"
         (Staged.stage
            (exec_row exec_join_q (Expr.join (Expr.base 0) (Expr.base 1))));
+      Test.make ~name:"exec/join-chain-columnar"
+        (Staged.stage
+           (exec_columnar ~cat:chain_cat chain_q
+              (Expr.join (Expr.join (Expr.base 0) (Expr.base 1)) (Expr.base 2))));
       Test.make ~name:"exec/sigma-columnar"
         (Staged.stage (exec_columnar exec_scan_q (Expr.stats (Expr.base 0))));
       Test.make ~name:"exec/sigma-row"
