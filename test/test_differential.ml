@@ -306,29 +306,68 @@ let test_budget_timeout_parity () =
         w.Workload.queries)
     [ 50.0; 400.0; 3_000.0 ]
 
+(* The budget a join of two base instances draws: its two scans, and the
+   scans plus its n output tuples. *)
+let join_draws (w : Workload.t) q join l r =
+  let produced exprs =
+    let exec = E.create w.Workload.catalog q (E.budget 1e9) in
+    List.iter (fun e -> ignore (E.execute exec e)) exprs;
+    E.total_produced exec
+  in
+  (produced [ Expr.base l; Expr.base r ], produced [ join ])
+
+let times_out fp = String.length fp >= 7 && String.sub fp 0 7 = "timeout"
+
 (* Budget exhaustion inside the two-key (x and y) chained join of OTT:
    the budget covers the scans and half of the join's output. *)
+let ott_chained_joins = [ ("oq1", 1, 2); ("oq7", 2, 3) ]
+
 let test_ott_chained_timeout () =
   let w = Ott.workload { Ott.seed = 20; scale = 0.2; domain = 40 } in
   List.iter
     (fun (name, l, r) ->
       let q = List.assoc name w.Workload.queries in
       let join = Expr.join (Expr.base l) (Expr.base r) in
-      let produced exprs =
-        let exec = E.create w.Workload.catalog q (E.budget 1e9) in
-        List.iter (fun e -> ignore (E.execute exec e)) exprs;
-        E.total_produced exec
-      in
-      let scans = produced [ Expr.base l; Expr.base r ] in
-      let total = produced [ join ] in
+      let scans, total = join_draws w q join l r in
       Alcotest.(check bool) (name ^ " join emits rows") true (total -. scans > 100.0);
       let budget = Float.round (scans +. ((total -. scans) /. 2.0)) in
       let label = Printf.sprintf "ott chained timeout %s @%g" name budget in
-      let fp = run_new w.Workload.catalog q ~budget [ join ] in
       Alcotest.(check bool) (label ^ " times out") true
-        (String.length fp >= 7 && String.sub fp 0 7 = "timeout");
+        (times_out (run_new w.Workload.catalog q ~budget [ join ]));
       check_cell ~label w.Workload.catalog q ~budget [ join ])
-    [ ("oq1", 1, 2); ("oq7", 2, 3) ]
+    ott_chained_joins
+
+(* Budgets at the exact-output boundary of one join of n tuples: the scans
+   plus n - 1 (the last tuple overdraws), n (the budget ends at exactly
+   zero) and n + 1. The OTT joins repeat build keys; the TPC-H joins build
+   on a filtered primary-key side (customer, then orders), so every build
+   key is unique. *)
+let check_output_boundary (w : Workload.t) cells =
+  List.iter
+    (fun (name, l, r) ->
+      let q = List.assoc name w.Workload.queries in
+      let join = Expr.join (Expr.base l) (Expr.base r) in
+      let scans, total = join_draws w q join l r in
+      Alcotest.(check bool) (name ^ " join emits rows") true (total -. scans > 10.0);
+      List.iter
+        (fun d ->
+          let budget = total +. d in
+          let label =
+            Printf.sprintf "boundary %s/%s %d⨝%d @n%+g" w.Workload.name name l r d
+          in
+          Alcotest.(check bool) (label ^ " times out iff short") (d < 0.0)
+            (times_out (run_new w.Workload.catalog q ~budget [ join ]));
+          check_cell ~label w.Workload.catalog q ~budget [ join ])
+        [ -1.0; 0.0; 1.0 ])
+    cells
+
+let test_output_boundary () =
+  check_output_boundary
+    (Ott.workload { Ott.seed = 20; scale = 0.2; domain = 40 })
+    ott_chained_joins;
+  check_output_boundary
+    (Tpch.workload { Tpch.seed = 16; scale = 0.1; skew = Tpch.Plain })
+    [ ("tq1", 0, 1); ("tq1", 1, 2) ]
 
 (* Fault checkpoints: same spec + same seed must fire at the same draw in
    both engines (an armed plan pins the new engine to the scalar path). *)
@@ -377,5 +416,6 @@ let () =
       ( "checkpoints",
         [ Alcotest.test_case "budget timeout" `Quick test_budget_timeout_parity;
           Alcotest.test_case "ott chained timeout" `Quick test_ott_chained_timeout;
+          Alcotest.test_case "join output boundary" `Quick test_output_boundary;
           Alcotest.test_case "fault plans" `Quick test_fault_parity;
           Alcotest.test_case "deadlines" `Quick test_deadline_parity ] ) ]
