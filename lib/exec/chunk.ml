@@ -220,49 +220,6 @@ let next_pow2 n =
   let rec go k = if k >= n then k else go (k * 2) in
   go 16
 
-(* Fully fused single-int-key hash join: build a chained-bucket index over
-   the build column and probe it, calling [emit bi pi] for every key-equal
-   (build, probe) pair — probe-major, latest-insertion-first within equal
-   keys, i.e. exactly the order the generic chunked loop (and
-   [Hashtbl.find_all] in the scalar engine) yields. Bucketing uses the
-   splitmix finalizer written out inline; chain entries are confirmed by
-   comparing the keys themselves, so hash choice affects buckets only.
-   Returns [false] when the pair is not two int columns of the same kind
-   (caller falls back to the generic loop). *)
-let join_ints ?on_index (b : Column.t) (p : Column.t) emit =
-  match b, p with
-  | Column.Ints { kind = kb; data = db }, Column.Ints { kind = kp; data = dp }
-    when kb = kp ->
-    let nb = Bigarray.Array1.dim db and np = Bigarray.Array1.dim dp in
-    let sz = next_pow2 (2 * max 1 nb) in
-    let msk = sz - 1 in
-    let head = Array.make sz (-1) in
-    let next = Array.make (max 1 nb) (-1) in
-    (* Multiplicative (Fibonacci) bucketing — one multiply, take high
-       bits. Collisions are confirmed by the key compare below, so a
-       weaker-but-cheap hash only ever costs chain-walk time. *)
-    for bi = 0 to nb - 1 do
-      let x = Bigarray.Array1.unsafe_get db bi * 0x2545F4914F6CDD1D in
-      let h = (x lsr 32) land msk in
-      Array.unsafe_set next bi (Array.unsafe_get head h);
-      Array.unsafe_set head h bi
-    done;
-    (match on_index with
-    | Some f -> f ~head ~next
-    | None -> ());
-    for pi = 0 to np - 1 do
-      let k = Bigarray.Array1.unsafe_get dp pi in
-      let x = k * 0x2545F4914F6CDD1D in
-      let c = ref (Array.unsafe_get head ((x lsr 32) land msk)) in
-      while !c >= 0 do
-        let bi = !c in
-        if Bigarray.Array1.unsafe_get db bi = k then emit bi pi;
-        c := Array.unsafe_get next bi
-      done
-    done;
-    true
-  | _ -> false
-
 (* Fused first-predicate scan: equivalent to
    [let s = sel_all n in refine (eq_const col v) s; s], but the common
    typed representations run a direct loop — no identity-vector

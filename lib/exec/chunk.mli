@@ -63,17 +63,3 @@ val sel_eq_const : Column.t -> Value.t -> int -> sel
 
 val next_pow2 : int -> int
 (** Smallest power of two [>= n] and [>= 16]: chained-index bucket count. *)
-
-val join_ints :
-  ?on_index:(head:int array -> next:int array -> unit) ->
-  Column.t -> Column.t -> (int -> int -> unit) -> bool
-(** [join_ints build probe emit] runs a fully fused chained-bucket hash
-    join over two int columns of the same kind, calling [emit bi pi] for
-    every key-equal pair — probe-major, latest-insertion-first within
-    equal keys (the [Hashtbl.find_all] order). Returns [false] without
-    emitting when the columns are not both [Ints] of one kind.
-
-    [?on_index] is called once after the build loop with the chained
-    index's [head]/[next] arrays (-1-terminated chains) so a profiler
-    can observe bucket-chain shape; pass it only when profiling — the
-    arrays must not be mutated. *)

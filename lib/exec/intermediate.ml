@@ -59,15 +59,7 @@ let col_index q catalog t ~rel ~col =
     invalid_arg (Printf.sprintf "Intermediate.col_index: instance %d absent" rel);
   t.offsets.(rel) + Schema.index_of (Table.schema (table_of q catalog rel)) col
 
-(* [src] read through the tuple indices [idx.(0 .. n-1)]. *)
-let pick src idx n =
-  let out = Array.make n 0 in
-  for i = 0 to n - 1 do
-    Array.unsafe_set out i src.(idx.(i))
-  done;
-  out
-
-let join a b ~n ~left ~right =
+let of_join a b ~card ~ids =
   assert (Relset.disjoint a.mask b.mask);
   let offsets = Array.make (Array.length a.offsets) (-1) in
   Array.iteri
@@ -79,11 +71,23 @@ let join a b ~n ~left ~right =
     offsets;
     width = a.width + b.width;
     rels = Array.append a.rels b.rels;
-    ids =
-      Array.append
-        (Array.map (fun ids -> pick ids left n) a.ids)
-        (Array.map (fun ids -> pick ids right n) b.ids);
-    card = n }
+    ids;
+    card }
+
+(* [src] read through the tuple indices [idx.(0 .. n-1)]. *)
+let pick src idx n =
+  let out = Array.make n 0 in
+  for i = 0 to n - 1 do
+    Array.unsafe_set out i src.(idx.(i))
+  done;
+  out
+
+let join a b ~n ~left ~right =
+  of_join a b ~card:n
+    ~ids:
+      (Array.append
+         (Array.map (fun ids -> pick ids left n) a.ids)
+         (Array.map (fun ids -> pick ids right n) b.ids))
 
 let rows q catalog t =
   let tables = Array.map (table_of q catalog) t.rels in

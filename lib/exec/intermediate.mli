@@ -48,6 +48,12 @@ val col_index : Query.t -> Catalog.t -> t -> rel:int -> col:string -> int
     [Not_found] for unknown columns and [Invalid_argument] if [rel] is not
     covered. *)
 
+val of_join : t -> t -> card:int -> ids:int array array -> t
+(** The join of two disjoint intermediates from its output row ids: [ids]
+    holds one array per instance of the first, then one per instance of
+    the second (each in its input's layout order), each at least [card]
+    long. The first's columns come first in the layout. *)
+
 val join : t -> t -> n:int -> left:int array -> right:int array -> t
 (** The join of two disjoint intermediates whose [n] output tuples pair
     tuple [left.(i)] of the first with tuple [right.(i)] of the second;
