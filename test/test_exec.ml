@@ -276,6 +276,53 @@ let test_null_free_scan_joins_fused () =
   Alcotest.(check string) "key representations" "ints,ints"
     join.Profile.n_profile.Monsoon_telemetry.Recorder.p_repr
 
+(* A join on two int keys (R.k = S.k and R.v = S.v, build keys repeated)
+   takes the fused int kernel, reported as [join_ints] and counted in
+   [exec.fused_ops], and matches a nested-loop count. *)
+let test_two_int_keys_join_fused () =
+  let cat = Catalog.create () in
+  let schema =
+    Schema.make
+      [ { Schema.name = "k"; ty = Value.TInt };
+        { Schema.name = "v"; ty = Value.TInt } ]
+  in
+  let mk name n =
+    Table.of_row_array ~name schema
+      (Array.init n (fun i -> [| Value.Int (i mod 7); Value.Int (i mod 3) |]))
+  in
+  Catalog.add cat (mk "R" 50);
+  Catalog.add cat (mk "S" 40);
+  let b = Query.Builder.create ~name:"two-keys" in
+  let r = Query.Builder.rel b ~table:"R" ~alias:"R" in
+  let s = Query.Builder.rel b ~table:"S" ~alias:"S" in
+  let term rel col = Query.Builder.term b (Udf.identity col) [ (rel, col) ] in
+  Query.Builder.join_pred b (term r "k") (term s "k");
+  Query.Builder.join_pred b (term r "v") (term s "v");
+  let q = Query.Builder.build b in
+  let tel = Monsoon_telemetry.Ctx.null () in
+  let count name =
+    int_of_float
+      (Monsoon_telemetry.Metric.Counter.value
+         (Monsoon_telemetry.Ctx.counter tel name))
+  in
+  let prof = Profile.create () in
+  let exec =
+    Executor.create ~profile:prof ~env:(Monsoon_telemetry.Ctx.to_env tel) cat q
+      (Executor.budget 1e6)
+  in
+  ignore (Executor.execute exec (full_join q));
+  let join =
+    List.find
+      (fun (n : Profile.node) -> Relset.cardinal n.Profile.n_mask = 2)
+      (Profile.nodes prof)
+  in
+  Alcotest.(check string) "two-key int join path" "join_ints"
+    join.Profile.n_profile.Monsoon_telemetry.Recorder.p_path;
+  Alcotest.(check int) "fused ops" 1 (count "exec.fused_ops");
+  Alcotest.(check int) "scalar fallbacks" 0 (count "exec.scalar_fallbacks");
+  Alcotest.(check int) "rows" (Fixtures.brute_force_count cat q)
+    (Array.length (Executor.result_rows exec (full_join q)))
+
 (* Property: hash join result always equals the nested-loop oracle. *)
 let prop_join_equals_oracle =
   QCheck.Test.make ~name:"hash join == nested loop oracle" ~count:30
@@ -324,5 +371,7 @@ let () =
           Alcotest.test_case "gather keeps representation" `Quick
             test_gather_keeps_representation;
           Alcotest.test_case "null-free scan joins fused" `Quick
-            test_null_free_scan_joins_fused ] );
+            test_null_free_scan_joins_fused;
+          Alcotest.test_case "two int keys join fused" `Quick
+            test_two_int_keys_join_fused ] );
       ("properties", qc [ prop_join_equals_oracle; prop_plan_shape_irrelevant ]) ]
