@@ -54,7 +54,8 @@ let run_new ?env cat q ~budget exprs =
             (fp_rows (E.result_rows exec e))
         | exception E.Timeout -> "timeout"
         | exception Fault.Injected reason -> "fault:" ^ reason
-        | exception Deadline.Expired -> "deadline")
+        | exception Deadline.Expired -> "deadline"
+        | exception Invalid_argument msg -> "raise:" ^ msg)
       exprs
   in
   Printf.sprintf "%s | produced=%h sigma=%h left=%h"
@@ -78,12 +79,15 @@ let run_old ?env cat q ~budget exprs =
             (fp_rows (R.result_rows exec e))
         | exception R.Timeout -> "timeout"
         | exception Fault.Injected reason -> "fault:" ^ reason
-        | exception Deadline.Expired -> "deadline")
+        | exception Deadline.Expired -> "deadline"
+        | exception Invalid_argument msg -> "raise:" ^ msg)
       exprs
   in
   Printf.sprintf "%s | produced=%h sigma=%h left=%h"
     (String.concat " ; " steps)
     (R.total_produced exec) (R.sigma_objects exec) bud.R.remaining
+
+let times_out fp = String.length fp >= 7 && String.sub fp 0 7 = "timeout"
 
 let check_cell ~label ?env_new ?env_old cat q ~budget exprs =
   Alcotest.(check string)
@@ -192,19 +196,22 @@ let test_udf_bench () =
        { Udf_bench.seed = 15; imdb_scale = 0.04; tpch_scale = 0.04 })
 
 (* Hostile value semantics: NaN / -0. float join keys, dictionary string
-   keys, and a Null-poisoned int column (demoted to the boxed fallback). *)
+   keys, and a Null-poisoned int column (demoted to the boxed fallback).
+   Table C's string dictionary has its own first-appearance order and
+   strings A lacks, and its n column holds dates, which never equal A's
+   ints. *)
 let tricky_fixture () =
   let cat = Catalog.create () in
   let fvals = [| 1.5; Float.nan; -0.0; 0.0; 2.5; Float.nan; 1.5 |] in
+  let schema n_ty =
+    Schema.make
+      [ { Schema.name = "f"; ty = Value.TFloat };
+        { Schema.name = "s"; ty = Value.TStr };
+        { Schema.name = "n"; ty = n_ty } ]
+  in
   let svals = [| "ash"; "birch"; "cedar" |] in
   let mk name n offset =
-    let schema =
-      Schema.make
-        [ { Schema.name = "f"; ty = Value.TFloat };
-          { Schema.name = "s"; ty = Value.TStr };
-          { Schema.name = "n"; ty = Value.TInt } ]
-    in
-    Table.of_row_array ~name schema
+    Table.of_row_array ~name (schema Value.TInt)
       (Array.init n (fun i ->
            [| Value.Float fvals.((i + offset) mod Array.length fvals);
               Value.Str svals.((i + offset) mod Array.length svals);
@@ -213,14 +220,28 @@ let tricky_fixture () =
   in
   Catalog.add cat (mk "A" 60 0);
   Catalog.add cat (mk "B" 45 3);
+  let cvals = [| "yew"; "cedar"; "elm"; "ash"; "oak" |] in
+  Catalog.add cat
+    (Table.of_row_array ~name:"C" (schema Value.TDate)
+       (Array.init 80 (fun i ->
+            [| Value.Float fvals.((i + 2) mod Array.length fvals);
+               Value.Str cvals.(i mod Array.length cvals);
+               Value.Date (i mod 7) |])));
   cat
 
-let tricky_query ~on ~select =
+(* A ⨝ [right] on [on]; [key] replaces the right side's identity key term
+   by an opaque UDF over the given columns. *)
+let tricky_query ?(right = "B") ?key ~on ~select () =
   let b = Query.Builder.create ~name:(Printf.sprintf "tricky-%s" on) in
   let a = Query.Builder.rel b ~table:"A" ~alias:"A" in
-  let c = Query.Builder.rel b ~table:"B" ~alias:"B" in
+  let c = Query.Builder.rel b ~table:right ~alias:right in
   let ta = Query.Builder.term b (Udf.identity on) [ (a, on) ] in
-  let tb = Query.Builder.term b (Udf.identity on) [ (c, on) ] in
+  let tb =
+    match key with
+    | None -> Query.Builder.term b (Udf.identity on) [ (c, on) ]
+    | Some (udf, cols) ->
+      Query.Builder.term b udf (List.map (fun col -> (c, col)) cols)
+  in
   Query.Builder.join_pred b ta tb;
   (match select with
   | Some (col, v) ->
@@ -229,22 +250,72 @@ let tricky_query ~on ~select =
   | None -> ());
   Query.Builder.build b
 
+(* C.s as a probe key, raising at the first row with s = "oak" and
+   n = date 6: row 34 of C's 80, where that (s, n) pair first appears. *)
+let raising_key =
+  Udf.make "s_or_raise" (function
+    | [| (Value.Str "oak" as s); Value.Date 6 |] ->
+      invalid_arg ("s_or_raise: " ^ Value.to_string s)
+    | [| s; _ |] -> s
+    | _ -> invalid_arg "s_or_raise: expected two arguments")
+
 let test_tricky_values () =
   let cat = tricky_fixture () in
+  let full = Expr.join (Expr.base 0) (Expr.base 1) in
   List.iter
-    (fun (on, select) ->
-      let q = tricky_query ~on ~select in
-      let full = Expr.join (Expr.base 0) (Expr.base 1) in
+    (fun (right, on, select) ->
+      let q = tricky_query ~right ~on ~select () in
       check_cell
-        ~label:("tricky join on " ^ on)
+        ~label:(Printf.sprintf "tricky join A⨝%s on %s" right on)
         cat q ~budget:1e7
         [ Expr.stats (Expr.base 0); Expr.stats (Expr.base 1); full ])
-    [ ("f", None);
-      ("s", None);
-      ("n", None);
-      ("f", Some ("s", Value.Str "birch"));
-      ("s", Some ("n", Value.Int 2));
-      ("n", Some ("f", Value.Float Float.nan)) ]
+    [ ("B", "f", None);
+      ("B", "s", None);
+      ("B", "n", None);
+      ("B", "f", Some ("s", Value.Str "birch"));
+      ("B", "s", Some ("n", Value.Int 2));
+      ("B", "n", Some ("f", Value.Float Float.nan));
+      (* Dict keys from two dictionaries. *)
+      ("C", "s", None);
+      ("C", "s", Some ("n", Value.Int 2));
+      (* Int against Date: boxed ints, then (filtered Null-free) typed
+         ints, against a date column. *)
+      ("C", "n", None);
+      ("C", "n", Some ("n", Value.Int 2)) ];
+  let rows_of q =
+    let exec = E.create cat q (E.budget 1e7) in
+    ignore (E.execute exec full);
+    Array.length (E.result_rows exec full)
+  in
+  Alcotest.(check int) "int keys never equal date keys" 0
+    (rows_of (tricky_query ~right:"C" ~on:"n" ~select:None ()));
+  (* A probe key that raises mid-probe: the tuples of the earlier probe
+     rows are emitted (and paid for) first, so a budget short of them
+     times out instead. *)
+  let q =
+    tricky_query ~right:"C" ~key:(raising_key, [ "s"; "n" ]) ~on:"s"
+      ~select:None ()
+  in
+  let before_raise =
+    let exec = E.create cat q (E.budget 1e7) in
+    (match E.execute exec full with
+    | _ -> Alcotest.fail "the probe key should raise"
+    | exception Invalid_argument _ -> ());
+    E.total_produced exec
+  in
+  Alcotest.(check bool) "rows emitted before the raise" true
+    (before_raise > 100.0);
+  List.iter
+    (fun budget ->
+      let label = Printf.sprintf "probe key raises @%g" budget in
+      Alcotest.(check bool) (label ^ " times out iff short")
+        (budget < before_raise)
+        (times_out (run_new cat q ~budget [ full ]));
+      check_cell ~label cat q ~budget [ full ])
+    [ before_raise /. 2.0;
+      before_raise -. 1.0;
+      before_raise;
+      before_raise +. 1.0 ]
 
 (* Σ over a join intermediate, so columns gathered from Dict, Floats and
    Boxed (Null-bearing) base columns feed the HLL: a three-key join on s,
@@ -316,8 +387,6 @@ let join_draws (w : Workload.t) q join l r =
   in
   (produced [ Expr.base l; Expr.base r ], produced [ join ])
 
-let times_out fp = String.length fp >= 7 && String.sub fp 0 7 = "timeout"
-
 (* Budget exhaustion inside the two-key (x and y) chained join of OTT:
    the budget covers the scans and half of the join's output. *)
 let ott_chained_joins = [ ("oq1", 1, 2); ("oq7", 2, 3) ]
@@ -367,7 +436,12 @@ let test_output_boundary () =
     ott_chained_joins;
   check_output_boundary
     (Tpch.workload { Tpch.seed = 16; scale = 0.1; skew = Tpch.Plain })
-    [ ("tq1", 0, 1); ("tq1", 1, 2) ]
+    [ ("tq1", 0, 1); ("tq1", 1, 2) ];
+  (* Opaque-UDF keys: uq1's ci ⨝ n on person_ref_id = name_id. *)
+  check_output_boundary
+    (Udf_bench.workload
+       { Udf_bench.seed = 15; imdb_scale = 0.04; tpch_scale = 0.04 })
+    [ ("uq1", 1, 2) ]
 
 (* Fault checkpoints: same spec + same seed must fire at the same draw in
    both engines (an armed plan pins the new engine to the scalar path). *)
