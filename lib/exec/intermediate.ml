@@ -74,21 +74,6 @@ let of_join a b ~card ~ids =
     ids;
     card }
 
-(* [src] read through the tuple indices [idx.(0 .. n-1)]. *)
-let pick src idx n =
-  let out = Array.make n 0 in
-  for i = 0 to n - 1 do
-    Array.unsafe_set out i src.(idx.(i))
-  done;
-  out
-
-let join a b ~n ~left ~right =
-  of_join a b ~card:n
-    ~ids:
-      (Array.append
-         (Array.map (fun ids -> pick ids left n) a.ids)
-         (Array.map (fun ids -> pick ids right n) b.ids))
-
 let rows q catalog t =
   let tables = Array.map (table_of q catalog) t.rels in
   let base = Array.map Table.rows tables in

@@ -54,11 +54,6 @@ val of_join : t -> t -> card:int -> ids:int array array -> t
     the second (each in its input's layout order), each at least [card]
     long. The first's columns come first in the layout. *)
 
-val join : t -> t -> n:int -> left:int array -> right:int array -> t
-(** The join of two disjoint intermediates whose [n] output tuples pair
-    tuple [left.(i)] of the first with tuple [right.(i)] of the second;
-    the first's columns come first in the layout. *)
-
 val rows : Query.t -> Catalog.t -> t -> Table.row array
 (** The tuples as boxed rows, in tuple order. A single-instance
     intermediate returns its base rows themselves (shared, do not mutate);

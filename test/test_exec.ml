@@ -323,6 +323,72 @@ let test_two_int_keys_join_fused () =
   Alcotest.(check int) "rows" (Fixtures.brute_force_count cat q)
     (Array.length (Executor.result_rows exec (full_join q)))
 
+(* Routing: a join on opaque-UDF keys evaluates them into columns and
+   runs the int kernel; an armed fault plan (its checkpoint draw order is
+   part of the contract) and a straddling filter keep the scalar loop. *)
+let test_udf_keys_join_routing () =
+  let rng = Rng.create 37 in
+  let cat = two_table_catalog rng ~n_r:120 ~n_s:90 ~d:15 in
+  let opaque = Udf.make "k_opaque" (fun args -> args.(0)) in
+  let query ~straddling =
+    let b = Query.Builder.create ~name:"udf-keys" in
+    let r = Query.Builder.rel b ~table:"R" ~alias:"R" in
+    let s = Query.Builder.rel b ~table:"S" ~alias:"S" in
+    Query.Builder.join_pred b
+      (Query.Builder.term b opaque [ (r, "k") ])
+      (Query.Builder.term b opaque [ (s, "k") ]);
+    if straddling then
+      Query.Builder.select_pred b
+        (Query.Builder.term b
+           (Udf.make "v_plus_k" (function
+             | [| Value.Int v; Value.Int k |] -> Value.Int ((v + k) mod 2)
+             | _ -> Value.Null))
+           [ (r, "v"); (s, "k") ])
+        (Value.Int 0);
+    Query.Builder.build b
+  in
+  let run ?fault q =
+    let tel = Monsoon_telemetry.Ctx.null () in
+    let env = Monsoon_telemetry.Ctx.to_env tel in
+    let env =
+      match fault with Some f -> Env.with_fault env f | None -> env
+    in
+    let prof = Profile.create () in
+    let exec = Executor.create ~profile:prof ~env cat q (Executor.budget 1e6) in
+    ignore (Executor.execute exec (full_join q));
+    let join =
+      List.find
+        (fun (n : Profile.node) -> Relset.cardinal n.Profile.n_mask = 2)
+        (Profile.nodes prof)
+    in
+    let count name =
+      int_of_float
+        (Monsoon_telemetry.Metric.Counter.value
+           (Monsoon_telemetry.Ctx.counter tel name))
+    in
+    ( join.Profile.n_profile.Monsoon_telemetry.Recorder.p_path,
+      count "exec.fused_ops",
+      count "exec.scalar_fallbacks",
+      Array.length (Executor.result_rows exec (full_join q)) )
+  in
+  let q = query ~straddling:false in
+  let path, fused, scalar, rows = run q in
+  Alcotest.(check string) "udf keys path" "join_ints" path;
+  Alcotest.(check int) "udf keys fused ops" 1 fused;
+  Alcotest.(check int) "udf keys scalar fallbacks" 0 scalar;
+  Alcotest.(check int) "udf keys rows" (Fixtures.brute_force_count cat q) rows;
+  (* Armed, at a rate that never fires. *)
+  let armed =
+    Fault.plan { Fault.no_faults with Fault.build_rate = 1e-12 } (Rng.create 5)
+  in
+  Alcotest.(check bool) "the plan is armed" true (Fault.armed armed);
+  let path, _, scalar, armed_rows = run ~fault:armed q in
+  Alcotest.(check string) "armed fault plan path" "scalar" path;
+  Alcotest.(check int) "armed fault plan scalar fallbacks" 1 scalar;
+  Alcotest.(check int) "armed fault plan rows" rows armed_rows;
+  let path, _, _, _ = run (query ~straddling:true) in
+  Alcotest.(check string) "straddling filter path" "scalar" path
+
 (* Property: hash join result always equals the nested-loop oracle. *)
 let prop_join_equals_oracle =
   QCheck.Test.make ~name:"hash join == nested loop oracle" ~count:30
@@ -373,5 +439,7 @@ let () =
           Alcotest.test_case "null-free scan joins fused" `Quick
             test_null_free_scan_joins_fused;
           Alcotest.test_case "two int keys join fused" `Quick
-            test_two_int_keys_join_fused ] );
+            test_two_int_keys_join_fused;
+          Alcotest.test_case "udf keys join routing" `Quick
+            test_udf_keys_join_routing ] );
       ("properties", qc [ prop_join_equals_oracle; prop_plan_shape_irrelevant ]) ]

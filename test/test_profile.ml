@@ -210,16 +210,16 @@ let test_repr_dict_and_boxed () =
   Alcotest.(check bool) "dict column in scan mix" true
     (List.mem "dict" (repr a_scan));
   let j = join_node nodes in
-  Alcotest.(check string) "float join takes the chained probe" "chained"
-    j.Recorder.p_path;
+  Alcotest.(check string) "float join runs the int kernel on codes"
+    "join_ints" j.Recorder.p_path;
   Alcotest.(check bool) "float columns in join mix" true
     (List.mem "floats" (repr j));
-  (* Null-poisoned int column: demoted to boxed, so no fused int join. *)
+  (* Null-poisoned int column: demoted to boxed, interned into codes. *)
   let qn = tricky_query ~on:"n" ~select:None in
   let profn = run_profiled cat qn [ full_join ] in
   let jn = join_node (Profile.nodes profn) in
-  Alcotest.(check string) "boxed join falls back to chained" "chained"
-    jn.Recorder.p_path;
+  Alcotest.(check string) "boxed join runs the int kernel on codes"
+    "join_ints" jn.Recorder.p_path;
   Alcotest.(check bool) "boxed column in join mix" true
     (List.mem "boxed" (repr jn))
 
