@@ -12,12 +12,14 @@
     ({!Monsoon_storage.Column} / {!Chunk}) gathered from the base tables'
     cached columns through the ids: identity-projection terms are
     evaluated directly against Bigarray-backed columns with selection
-    vectors, hash-join keys are hashed and verified unboxed, and Σ feeds
-    column hashes straight into HyperLogLog. Opaque (non-identity) UDF
-    terms and armed fault plans take the scalar path, which reads base
-    rows through the ids one tuple at a time and is observationally
-    identical — the differential suite pins charged cost, [stat_obs],
-    result rows, counters and checkpoint draw order against the frozen
+    vectors, every hash join runs one int kernel on int codes of its keys
+    (an opaque UDF key is evaluated once per tuple first), and Σ feeds
+    column hashes straight into HyperLogLog. Armed fault plans, joins
+    with a straddling filter, and scans and Σ passes over opaque
+    (non-identity) UDF terms take the scalar path, which reads base rows
+    through the ids one tuple at a time and is observationally identical
+    — the differential suite pins charged cost, [stat_obs], result rows,
+    counters and checkpoint draw order against the frozen
     {!Row_engine}.
 
     Cost accounting matches {!Monsoon_relalg.Cost_model}: each join node is

@@ -103,7 +103,7 @@ let set_sel_density t ~kept ~of_ =
       (if of_ <= 0 then 1.0 else float_of_int kept /. float_of_int of_)
 
 (* Chain shape of a chained-bucket join index: [head]/[next] as built by
-   the executor's join kernels, -1-terminated. Mean is over
+   the executor's join kernel, -1-terminated. Mean is over
    non-empty buckets. Only called on the live path. *)
 let observe_chains t ~head ~next =
   if t.live then begin

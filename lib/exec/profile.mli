@@ -65,7 +65,8 @@ val add_repr : t -> Column.t -> unit
 (** Append the column's representation label to the input-slot mix. *)
 
 val add_repr_rows : t -> unit
-(** The scalar path touched boxed rows, not a column. *)
+(** The operator touched boxed rows, not a column: the scalar path, or a
+    join key evaluated by an opaque UDF. *)
 
 val set_sel_density : t -> kept:int -> of_:int -> unit
 

@@ -39,7 +39,7 @@ type node_profile = {
   p_kind : string;  (** operator kind: ["scan"]/["hash-join"]/["cross"]/["sigma"] *)
   p_path : string;
       (** fused-vs-scalar path attribution, e.g. ["join_ints"],
-          ["chained"], ["sel_eq_const"], ["refine"], ["scalar"] *)
+          ["sel_eq_const"], ["refine"], ["scalar"] *)
   p_repr : string;
       (** comma-joined column representation per input slot touched, in
           touch order (["ints"]/["floats"]/["dict"]/["boxed"]/["rows"]) *)
