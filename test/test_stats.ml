@@ -79,6 +79,34 @@ let test_enumerations () =
   Alcotest.(check int) "counts" 1 (List.length (Stats_catalog.counts s));
   Alcotest.(check int) "distincts" 2 (List.length (Stats_catalog.distincts s))
 
+(* The exact bytes of the statistics fingerprint, which the MCTS state key
+   embeds: the %.4g rendering (a tie to even, rounding across a power of
+   ten, zero, small values), the order of distincts (by term, then
+   Wildcard, For_select, For_pred by predicate) and the version counter
+   after overwrites. *)
+let test_fingerprint_bytes () =
+  let s = Stats_catalog.create () in
+  List.iter
+    (fun (m, c) -> Stats_catalog.set_count s m c)
+    [ (7, 0.000012345); (1, 0.0); (2, 1.5); (3, 1200.0); (4, 12345.0); (5, 12355.0);
+      (6, 9999.5) ];
+  List.iter
+    (fun (term, scope, d) -> Stats_catalog.set_distinct s ~term ~scope d)
+    [ (3, Stats_catalog.For_pred 10, 0.000012345);
+      (3, Stats_catalog.Wildcard, 12345.0);
+      (12, Stats_catalog.Wildcard, 12355.0);
+      (3, Stats_catalog.For_pred 2, 1.5);
+      (1, Stats_catalog.For_pred 0, 0.0);
+      (3, Stats_catalog.For_select, 9999.5);
+      (0, Stats_catalog.For_select, 1200.0) ];
+  Stats_catalog.set_count s 3 1200.0;
+  Stats_catalog.set_distinct s ~term:3 ~scope:Stats_catalog.Wildcard 12345.0;
+  Alcotest.(check string) "fingerprint"
+    ("C[1:0,2:1.5,3:1200,4:1.234e+04,5:1.236e+04,6:1e+04,7:1.234e-05]"
+    ^ "D[0@s:1200,1@0:0,3@*:1.234e+04,3@s:1e+04,3@2:1.5,3@10:1.234e-05,12@*:1.236e+04]"
+    ^ "V[16]")
+    (Stats_catalog.fingerprint s)
+
 (* --- Priors --- *)
 
 let rng () = Rng.create 2024
@@ -183,7 +211,8 @@ let () =
           Alcotest.test_case "selection scope" `Quick test_select_scope;
           Alcotest.test_case "copy isolation" `Quick test_copy_isolated;
           Alcotest.test_case "enumerations" `Quick test_enumerations;
-          Alcotest.test_case "version counter" `Quick test_version_counter ] );
+          Alcotest.test_case "version counter" `Quick test_version_counter;
+          Alcotest.test_case "fingerprint bytes" `Quick test_fingerprint_bytes ] );
       ( "priors",
         [ Alcotest.test_case "seven priors" `Quick test_all_priors_listed;
           Alcotest.test_case "by name" `Quick test_by_name;
