@@ -1,3 +1,4 @@
+open Monsoon_util
 open Monsoon_relalg
 
 type scope = Wildcard | For_pred of int | For_select
@@ -90,8 +91,19 @@ let distincts t =
   @ PairMap.fold (fun (tm, p) v acc -> (tm, For_pred p, v) :: acc) t.scoped []
   @ IntMap.fold (fun tm v acc -> (tm, For_select, v) :: acc) t.sel_scoped []
 
-(* [Printf]'s %.4g is this primitive applied to the format string. *)
-external format_float : string -> float -> string = "caml_format_float"
+(* The order of polymorphic [compare] on these triples, monomorphically:
+   by term, then Wildcard < For_select < For_pred by predicate (constant
+   constructors sort before the others, by declaration order). A term has
+   one entry per scope, so the value never decides. *)
+let scope_rank = function Wildcard -> 0 | For_select -> 1 | For_pred _ -> 2
+
+let compare_distinct (t1, s1, _) (t2, s2, _) =
+  match Int.compare t1 t2 with
+  | 0 -> (
+    match (s1, s2) with
+    | For_pred p1, For_pred p2 -> Int.compare p1 p2
+    | _ -> Int.compare (scope_rank s1) (scope_rank s2))
+  | c -> c
 
 let fingerprint t =
   if t.fingerprint <> "" then t.fingerprint
@@ -99,34 +111,32 @@ let fingerprint t =
     let b = Buffer.create 128 in
     let first = ref true in
     let sep () = if !first then first := false else Buffer.add_char b ',' in
-    let int i = Buffer.add_string b (string_of_int i) in
-    let num x = Buffer.add_string b (format_float "%.4g" x) in
     Buffer.add_string b "C[";
     IntMap.iter
       (fun m c ->
         sep ();
-        int m;
+        Decimal.add_int b m;
         Buffer.add_char b ':';
-        num c)
+        Decimal.add_g4 b c)
       t.counts;
     Buffer.add_string b "]D[";
     first := true;
     List.iter
       (fun (tm, scope, d) ->
         sep ();
-        int tm;
+        Decimal.add_int b tm;
         Buffer.add_char b '@';
         (match scope with
         | Wildcard -> Buffer.add_char b '*'
-        | For_pred p -> int p
+        | For_pred p -> Decimal.add_int b p
         | For_select -> Buffer.add_char b 's');
         Buffer.add_char b ':';
-        num d)
-      (List.sort compare (distincts t));
+        Decimal.add_g4 b d)
+      (List.sort compare_distinct (distincts t));
     (* The version disambiguates overwrites that the %.4g renderings above
        collapse (same key, same printed value, different history). *)
     Buffer.add_string b "]V[";
-    int t.version;
+    Decimal.add_int b t.version;
     Buffer.add_char b ']';
     t.fingerprint <- Buffer.contents b;
     t.fingerprint

@@ -44,10 +44,11 @@ val fingerprint : t -> string
     state key. Counts render as ["mask:%.4g"] ascending by mask;
     distincts as ["term@scope:%.4g"] with scope ['*'] (measured), ['s']
     (selection) or the predicate id, ascending by term, then [Wildcard],
-    [For_select], [For_pred] by predicate — the order of
-    [List.sort compare] over {!counts} and {!distincts}; both joined by
-    [',']. Rendered once per catalog contents: any [set_*] renders it
-    afresh. *)
+    [For_select], [For_pred] by predicate (a monomorphic comparator that
+    keeps the order polymorphic [compare] gave these entries); both
+    joined by [',']. Numbers are written by {!Monsoon_util.Decimal}, the
+    same bytes as [string_of_int] and [Printf]'s [%.4g]. Rendered once
+    per catalog contents: any [set_*] renders it afresh. *)
 
 val size : t -> int
 (** Total number of entries. Not a safe fingerprint on its own: an
