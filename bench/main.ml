@@ -46,7 +46,7 @@ let sec23_env () =
 
 let sec23_plan = Expr.join (Expr.join (Expr.base 0) (Expr.base 1)) (Expr.base 2)
 
-let sec23_ctx = { Mdp.query = sec23_q; raw_counts = sec23_raw }
+let sec23_ctx = Mdp.ctx_of_sizes sec23_q sec23_raw
 let sec23_sim = Simulator.create sec23_ctx Prior.spike_and_slab (Rng.create 9)
 
 let sec23_exec_state =

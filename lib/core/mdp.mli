@@ -14,7 +14,7 @@ open Monsoon_stats
 
 type state = {
   r_p : Expr.t list;  (** sorted by canonical key; keys unique *)
-  r_e : Relset.t list;  (** sorted ascending *)
+  r_e : Relset.t list;  (** ascending, without duplicates *)
   stats : Stats_catalog.t;
 }
 
@@ -31,11 +31,27 @@ type action =
       (** Join a materialized with a planned expression (action 5). *)
   | Execute  (** Materialize everything in R_p. *)
 
-type ctx = { query : Query.t; raw_counts : float array }
-(** Per-query immutable context: the instance sizes are the only statistics
-    assumed known up front. *)
+type r_e_pairs
+(** Per-run table from R_e contents to the pairs of R_e masks a Join_exec
+    could join, with their unions and connectivity (see {!legal_actions}). *)
+
+type ctx = private {
+  query : Query.t;
+  raw_counts : float array;
+  r_e_pairs : r_e_pairs;
+}
+(** Per-query planning context: the instance sizes are the only statistics
+    assumed known up front. It also holds the per-run R_e table, which
+    {!legal_actions} fills as it meets new R_e contents; one run owns its
+    context, and a context must not be shared across domains. *)
 
 val make_ctx : Catalog.t -> Query.t -> ctx
+(** The instance sizes are the cardinalities of the catalog's tables. *)
+
+val ctx_of_sizes : Query.t -> float array -> ctx
+(** A context from a query and its instance sizes, indexed like
+    {!Query.rels}, for planning without a storage catalog. *)
+
 val init_state : ctx -> state
 (** R_p empty, R_e the base instances, S empty. *)
 
@@ -47,7 +63,9 @@ val legal_actions : ctx -> state -> action list
     connecting predicate is only offered when no connected candidate exists
     anywhere (cross products only when necessary), and Σ is only offered
     when it would measure at least one still-unknown statistic. Plans with a
-    mask already covered inside R_p are not duplicated. *)
+    mask already covered inside R_p are not duplicated. What the R_e pairs
+    contribute apart from R_p is computed once per R_e contents and kept
+    in the context. *)
 
 val apply_plan_edit : state -> action -> state
 (** The deterministic transitions; raises [Invalid_argument] on [Execute]. *)
@@ -60,7 +78,8 @@ val after_execute : state -> Stats_catalog.t -> state
 (** The deterministic half of EXECUTE, shared by the simulated and the
     real transition: R_p empties, and R_e gains every {!executed_masks}
     mask of the planned expressions whose count is now in the given
-    statistics (base instances always), which become the new S. *)
+    statistics (base instances always), which become the new S. Each mask
+    is inserted into the ascending, duplicate-free R_e. *)
 
 val state_key : state -> string
 (** Canonical fingerprint for MCTS chance-node sharing. *)

@@ -127,7 +127,7 @@ let point v =
   Prior.custom ~name:"point" ~sample:(fun _ ~c_own:_ ~c_partner:_ -> v) ()
 
 let sec23_mdp ~seed =
-  let ctx = { Mdp.query = sec23_query (); raw_counts = sec23_raw } in
+  let ctx = Mdp.ctx_of_sizes (sec23_query ()) sec23_raw in
   let state = Mdp.init_state ctx in
   Stats_catalog.set_distinct state.Mdp.stats ~term:0 ~scope:Stats_catalog.Wildcard 1000.0;
   Stats_catalog.set_distinct state.Mdp.stats ~term:2 ~scope:Stats_catalog.Wildcard 1000.0;

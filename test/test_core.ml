@@ -6,7 +6,7 @@ open Monsoon_core
 (* --- The Sec 2.3 planning problem, in pure simulation --- *)
 
 let paper_ctx () =
-  { Mdp.query = Fixtures.sec23_query (); raw_counts = [| 1e6; 1e4; 1e4 |] }
+  Mdp.ctx_of_sizes (Fixtures.sec23_query ()) [| 1e6; 1e4; 1e4 |]
 
 (* Initial state with d(F1,R) = d(F3,R) = 1000 known, as in the paper. *)
 let seeded_state ctx =
@@ -115,7 +115,8 @@ let test_terminal () =
   let ctx = paper_ctx () in
   let state = Mdp.init_state ctx in
   Alcotest.(check bool) "not terminal initially" false (Mdp.is_terminal ctx state);
-  let state = { state with Mdp.r_e = 7 :: state.Mdp.r_e } in
+  (* R_e stays ascending and duplicate-free: the full mask follows 1, 2, 4. *)
+  let state = { state with Mdp.r_e = state.Mdp.r_e @ [ 7 ] } in
   Alcotest.(check bool) "terminal when full mask present" true
     (Mdp.is_terminal ctx state)
 
