@@ -347,6 +347,95 @@ let test_tricky_sigma_on_join () =
         [ "s" ],
         [ (true, "n", Value.Int 2); (false, "f", Value.Float 1.5) ] ) ]
 
+(* Join keys and Σ columns read through each side's row ids. An
+   OTT-shaped chain over the OTT tables [tables] (instance [pos] is chain
+   position [pos]): consecutive instances joined on both int columns x and
+   y, and y pinned to [c] at each [(pos, c)] of [filters]. *)
+let ott_chain_query ~name tables ~filters =
+  let b = Query.Builder.create ~name in
+  let rels =
+    List.mapi
+      (fun pos ti ->
+        Query.Builder.rel b ~table:(Printf.sprintf "ott%d" (ti + 1))
+          ~alias:(Printf.sprintf "c%d" pos))
+      tables
+  in
+  let at rel col = Query.Builder.term b (Udf.identity col) [ (rel, col) ] in
+  let rec chain = function
+    | a :: (c :: _ as rest) ->
+      Query.Builder.join_pred b (at a "x") (at c "x");
+      Query.Builder.join_pred b (at a "y") (at c "y");
+      chain rest
+    | [ _ ] | [] -> ()
+  in
+  chain rels;
+  List.iter
+    (fun (pos, c) ->
+      Query.Builder.select_pred b (at (List.nth rels pos) "y") (Value.Int c))
+    filters;
+  Query.Builder.build b
+
+let test_read_through_ids () =
+  let cat = Ott.generate { Ott.seed = 21; scale = 0.1; domain = 40 } in
+  (* Both ends pinned to one constant: every join emits. *)
+  let q =
+    ott_chain_query ~name:"chain-same" [ 0; 1; 2; 3 ]
+      ~filters:[ (0, 2); (3, 2) ]
+  in
+  let p2 = left_deep [ 0; 1 ] and p3 = left_deep [ 0; 1; 2 ] in
+  let cached e = Expr.leaf (Expr.mask e) in
+  let cells =
+    [ (* A filtered build side against a three-instance probe side. *)
+      ("3-instance probe", [ p3; Expr.join (cached p3) (Expr.base 3) ]);
+      ("3-instance probe, left", [ p3; Expr.join (Expr.base 3) (cached p3) ]);
+      (* The two-instance side is the smaller: it builds, in either
+         position. *)
+      ("2-instance build", [ p2; Expr.join (cached p2) (Expr.base 2) ]);
+      ("2-instance build, right", [ p2; Expr.join (Expr.base 2) (cached p2) ]);
+      (* Σ over filtered two- and three-instance intermediates. *)
+      ("sigma 2-instance", [ Expr.stats p2; Expr.stats p3 ]) ]
+  in
+  let rows q e =
+    let exec = E.create cat q (E.budget 1e9) in
+    ignore (E.execute exec e);
+    Array.length (E.result_rows exec e)
+  in
+  let n2 = rows q p2 and n3 = rows q p3 and n_base = rows q (Expr.base 3) in
+  Alcotest.(check bool) "the probe side outnumbers the build side" true
+    (n3 > 10 * n_base && n_base > 0);
+  Alcotest.(check bool) "the two-instance side builds" true
+    (n2 > 0 && n2 < rows q (Expr.base 2));
+  Alcotest.(check bool) "the chain emits" true
+    (rows q (Expr.join p3 (Expr.base 3)) > 1000);
+  List.iter
+    (fun (label, exprs) ->
+      check_cell ~label:("read through ids: " ^ label) cat q ~budget:1e7 exprs)
+    cells;
+  (* Different constants: the filtered pair joins to nothing, which then
+     builds against a base table on either side. *)
+  let q =
+    ott_chain_query ~name:"chain-empty" [ 0; 1; 2 ] ~filters:[ (0, 1); (1, 3) ]
+  in
+  let p2 = left_deep [ 0; 1 ] in
+  Alcotest.(check int) "the filtered pair joins to nothing" 0 (rows q p2);
+  List.iter
+    (fun (label, top) ->
+      check_cell ~label:("read through ids: " ^ label) cat q ~budget:1e7
+        [ p2; top; Expr.stats (cached top) ])
+    [ ("empty build", Expr.join (cached p2) (Expr.base 2));
+      ("empty build, right", Expr.join (Expr.base 2) (cached p2)) ];
+  (* A Null-bearing (boxed) int column read over Null-free subsets on
+     both sides: A.n = 2 keeps no Null, nor does B.f = 2.5. *)
+  let q =
+    tricky_multi_query ~name:"null-free n both sides" ~joins:[ "n" ]
+      ~selects:[ (true, "n", Value.Int 2); (false, "f", Value.Float 2.5) ]
+  in
+  let full = Expr.join (Expr.base 0) (Expr.base 1) in
+  check_cell ~label:"read through ids: null-free n both sides"
+    (tricky_fixture ()) q ~budget:1e7
+    [ Expr.stats (Expr.base 0); Expr.stats (Expr.base 1); full;
+      Expr.stats (cached full) ]
+
 (* No connecting predicate: the cross-product path. *)
 let test_cross_product () =
   let cat = tricky_fixture () in
@@ -486,6 +575,8 @@ let () =
           Alcotest.test_case "tricky values" `Quick test_tricky_values;
           Alcotest.test_case "tricky sigma on join" `Quick test_tricky_sigma_on_join;
           Alcotest.test_case "bushy composites" `Quick test_bushy;
+          Alcotest.test_case "read through row ids" `Quick
+            test_read_through_ids;
           Alcotest.test_case "cross product" `Quick test_cross_product ] );
       ( "checkpoints",
         [ Alcotest.test_case "budget timeout" `Quick test_budget_timeout_parity;

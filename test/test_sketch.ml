@@ -57,6 +57,131 @@ let test_hll_clear () =
   Hyperloglog.clear hll;
   Alcotest.(check (float 0.001)) "cleared" 0.0 (Hyperloglog.count hll)
 
+(* Bit pins of [count]. The row engine and the statistics source share
+   {!Hyperloglog} with the executor, so an engine-against-engine check
+   cannot see [count] drift; these can. Each case is a fixed stream, about
+   half of it repeats ([fed]), with crafted hashes where the top register
+   rank matters. *)
+
+(* [n] items, item i being i / 2. *)
+let fed ~p n =
+  let h = Hyperloglog.create ~p () in
+  for i = 0 to n - 1 do
+    Hyperloglog.add_int h (i / 2)
+  done;
+  h
+
+(* A hash into register [idx] whose remainder past the [p] index bits has
+   its lowest set bit at [rank] (counting from 1); rank 64 - p + 1 is the
+   all-zero remainder. *)
+let crafted ~p ~idx rank =
+  if rank = 64 - p + 1 then Int64.of_int idx
+  else Int64.logor (Int64.shift_left 1L (p + rank - 1)) (Int64.of_int idx)
+
+let with_hashes h hs =
+  List.iter (Hyperloglog.add_hash h) hs;
+  h
+
+let pin_cases =
+  List.concat_map
+    (fun p ->
+      List.map
+        (fun n -> (Printf.sprintf "p=%d n=%d" p n, fun () -> fed ~p n))
+        [ 0; 1; 100; 5_000; 200_000 ])
+    [ 4; 12; 14; 18 ]
+  @ [ ( "p=14 n=200000, rank 38",
+        fun () -> with_hashes (fed ~p:14 200_000) [ crafted ~p:14 ~idx:3 38 ] );
+      ( "p=14 n=200000, rank 39",
+        fun () -> with_hashes (fed ~p:14 200_000) [ crafted ~p:14 ~idx:3 39 ] );
+      ( "p=14 n=200000, rank 45, zero remainder",
+        fun () ->
+          with_hashes (fed ~p:14 200_000)
+            [ crafted ~p:14 ~idx:7 45; crafted ~p:14 ~idx:9 51 ] );
+      (* The last registers are summed after the large early ones, so
+         each of these eight terms alone is below half an ulp of the
+         running sum, while their class total is one ulp. *)
+      ( "p=14 n=200000, eight late registers at rank 45",
+        fun () ->
+          with_hashes (fed ~p:14 200_000)
+            (List.init 8 (fun k -> crafted ~p:14 ~idx:(16_383 - k) 45)) );
+      ( "p=12 n=200000, rank 41",
+        fun () -> with_hashes (fed ~p:12 200_000) [ crafted ~p:12 ~idx:1 41 ] );
+      ( "p=4 n=5000, rank 49",
+        fun () -> with_hashes (fed ~p:4 5_000) [ crafted ~p:4 ~idx:2 49 ] );
+      ( "p=4 n=5000, zero remainder",
+        fun () -> with_hashes (fed ~p:4 5_000) [ crafted ~p:4 ~idx:1 61 ] );
+      ( "p=14 cleared, refed",
+        fun () ->
+          let h = fed ~p:14 5_000 in
+          Hyperloglog.clear h;
+          for i = 0 to 99 do
+            Hyperloglog.add_int h (i + 1_000_000)
+          done;
+          h );
+      ( "p=14 cleared after rank 45",
+        fun () ->
+          let h = with_hashes (fed ~p:14 100) [ crafted ~p:14 ~idx:7 45 ] in
+          Hyperloglog.clear h;
+          h );
+      ( "p=12 merge",
+        fun () ->
+          let b = Hyperloglog.create ~p:12 () in
+          for i = 2_000 to 6_999 do
+            Hyperloglog.add_int b i
+          done;
+          Hyperloglog.merge (fed ~p:12 5_000) b );
+      ( "p=14 merge, then fed",
+        fun () ->
+          let m =
+            Hyperloglog.merge (fed ~p:14 100)
+              (with_hashes (Hyperloglog.create ~p:14 ())
+                 [ crafted ~p:14 ~idx:5 40 ])
+          in
+          for i = 0 to 199 do
+            Hyperloglog.add_int m (i + 500)
+          done;
+          m ) ]
+
+let count_pins =
+  [ ("p=4 n=0", 0x0L);
+    ("p=4 n=1", 0x3ff08598b59e3a06L);
+    ("p=4 n=100", 0x4044e2261aef2e7cL);
+    ("p=4 n=5000", 0x409ac3600ea25e5eL);
+    ("p=4 n=200000", 0x40fe8b4c4c450207L);
+    ("p=12 n=0", 0x0L);
+    ("p=12 n=1", 0x3ff0008005559549L);
+    ("p=12 n=100", 0x4049276221f33254L);
+    ("p=12 n=5000", 0x40a3bae897234a87L);
+    ("p=12 n=200000", 0x40f84839af0e0456L);
+    ("p=14 n=0", 0x0L);
+    ("p=14 n=1", 0x3ff0002000555255L);
+    ("p=14 n=100", 0x404909c919122467L);
+    ("p=14 n=5000", 0x40a3abe135f62a12L);
+    ("p=14 n=200000", 0x40f80ca11ac163c4L);
+    ("p=18 n=0", 0x0L);
+    ("p=18 n=1", 0x3ff00001ffff5555L);
+    ("p=18 n=100", 0x4049009c45164641L);
+    ("p=18 n=5000", 0x40a391dc23f1ece3L);
+    ("p=18 n=200000", 0x40f85bfdccb250feL);
+    ("p=14 n=200000, rank 38", 0x40f80cada25ebfc4L);
+    ("p=14 n=200000, rank 39", 0x40f80cada25ebfcaL);
+    ("p=14 n=200000, rank 45, zero remainder", 0x40f80d055919db05L);
+    ("p=14 n=200000, eight late registers at rank 45", 0x40f81027c1715b91L);
+    ("p=12 n=200000, rank 41", 0x40f84b6bc34550a3L);
+    ("p=4 n=5000, rank 49", 0x409bd832ce943d6bL);
+    ("p=4 n=5000, zero remainder", 0x409b4b0bc7f4287aL);
+    ("p=14 cleared, refed", 0x4059139c704acd81L);
+    ("p=14 cleared after rank 45", 0x0L);
+    ("p=12 merge", 0x40bc2162de675473L);
+    ("p=14 merge, then fed", 0x406f5d2b1babf9daL) ]
+
+let test_hll_count_pinned () =
+  List.iter
+    (fun (label, mk) ->
+      Alcotest.(check int64) label (List.assoc label count_pins)
+        (Int64.bits_of_float (Hyperloglog.count (mk ()))))
+    pin_cases
+
 let prop_hll_error_bound =
   (* 1.04/sqrt(m) standard error; allow 6 sigma. *)
   QCheck.Test.make ~name:"hll relative error bounded" ~count:20
@@ -186,7 +311,9 @@ let () =
           Alcotest.test_case "duplicates" `Quick test_hll_duplicates_ignored;
           Alcotest.test_case "empty" `Quick test_hll_empty;
           Alcotest.test_case "merge" `Quick test_hll_merge;
-          Alcotest.test_case "clear" `Quick test_hll_clear ] );
+          Alcotest.test_case "clear" `Quick test_hll_clear;
+          Alcotest.test_case "count bits pinned" `Quick
+            test_hll_count_pinned ] );
       ( "reservoir",
         [ Alcotest.test_case "under capacity" `Quick test_reservoir_under_capacity;
           Alcotest.test_case "at capacity" `Quick test_reservoir_at_capacity;
