@@ -1,85 +1,4 @@
 open Monsoon_storage
-open Monsoon_relalg
-
-(* A batch view over one materialized relation: its row ids, plus
-   gather-once typed columns for each slot the vectorized operators touch.
-   A slot's column is the base table's cached column gathered through the
-   ids; when the relation is an unfiltered base table the view borrows the
-   table's own cached columns, so repeated executions over one catalog
-   never re-materialize a base column. *)
-type t = {
-  inter : Intermediate.t;
-  tables : Table.t array;  (* base table per layout position *)
-  pos : int array;  (* layout position covering each absolute slot *)
-  cols : Column.t option array;
-  borrow : bool;  (* the ids are the identity over [tables.(0)] *)
-}
-
-let of_intermediate ?(borrow = false) q catalog (inter : Intermediate.t) =
-  let tables =
-    Array.map
-      (fun rel -> Catalog.find catalog (Query.rel_by_id q rel).Query.table)
-      inter.Intermediate.rels
-  in
-  let pos = Array.make inter.Intermediate.width 0 in
-  Array.iteri
-    (fun k rel ->
-      let off = inter.Intermediate.offsets.(rel) in
-      Array.fill pos off (Schema.arity (Table.schema tables.(k))) k)
-    inter.Intermediate.rels;
-  { inter;
-    tables;
-    pos;
-    cols = Array.make inter.Intermediate.width None;
-    borrow }
-
-let intermediate t = t.inter
-
-(* The gather rule: a column read through row ids has the representation
-   [Column.of_values] gives the gathered values. Typed columns stay typed
-   (a subset of ints is ints); a Dict column keeps the base dictionary —
-   hashing and equality go through the strings, never the codes; a Boxed
-   column is re-derived from its gathered values, so a Null-free subset of
-   a Null-bearing column comes back typed. *)
-let gather_column ty (col : Column.t) (ids : int array) ~n : Column.t =
-  let gather_ints data =
-    let out = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
-    for i = 0 to n - 1 do
-      Bigarray.Array1.unsafe_set out i
-        (Bigarray.Array1.get data ids.(i))
-    done;
-    out
-  in
-  match col with
-  | Column.Ints { kind; data } -> Column.Ints { kind; data = gather_ints data }
-  | Column.Floats data ->
-    let out = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
-    for i = 0 to n - 1 do
-      Bigarray.Array1.unsafe_set out i
-        (Bigarray.Array1.get data ids.(i))
-    done;
-    Column.Floats out
-  | Column.Dict { codes; dict; strs } ->
-    Column.Dict { codes = gather_ints codes; dict; strs }
-  | Column.Boxed vs -> Column.of_values ty (Array.init n (fun i -> vs.(ids.(i))))
-
-let column t slot =
-  match t.cols.(slot) with
-  | Some c -> c
-  | None ->
-    let k = t.pos.(slot) in
-    let tbl = t.tables.(k) in
-    let j = slot - t.inter.Intermediate.offsets.(t.inter.Intermediate.rels.(k)) in
-    let base = Table.column_at tbl j in
-    let c =
-      if t.borrow then base
-      else
-        gather_column
-          (Schema.columns (Table.schema tbl)).(j).Schema.ty base
-          t.inter.Intermediate.ids.(k) ~n:t.inter.Intermediate.card
-    in
-    t.cols.(slot) <- Some c;
-    c
 
 (* {2 Vectorized predicates}
 
@@ -137,17 +56,20 @@ let ints_init n f =
   done;
   a
 
+type read = { col : Column.t; ids : int array; n : int }
+type codes = { data : Column.ints; at : int array }
+
 (* Codes are equal exactly when the values are equal under structural
    equality, the row engine's [Hashtbl]'s: NaN equals NaN, [0.] equals
    [-0.], Null equals Null, and values of different constructors (an Int
    and a Date) never meet. *)
-let key_codes (b : Column.t) (p : Column.t) : Column.ints * Column.ints =
-  match b, p with
+let key_codes (b : read) (p : read) : codes * codes =
+  match b.col, p.col with
   | Column.Ints { kind = kb; data = db }, Column.Ints { kind = kp; data = dp }
     when kb = kp ->
-    (db, dp)
+    ({ data = db; at = b.ids }, { data = dp; at = p.ids })
   | _ ->
-    let index = Interned.create (Column.length b) in
+    let index = Interned.create b.n in
     let code v =
       match Interned.find index v with
       | c -> c
@@ -156,12 +78,15 @@ let key_codes (b : Column.t) (p : Column.t) : Column.ints * Column.ints =
         Interned.add index v c;
         c
     in
-    let bc = ints_init (Column.length b) (fun i -> code (Column.get b i)) in
-    ( bc,
-      ints_init (Column.length p) (fun i ->
-          match Interned.find index (Column.get p i) with
+    let bc = ints_init b.n (fun i -> code (Column.get b.col b.ids.(i))) in
+    let pc =
+      ints_init p.n (fun i ->
+          match Interned.find index (Column.get p.col p.ids.(i)) with
           | c -> c
-          | exception Not_found -> -1) )
+          | exception Not_found -> -1)
+    in
+    let at = Intermediate.identity_prefix (max b.n p.n) in
+    ({ data = bc; at }, { data = pc; at })
 
 (* {2 Selection vectors} *)
 

@@ -30,7 +30,7 @@ type t = {
   query : Query.t;
   mutable bud : budget;
   store : (Relset.t, Intermediate.t) Hashtbl.t;
-  chunks : (Relset.t, Chunk.t) Hashtbl.t;
+  mutable sketch : Hyperloglog.t option;  (* the Σ sketch, once allocated *)
   mutable produced : float;
   mutable sigma_total : float;
   mutable udf_obs : (int * float * float) list;  (* term, evals, fraction *)
@@ -60,7 +60,7 @@ let create ?(profile = Profile.disabled) ?(env = Env.default) catalog query
     query;
     bud;
     store = Hashtbl.create 16;
-    chunks = Hashtbl.create 16;
+    sketch = None;
     produced = 0.0;
     sigma_total = 0.0;
     udf_obs = [];
@@ -93,23 +93,23 @@ let spend t n =
   t.bud.remaining <- t.bud.remaining -. n;
   if t.bud.remaining < 0.0 then raise Timeout
 
-(* Chunk (batch view) of a materialized relation, keyed like the store. *)
-let chunk_of ?borrow t (inter : Intermediate.t) =
-  match Hashtbl.find_opt t.chunks inter.Intermediate.mask with
-  | Some c when Chunk.intermediate c == inter -> c
-  | _ ->
-    let c = Chunk.of_intermediate ?borrow t.query t.catalog inter in
-    Hashtbl.replace t.chunks inter.Intermediate.mask c;
-    c
+let table_of t rel = Catalog.find t.catalog (Query.rel_by_id t.query rel).Query.table
 
-(* Local slot of an identity term within [inter], when vectorizable. *)
-let identity_slot t (inter : Intermediate.t) (tm : Term.t) =
+(* An identity term over [inter], when vectorizable: its declared type and
+   its column as read in place — the base table's cached column through
+   the row ids of the term's instance. *)
+let identity_read t (inter : Intermediate.t) (tm : Term.t) =
   match tm.Term.args with
   | [ (rel, col) ] when Udf.is_identity tm.Term.udf ->
-    Some (Intermediate.col_index t.query t.catalog inter ~rel ~col)
+    let table = table_of t rel in
+    let schema = Table.schema table in
+    let j = Schema.index_of schema col in
+    Some
+      ( (Schema.columns schema).(j).Schema.ty,
+        { Chunk.col = Table.column_at table j;
+          ids = inter.Intermediate.ids.(Intermediate.position inter rel);
+          n = Intermediate.cardinality inter } )
   | _ -> None
-
-let table_of t rel = Catalog.find t.catalog (Query.rel_by_id t.query rel).Query.table
 
 (* {2 The scalar path}
 
@@ -177,14 +177,15 @@ let filter_of_pred t compile pid =
     let evl = compile left and evr = compile right in
     fun li ri -> Value.equal (evl li ri) (evr li ri)
 
-(* Vectorized filters over one chunk: every term of every predicate must
-   be an identity projection, else the scan falls back to the scalar
-   row loop. Returns per-index predicates in predicate order. *)
-let vector_filters t (inter : Intermediate.t) chunk pids =
+(* Vectorized filters over an unfiltered scan [inter], whose ids are the
+   identity: every term of every predicate must be an identity projection,
+   else the scan falls back to the scalar row loop. Returns per-index
+   predicates over the base columns in predicate order. *)
+let vector_filters t (inter : Intermediate.t) pids =
   let exception Fallback in
-  let slot tm =
-    match identity_slot t inter tm with
-    | Some s -> s
+  let column tm =
+    match identity_read t inter tm with
+    | Some (_, r) -> r.Chunk.col
     | None -> raise Fallback
   in
   try
@@ -193,7 +194,7 @@ let vector_filters t (inter : Intermediate.t) chunk pids =
          (fun pid ->
            match Query.pred t.query pid with
            | Predicate.Select { term = tm; value; _ } ->
-             Chunk.eq_const (Chunk.column chunk (slot tm)) value
+             Chunk.eq_const (column tm) value
            | Predicate.Join _ ->
              (* A scan's predicates are its selections
                 ({!Query.select_preds_of_rel}). *)
@@ -226,20 +227,18 @@ let scan_base t rel =
         let vectorized =
           if Fault.armed t.fault then None
           else begin
-            let chunk = chunk_of ~borrow:true t inter0 in
-            match vector_filters t inter0 chunk pids with
+            match vector_filters t inter0 pids with
             | None -> None
             | Some preds ->
               Profile.add_batches t.prof 1;
               (* Representation mix of every predicate slot this scan
-                 touches; Chunk.column memoizes, so the profiled lookups
-                 just reread the cached views. *)
+                 touches: the base table's own cached columns. *)
               if Profile.live t.prof then
                 List.iter
                   (fun pid ->
                     let slot_repr tm =
-                      match identity_slot t inter0 tm with
-                      | Some s -> Profile.add_repr t.prof (Chunk.column chunk s)
+                      match identity_read t inter0 tm with
+                      | Some (_, r) -> Profile.add_repr t.prof r.Chunk.col
                       | None -> ()
                     in
                     match Query.pred t.query pid with
@@ -256,14 +255,12 @@ let scan_base t rel =
               let sel =
                 match (Query.pred t.query (List.hd pids), preds) with
                 | Predicate.Select { term = tm; value; _ }, _ :: rest ->
-                  let slot =
-                    match identity_slot t inter0 tm with
-                    | Some s -> s
+                  let col =
+                    match identity_read t inter0 tm with
+                    | Some (_, r) -> r.Chunk.col
                     | None -> assert false
                   in
-                  let sel =
-                    Chunk.sel_eq_const (Chunk.column chunk slot) value n
-                  in
+                  let sel = Chunk.sel_eq_const col value n in
                   Metric.Counter.inc t.m.m_fused;
                   Profile.set_path t.prof "sel_eq_const";
                   Profile.set_sel_density t.prof ~kept:sel.Chunk.n ~of_:n;
@@ -313,8 +310,6 @@ let scan_base t rel =
       end
     in
     Hashtbl.replace t.store mask inter;
-    if not (Fault.armed t.fault) then
-      ignore (chunk_of ~borrow:(inter == inter0) t inter);
     inter
 
 (* Orientation of a connecting join predicate: which term keys which side. *)
@@ -494,42 +489,48 @@ let cross t (la : Intermediate.t) (rb : Intermediate.t) =
 
 type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(* One int key column. Arrays of this record, unlike arrays of the
-   abstract Bigarray type, are read without the generic float-array
-   check. *)
-type key = { data : ints }
+(* One int key column as read: tuple [i]'s key is [data.{at.(i)}], the
+   base column through the side's row ids, or fresh codes through
+   identity ids ({!Chunk.key_codes}). Arrays of this record, unlike
+   arrays of the abstract Bigarray type, are read without the generic
+   float-array check. *)
+type key = Chunk.codes = { data : ints; at : int array }
 
 (* The kernel's per-row helpers take every input as an argument, so once
    inlined they read registers, not a closure environment. A composite
-   key's first column is passed on its own ([k0], [b0]); the loops over
-   the others run zero times for a single key. *)
+   key's first column is passed on its own ([k0] read through [a0]); the
+   loops over the others run zero times for a single key. *)
+
+let[@inline] key_at (k : key) i =
+  Bigarray.Array1.unsafe_get k.data (Array.unsafe_get k.at i)
 
 (* Bucket of row [i]: the keys folded into one int, then one multiply,
    high bits — for a single key, multiplicative hashing of the key. *)
-let[@inline] key_bucket (k0 : ints) (keys : key array) nk msk i =
-  let h = ref (Bigarray.Array1.unsafe_get k0 i) in
+let[@inline] key_bucket (k0 : ints) (a0 : int array) (keys : key array) nk msk
+    i =
+  let h = ref (Bigarray.Array1.unsafe_get k0 (Array.unsafe_get a0 i)) in
   for c = 1 to nk - 1 do
-    h :=
-      (!h * 0x3C79AC492BA7B653)
-      lxor Bigarray.Array1.unsafe_get (Array.unsafe_get keys c).data i
+    h := (!h * 0x3C79AC492BA7B653) lxor key_at (Array.unsafe_get keys c) i
   done;
   ((!h * 0x2545F4914F6CDD1D) lsr 32) land msk
 
-(* The newest build row on the chain from [c] (build key columns [b0],
-   [bk]) whose key equals row [i] of [k0], [keys]. *)
-let[@inline] chain_find (b0 : ints) (bk : key array) (next : int array) nk c
-    (k0 : ints) (keys : key array) i =
-  let x = Bigarray.Array1.unsafe_get k0 i in
+(* The newest build row on the chain from [c] (build keys [b0] through
+   [ba], then [bk]) whose key equals row [i] of [k0] through [a0], then
+   [keys]. *)
+let[@inline] chain_find (b0 : ints) (ba : int array) (bk : key array)
+    (next : int array) nk c (k0 : ints) (a0 : int array) (keys : key array) i
+    =
+  let x = Bigarray.Array1.unsafe_get k0 (Array.unsafe_get a0 i) in
   let c = ref c in
   while
     !c >= 0
-    && (Bigarray.Array1.unsafe_get b0 !c <> x
+    && (Bigarray.Array1.unsafe_get b0 (Array.unsafe_get ba !c) <> x
        ||
        let k = ref 1 in
        while
          !k < nk
-         && Bigarray.Array1.unsafe_get (Array.unsafe_get bk !k).data !c
-            = Bigarray.Array1.unsafe_get (Array.unsafe_get keys !k).data i
+         && key_at (Array.unsafe_get bk !k) !c
+            = key_at (Array.unsafe_get keys !k) i
        do
          incr k
        done;
@@ -542,21 +543,24 @@ let[@inline] chain_find (b0 : ints) (bk : key array) (next : int array) nk c
 (* The newest build row whose key equals probe row [pi]'s, -1 for none.
    A single key skips the composite loops altogether: this lookup is most
    of a probe-dominated join's time. *)
-let[@inline] probe_find (b0 : ints) bk next head msk nk (p0 : ints) pk pi =
+let[@inline] probe_find (b0 : ints) ba bk next head msk nk (p0 : ints) pa pk pi
+    =
   if nk = 1 then begin
-    let x = Bigarray.Array1.unsafe_get p0 pi in
+    let x = Bigarray.Array1.unsafe_get p0 (Array.unsafe_get pa pi) in
     let c =
       ref (Array.unsafe_get head (((x * 0x2545F4914F6CDD1D) lsr 32) land msk))
     in
-    while !c >= 0 && Bigarray.Array1.unsafe_get b0 !c <> x do
+    while
+      !c >= 0 && Bigarray.Array1.unsafe_get b0 (Array.unsafe_get ba !c) <> x
+    do
       c := Array.unsafe_get next !c
     done;
     !c
   end
   else
-    chain_find b0 bk next nk
-      (Array.unsafe_get head (key_bucket p0 pk nk msk pi))
-      p0 pk pi
+    chain_find b0 ba bk next nk
+      (Array.unsafe_get head (key_bucket p0 pa pk nk msk pi))
+      p0 pa pk pi
 
 (* The int join kernel: one or more key pairs of int code columns, over
    probe rows [0, np). It emits exactly the pairs, in exactly the order,
@@ -579,7 +583,8 @@ let[@inline] probe_find (b0 : ints) bk next head msk nk (p0 : ints) pk pi =
 let join_ints t ~(build : Intermediate.t) ~(probe : Intermediate.t) ~np
     ~build_is_left (bk : key array) (pk : key array) =
   let nk = Array.length bk in
-  let b0 = bk.(0).data and p0 = pk.(0).data in
+  let b0 = bk.(0).data and ba = bk.(0).at in
+  let p0 = pk.(0).data and pa = pk.(0).at in
   let nb = Intermediate.cardinality build in
   let sz = Chunk.next_pow2 (2 * max 1 nb) in
   let msk = sz - 1 in
@@ -591,8 +596,10 @@ let join_ints t ~(build : Intermediate.t) ~(probe : Intermediate.t) ~np
   let group = Array.make (max 1 nb) 1 in
   let repeats = ref false in
   for bi = 0 to nb - 1 do
-    let h = key_bucket b0 bk nk msk bi in
-    let s = chain_find b0 bk next nk (Array.unsafe_get head h) b0 bk bi in
+    let h = key_bucket b0 ba bk nk msk bi in
+    let s =
+      chain_find b0 ba bk next nk (Array.unsafe_get head h) b0 ba bk bi
+    in
     if s >= 0 then begin
       same.(bi) <- s;
       group.(bi) <- group.(s) + 1;
@@ -606,7 +613,7 @@ let join_ints t ~(build : Intermediate.t) ~(probe : Intermediate.t) ~np
     if !repeats then begin
       let n = ref 0 in
       for pi = 0 to np - 1 do
-        let r = probe_find b0 bk next head msk nk p0 pk pi in
+        let r = probe_find b0 ba bk next head msk nk p0 pa pk pi in
         if r >= 0 then n := !n + Array.unsafe_get group r
       done;
       affordable t !n
@@ -617,7 +624,7 @@ let join_ints t ~(build : Intermediate.t) ~(probe : Intermediate.t) ~np
   let o = out_ids build probe cap in
   if !repeats then
     for pi = 0 to np - 1 do
-      let r = ref (probe_find b0 bk next head msk nk p0 pk pi) in
+      let r = ref (probe_find b0 ba bk next head msk nk p0 pa pk pi) in
       while !r >= 0 do
         emit_ids t o bids pids !r pi;
         r := Array.unsafe_get same !r
@@ -625,30 +632,33 @@ let join_ints t ~(build : Intermediate.t) ~(probe : Intermediate.t) ~np
     done
   else
     for pi = 0 to np - 1 do
-      let r = probe_find b0 bk next head msk nk p0 pk pi in
+      let r = probe_find b0 ba bk next head msk nk p0 pa pk pi in
       if r >= 0 then emit_ids t o bids pids r pi
     done;
   flush_counters t ~emitted:o.n ~overdraw:false;
   if build_is_left then joined o build probe
   else Intermediate.of_join probe build ~card:o.n ~ids:(Array.append o.ob o.oa)
 
-(* Key columns of one join side, one per term: an identity term reads its
-   chunk column; an opaque UDF term is evaluated once per tuple into a
-   boxed column. UDF terms are evaluated row-major, as the row engine
-   evaluates its key lists, up to the first raise. Returns the columns,
-   the rows evaluated and the exception raised, if any. *)
+(* Key columns of one join side, one per term, as read: an identity term
+   reads its base column in place; an opaque UDF term is evaluated once
+   per tuple into a boxed column read through identity ids. UDF terms are
+   evaluated row-major, as the row engine evaluates its key lists, up to
+   the first raise. Returns the columns, the rows evaluated and the
+   exception raised, if any. *)
 let key_columns t (inter : Intermediate.t) terms =
   let n = Intermediate.cardinality inter in
   let evs = ref [] in
   let cols =
     List.map
       (fun tm ->
-        match identity_slot t inter tm with
-        | Some s -> Chunk.column (chunk_of t inter) s
+        match identity_read t inter tm with
+        | Some (_, r) -> r
         | None ->
           let vs = Array.make n Value.Null in
           evs := (compile_term t inter tm, vs) :: !evs;
-          Column.Boxed vs)
+          { Chunk.col = Column.Boxed vs;
+            ids = Intermediate.identity_prefix n;
+            n })
       terms
   in
   let evs = Array.of_list (List.rev !evs) in
@@ -690,8 +700,8 @@ let hash_join_coded t (la : Intermediate.t) (rb : Intermediate.t) ~conn =
   let terms = List.map (orient_pred t build.Intermediate.mask) conn in
   if Profile.live t.prof then begin
     let repr inter tm =
-      match identity_slot t inter tm with
-      | Some s -> Profile.add_repr t.prof (Chunk.column (chunk_of t inter) s)
+      match identity_read t inter tm with
+      | Some (ty, r) -> Profile.add_repr_read t.prof ty r.Chunk.col r.ids ~n:r.n
       | None -> Profile.add_repr_rows t.prof
     in
     List.iter
@@ -703,14 +713,7 @@ let hash_join_coded t (la : Intermediate.t) (rb : Intermediate.t) ~conn =
   let bcols, _, raised = key_columns t build (List.map fst terms) in
   Option.iter raise raised;
   let pcols, np, raised = key_columns t probe (List.map snd terms) in
-  let bk, pk =
-    List.split
-      (List.map2
-         (fun bc pc ->
-           let b, p = Chunk.key_codes bc pc in
-           ({ data = b }, { data = p }))
-         bcols pcols)
-  in
+  let bk, pk = List.split (List.map2 Chunk.key_codes bcols pcols) in
   let inter =
     join_ints t ~build ~probe ~np ~build_is_left (Array.of_list bk)
       (Array.of_list pk)
@@ -748,6 +751,18 @@ let hash_join t (la : Intermediate.t) (rb : Intermediate.t) =
     if conn = [] then cross t la rb else hash_join_coded t la rb ~conn
   end
 
+(* The executor's one Σ sketch, allocated on its first Σ pass and cleared
+   for each term. *)
+let sketch t =
+  match t.sketch with
+  | Some h ->
+    Hyperloglog.clear h;
+    h
+  | None ->
+    let h = Hyperloglog.create ~p:14 () in
+    t.sketch <- Some h;
+    h
+
 let stats_pass t (inter : Intermediate.t) =
   (* One extra pass over the materialized input computes an HLL distinct
      count for every predicate-relevant term it can evaluate. *)
@@ -769,17 +784,18 @@ let stats_pass t (inter : Intermediate.t) =
       let ds =
         List.map
           (fun tm ->
-            let hll = Hyperloglog.create ~p:14 () in
-            (match (if vec then identity_slot t inter tm else None) with
-            | Some slot ->
-              (* Column path: the HLL register updates are the same values in
-                 the same order as hashing the boxed rows. *)
-              let col = Chunk.column (chunk_of t inter) slot in
+            let hll = sketch t in
+            (match (if vec then identity_read t inter tm else None) with
+            | Some (ty, { Chunk.col; ids; _ }) ->
+              (* Column path, reading the base column in place: the HLL
+                 register updates are the same values in the same order as
+                 hashing the boxed rows. *)
               if !col_terms = 0 then Profile.add_batches t.prof 1;
               incr col_terms;
-              Profile.add_repr t.prof col;
+              Profile.add_repr_read t.prof ty col ids ~n:card;
               for i = 0 to card - 1 do
-                Hyperloglog.add_hash hll (Column.value_hash col i)
+                Hyperloglog.add_hash hll
+                  (Column.value_hash col (Array.unsafe_get ids i))
               done
             | None ->
               incr row_terms;

@@ -8,14 +8,15 @@
 
     Intermediates are late-materialized ({!Intermediate}): a tuple is one
     base-row id per covered instance, so a join emits ints, not boxed
-    rows. Execution is batch-at-a-time over typed columnar chunks
-    ({!Monsoon_storage.Column} / {!Chunk}) gathered from the base tables'
-    cached columns through the ids: identity-projection terms are
-    evaluated directly against Bigarray-backed columns with selection
-    vectors, every hash join runs one int kernel on int codes of its keys
-    (an opaque UDF key is evaluated once per tuple first), and Σ feeds
-    column hashes straight into HyperLogLog. Armed fault plans, joins
-    with a straddling filter, and scans and Σ passes over opaque
+    rows. Execution is batch-at-a-time over the base tables' cached typed
+    columns ({!Monsoon_storage.Column}), read in place through the ids:
+    identity-projection terms are evaluated directly against
+    Bigarray-backed columns with selection vectors, every hash join runs
+    one int kernel on int codes of its keys ({!Chunk.key_codes}; an opaque
+    UDF key is evaluated once per tuple first), and Σ feeds column hashes
+    straight into one HyperLogLog sketch per executor, cleared per term.
+    Armed fault plans, joins with a straddling filter, and scans and Σ
+    passes over opaque
     (non-identity) UDF terms take the scalar path, which reads base rows
     through the ids one tuple at a time and is observationally identical
     — the differential suite pins charged cost, [stat_obs], result rows,

@@ -37,6 +37,10 @@ val of_table : Query.t -> Catalog.t -> int -> t
     are a prefix of one shared identity array, so the scan allocates no
     id per row. *)
 
+val identity_prefix : int -> int array
+(** An identity array ([a.(i) = i]) at least [n] long, shared: never
+    mutate it. *)
+
 val cardinality : t -> int
 
 val position : t -> int -> int

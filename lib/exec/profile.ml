@@ -95,6 +95,29 @@ let repr_label = function
 let add_repr t col =
   if t.live then t.c_rev_repr <- repr_label col :: t.c_rev_repr
 
+(* The gather rule: the label [Column.of_values] gives the values read.
+   Only a Boxed column can differ from its own label: a Null-free subset
+   of a Null-bearing int column labels as ints. *)
+let add_repr_read t ty col ids ~n =
+  if t.live then begin
+    let label =
+      match col with
+      | Column.Boxed vs ->
+        let rec agree i =
+          i = n || (Column.agrees ty vs.(ids.(i)) && agree (i + 1))
+        in
+        if not (agree 0) then "boxed"
+        else begin
+          match ty with
+          | Value.TInt | Value.TDate | Value.TBool -> "ints"
+          | Value.TFloat -> "floats"
+          | Value.TStr -> "dict"
+        end
+      | _ -> repr_label col
+    in
+    t.c_rev_repr <- label :: t.c_rev_repr
+  end
+
 let add_repr_rows t = if t.live then t.c_rev_repr <- "rows" :: t.c_rev_repr
 
 let set_sel_density t ~kept ~of_ =

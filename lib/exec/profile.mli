@@ -64,6 +64,13 @@ val add_batches : t -> int -> unit
 val add_repr : t -> Column.t -> unit
 (** Append the column's representation label to the input-slot mix. *)
 
+val add_repr_read : t -> Value.ty -> Column.t -> int array -> n:int -> unit
+(** [add_repr] for a column of declared type [ty] as read at the first
+    [n] of [ids], by the gather rule: the label is the representation
+    {!Column.of_values} gives the values read. Only a Boxed column's label
+    can change: when every value read agrees with [ty], it takes [ty]'s
+    typed label. *)
+
 val add_repr_rows : t -> unit
 (** The operator touched boxed rows, not a column: the scalar path, or a
     join key evaluated by an opaque UDF. *)

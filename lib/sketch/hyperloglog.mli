@@ -20,9 +20,19 @@ val add_string : t -> string -> unit
 val add_int : t -> int -> unit
 
 val count : t -> float
-(** Current cardinality estimate. *)
+(** Current cardinality estimate. Costs O(64 - p): the sketch keeps a
+    count of registers per rank, and [count] sums those classes. When the
+    top rank exceeds [52 - p] (a hash with that many trailing zero bits
+    past the index, about one in 2^(52 - p) items) it instead reads all
+    2^p registers, in register order, as summing by class could round
+    differently there. Either way the result is the register-order sum's,
+    bit for bit. *)
 
 val merge : t -> t -> t
 (** Union of the underlying multisets. Both sketches must share [p]. *)
 
 val clear : t -> unit
+(** Empties the sketch. This is how a sketch is reused: one sketch
+    cleared between streams counts each stream as a fresh {!create} of
+    the same [p] would. A clear costs a 2^p-byte fill, or nothing when
+    no item has been added since the last one. *)

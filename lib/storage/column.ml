@@ -17,6 +17,15 @@ let length = function
   | Dict { codes; _ } -> Bigarray.Array1.dim codes
   | Boxed vs -> Array.length vs
 
+let agrees (ty : Value.ty) (v : Value.t) =
+  match ty, v with
+  | Value.TInt, Value.Int _
+  | Value.TDate, Value.Date _
+  | Value.TBool, Value.Bool _
+  | Value.TFloat, Value.Float _
+  | Value.TStr, Value.Str _ -> true
+  | _ -> false
+
 (* The one row→column materialization path: unbox against the declared
    type, falling back to [Boxed] the moment any value disagrees (a Null, a
    mixed column). Fallback columns stay usable — consumers that need the

@@ -7,9 +7,9 @@
     to the boxed [Value.t] array — still a column, just without the
     vectorized fast paths.
 
-    {!of_values} is the single row→column materialization path shared by
-    {!Table}'s cached accessors and the executor's gather-once views of
-    materialized intermediates. *)
+    {!of_values} is the single row→column materialization path, behind
+    {!Table}'s cached accessors. The executor reads those cached columns
+    in place, through each intermediate's row ids. *)
 
 type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -29,6 +29,10 @@ type t =
 val of_values : Value.ty -> Value.t array -> t
 (** Materialize one column from boxed values against its declared type.
     Any disagreeing value demotes the whole column to [Boxed]. *)
+
+val agrees : Value.ty -> Value.t -> bool
+(** [agrees ty v]: [v] unboxes under declared type [ty] — the test
+    {!of_values} applies to every value. *)
 
 val length : t -> int
 

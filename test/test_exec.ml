@@ -168,36 +168,40 @@ let test_cross_product_when_unconnected () =
   let c_t = float_of_int (Table.cardinality (Catalog.find cat "T")) in
   Alcotest.(check (float 0.0)) "|S|*|T|" (c_s *. c_t) cost
 
-(* The gather rule: a column read through row ids has the representation
-   Column.of_values gives the gathered values, with the same values and
-   hashes. *)
+(* The gather rule: a column read in place through row ids is labelled
+   with the representation Column.of_values gives the values read, and
+   reads that gathered column's values and hashes. *)
 let repr_label = function
-  | Column.Ints { kind = Column.KInt; _ } -> "ints"
-  | Column.Ints { kind = Column.KDate; _ } -> "dates"
-  | Column.Ints { kind = Column.KBool; _ } -> "bools"
+  | Column.Ints _ -> "ints"
   | Column.Floats _ -> "floats"
   | Column.Dict _ -> "dict"
   | Column.Boxed _ -> "boxed"
 
+(* The profile label of [col] read at the first [n] of [ids]. *)
+let read_label ty col ids ~n =
+  let p = Profile.create () in
+  Profile.reset p;
+  Profile.add_repr_read p ty col ids ~n;
+  Profile.finish p ~expr:(Expr.base 0) ~mask:(Relset.singleton 0)
+    ~default_kind:Profile.Scan ~rows_out:0.0 ~budget:0.0 ~complete:true
+    ~seconds:0.0;
+  (List.hd (Profile.nodes p)).Profile.n_profile.Monsoon_telemetry.Recorder
+    .p_repr
+
 let check_gather ~label ty values ids =
   (* Only the first [n] ids count: the trailing 3 (a Null in the
-     Null-bearing inputs) must not leak into the result. *)
-  let got =
-    Chunk.gather_column ty (Column.of_values ty values)
-      (Array.append ids [| 3 |])
-      ~n:(Array.length ids)
-  in
+     Null-bearing inputs) must not leak into the label. *)
+  let col = Column.of_values ty values in
+  let n = Array.length ids in
   let want = Column.of_values ty (Array.map (fun i -> values.(i)) ids) in
   Alcotest.(check string) (label ^ ": representation") (repr_label want)
-    (repr_label got);
-  Alcotest.(check int) (label ^ ": length") (Column.length want)
-    (Column.length got);
+    (read_label ty col (Array.append ids [| 3 |]) ~n);
   Array.iteri
-    (fun i _ ->
+    (fun i id ->
       Alcotest.(check bool) (label ^ ": value") true
-        (Value.equal (Column.get want i) (Column.get got i));
+        (Value.equal (Column.get want i) (Column.get col id));
       Alcotest.(check int64) (label ^ ": hash") (Column.value_hash want i)
-        (Column.value_hash got i))
+        (Column.value_hash col id))
     ids
 
 let test_gather_keeps_representation () =
@@ -228,18 +232,18 @@ let test_gather_keeps_representation () =
       ("strings with a Null", Value.TStr, strs_null);
       ("dates", Value.TDate, dates);
       ("bools", Value.TBool, bools) ];
-  (* The case the executor depends on: a Null-bearing (Boxed) base column
-     filtered to a Null-free subset comes back as Ints. *)
+  (* The case the profile depends on: a Null-bearing (Boxed) base column
+     read over a Null-free subset is labelled ints. *)
   Alcotest.(check string) "null-free subset of a boxed column" "ints"
-    (repr_label
-       (Chunk.gather_column Value.TInt (Column.of_values Value.TInt with_null)
-          null_free ~n:(Array.length null_free)))
+    (read_label Value.TInt
+       (Column.of_values Value.TInt with_null)
+       null_free ~n:(Array.length null_free))
 
 (* The same rule seen from the executor: scan filters that drop every
    Null from Null-bearing join columns (R.k = 2 directly, S.v = 1 because
-   S.k is Null exactly where S.v = 0) leave Ints columns, so the join
-   takes the fused int path, as it did when filtered scans were
-   materialized as boxed rows. *)
+   S.k is Null exactly where S.v = 0) leave keys the profile labels ints,
+   and the join takes the fused int path (the boxed base columns' values
+   are interned into int codes). *)
 let test_null_free_scan_joins_fused () =
   let cat = Catalog.create () in
   let schema =
