@@ -167,8 +167,15 @@ let exec_columnar ?(cat = exec_cat) q e () =
    two-key int join. Build keys repeat, so the int join kernel runs its
    sizing regime (a probe pass sizes the output, a fill pass writes it);
    with exec/hash-join-columnar (the streaming regime) it puts both
-   regimes under CI's 2x gate. *)
-let chain_cat, chain_q =
+   regimes under CI's 2x gate.
+
+   [chain_probe_q] chains C0 - C1 - C2 the same way, C0 having 1600 rows
+   (drawn after C1 - C3, which it leaves as they were) and C2 filtered to
+   y = 7 (10 rows). exec/join-probe-intermediate-columnar builds on the
+   filtered C2 against the 22.3k-tuple two-key (C0 ⨝ C1), then runs a Σ
+   over (C0 ⨝ C1): it prices reading an intermediate's key and Σ columns
+   through its row ids. *)
+let chain_cat, chain_q, chain_probe_q =
   let cat = Sto.Catalog.create () in
   let schema =
     Sto.Schema.make
@@ -177,28 +184,39 @@ let chain_cat, chain_q =
         { Sto.Schema.name = "y"; ty = Sto.Value.TInt } ]
   in
   let rng = Rng.create 23 in
-  let names = [ "C1"; "C2"; "C3" ] in
   List.iter
-    (fun name ->
+    (fun (name, n) ->
       Sto.Catalog.add cat
         (Sto.Table.of_row_array ~name schema
-           (Array.init 1400 (fun i ->
+           (Array.init n (fun i ->
                 let x = Rng.int rng 100 in
                 [| Sto.Value.Int i; Sto.Value.Int x; Sto.Value.Int x |]))))
-    names;
+    [ ("C1", 1400); ("C2", 1400); ("C3", 1400); ("C0", 1600) ];
   List.iter Sto.Table.prime_columns (Sto.Catalog.tables cat);
-  let b = Query.Builder.create ~name:"exec-chain" in
-  let rels = List.map (fun t -> Query.Builder.rel b ~table:t ~alias:t) names in
-  let at rel col = Query.Builder.term b (Udf.identity col) [ (rel, col) ] in
-  let rec chain = function
-    | a :: (c :: _ as rest) ->
-      Query.Builder.join_pred b (at a "x") (at c "x");
-      Query.Builder.join_pred b (at a "y") (at c "y");
-      chain rest
-    | [ _ ] | [] -> ()
+  let query ~name names ~select =
+    let b = Query.Builder.create ~name in
+    let rels =
+      List.map (fun t -> Query.Builder.rel b ~table:t ~alias:t) names
+    in
+    let at rel col = Query.Builder.term b (Udf.identity col) [ (rel, col) ] in
+    let rec chain = function
+      | a :: (c :: _ as rest) ->
+        Query.Builder.join_pred b (at a "x") (at c "x");
+        Query.Builder.join_pred b (at a "y") (at c "y");
+        chain rest
+      | [ _ ] | [] -> ()
+    in
+    chain rels;
+    Option.iter
+      (fun (pos, v) ->
+        Query.Builder.select_pred b (at (List.nth rels pos) "y")
+          (Sto.Value.Int v))
+      select;
+    Query.Builder.build b
   in
-  chain rels;
-  (cat, Query.Builder.build b)
+  ( cat,
+    query ~name:"exec-chain" [ "C1"; "C2"; "C3" ] ~select:None,
+    query ~name:"exec-chain-probe" [ "C0"; "C1"; "C2" ] ~select:(Some (2, 7)) )
 
 let exec_row q e () =
   let exec =
@@ -290,6 +308,20 @@ let tests =
         (Staged.stage
            (exec_columnar ~cat:chain_cat chain_q
               (Expr.join (Expr.join (Expr.base 0) (Expr.base 1)) (Expr.base 2))));
+      Test.make ~name:"exec/join-probe-intermediate-columnar"
+        (Staged.stage
+           (let c12 = Expr.join (Expr.base 0) (Expr.base 1) in
+            fun () ->
+              let exec =
+                Monsoon_exec.Executor.create chain_cat chain_probe_q
+                  (Monsoon_exec.Executor.budget 1e7)
+              in
+              ignore
+                (Monsoon_exec.Executor.execute exec
+                   (Expr.join c12 (Expr.base 2)));
+              ignore
+                (Monsoon_exec.Executor.execute exec
+                   (Expr.stats (Expr.leaf (Expr.mask c12))))));
       Test.make ~name:"exec/sigma-columnar"
         (Staged.stage (exec_columnar exec_scan_q (Expr.stats (Expr.base 0))));
       Test.make ~name:"exec/sigma-row"
