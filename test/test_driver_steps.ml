@@ -123,6 +123,107 @@ let test_single_relation () =
       List.length spans;
       qlog.Qlog.r_executes ]
 
+(* --- The first planning call, pinned --- *)
+
+(* The root of a request's first MCTS call on quick-profile queries at the
+   profile's 150 iterations: every candidate's action, visits and the bits
+   of its mean, plus the call's iteration, expansion and transposition
+   counts. [max_steps = 1] ends each run after that call, so the counters
+   are the call's own. *)
+let first_plan_digest (w : Monsoon_workloads.Workload.t) ~budget name =
+  let quick = Monsoon_harness.Experiments.quick in
+  let q = List.assoc name w.Monsoon_workloads.Workload.queries in
+  let rng =
+    Monsoon_harness.Runner.cell_rng ~seed:quick.Monsoon_harness.Experiments.seed
+      ~strategy:"Monsoon" ~query:name
+  in
+  let config =
+    { (Monsoon_baselines.Strategy.monsoon_config
+         ~iterations:quick.Monsoon_harness.Experiments.monsoon_iterations
+         Monsoon_stats.Prior.spike_and_slab ~rng ~budget q)
+      with
+      Driver.max_steps = 1 }
+  in
+  let recorder = Recorder.create () in
+  let tel = Ctx.with_recorder (Ctx.create ~sink:Span.Null ()) recorder in
+  ignore (Driver.run ~env:(Ctx.to_env tel) config w.Monsoon_workloads.Workload.catalog q);
+  let counter n = int_of_float (Metric.Counter.value (Ctx.counter tel n)) in
+  let candidates =
+    List.concat_map
+      (function
+        | Recorder.Decision { candidates; _ } ->
+          List.map
+            (fun (c : Recorder.candidate) ->
+              Printf.sprintf "%s v=%d m=%Lx" c.Recorder.cand_action
+                c.Recorder.cand_visits (Int64.bits_of_float c.Recorder.cand_mean))
+            candidates
+        | _ -> [])
+      (Recorder.events recorder)
+  in
+  Printf.sprintf "%s n=%d iterations=%d expansions=%d transpositions=%d" name
+    (Query.n_rels q) (counter "mcts.iterations") (counter "mcts.expansions")
+    (counter "mcts.transpositions")
+  :: candidates
+
+let quick_imdb =
+  lazy
+    (let quick = Monsoon_harness.Experiments.quick in
+     Monsoon_workloads.Imdb.workload
+       { Monsoon_workloads.Imdb.seed = quick.Monsoon_harness.Experiments.seed;
+         scale = quick.imdb_scale })
+
+let quick_udf =
+  lazy
+    (let quick = Monsoon_harness.Experiments.quick in
+     Monsoon_workloads.Udf_bench.workload
+       { Monsoon_workloads.Udf_bench.seed = quick.Monsoon_harness.Experiments.seed;
+         imdb_scale = quick.udf_imdb_scale;
+         tpch_scale = quick.udf_tpch_scale })
+
+let test_first_plan_pinned () =
+  let quick = Monsoon_harness.Experiments.quick in
+  let imdb = Lazy.force quick_imdb and udf = Lazy.force quick_udf in
+  let got =
+    List.concat_map
+      (first_plan_digest imdb ~budget:quick.Monsoon_harness.Experiments.imdb_budget)
+      [ "iq7"; "iq22"; "iq51" ]
+    @ first_plan_digest udf ~budget:quick.udf_budget "uq1"
+  in
+  Alcotest.(check (list string)) "root statistics"
+    [ "iq7 n=3 iterations=150 expansions=150 transpositions=249";
+      "plan ci \u{2a1d} n v=31 m=c0abdedde47e7141";
+      "plan t \u{2a1d} ci v=27 m=c0e35093bb626524";
+      "plan \u{3a3}(t) v=31 m=c0b47fac1e2cee59";
+      "plan \u{3a3}(ci) v=30 m=c0bcb3bd1bd0533d";
+      "plan \u{3a3}(n) v=31 m=c0b199d54d10173c";
+      "iq22 n=5 iterations=150 expansions=150 transpositions=186";
+      "plan mc \u{2a1d} ct v=17 m=c0d96a1172bcb1ce";
+      "plan mc \u{2a1d} cn v=17 m=c0c255318d5ce46d";
+      "plan t \u{2a1d} kt v=17 m=c10056a212cfcaff";
+      "plan t \u{2a1d} mc v=13 m=c14351add63b1509";
+      "plan \u{3a3}(t) v=17 m=c0d29784571e4ce6";
+      "plan \u{3a3}(mc) v=18 m=c0be9539b566c65b";
+      "plan \u{3a3}(cn) v=17 m=c0c908c86e0bea3b";
+      "plan \u{3a3}(ct) v=17 m=c10798862296d261";
+      "plan \u{3a3}(kt) v=17 m=c0e47520c5b661c9";
+      "iq51 n=5 iterations=150 expansions=150 transpositions=185";
+      "plan mc \u{2a1d} cn v=17 m=c106769998ed8bfa";
+      "plan t \u{2a1d} mc v=18 m=c0d295f2ee499d56";
+      "plan ci \u{2a1d} n v=17 m=c0fc6ac98d04ef3a";
+      "plan ci \u{2a1d} t v=13 m=c143b67b16ab7e91";
+      "plan \u{3a3}(ci) v=17 m=c12e2f3ee29764fc";
+      "plan \u{3a3}(t) v=17 m=c110de3549099732";
+      "plan \u{3a3}(n) v=18 m=c0d01732356cc919";
+      "plan \u{3a3}(mc) v=15 m=c12f495ed0fcca37";
+      "plan \u{3a3}(cn) v=18 m=c0d28a80bea97f2a";
+      "uq1 n=3 iterations=150 expansions=150 transpositions=248";
+      "plan ci \u{2a1d} n v=37 m=c0b6cd7ade3d4b69";
+      "plan t \u{2a1d} ci v=26 m=c0c06622963214f9";
+      "plan \u{3a3}(t) v=27 m=c0bf4804ad097513";
+      "plan \u{3a3}(ci) v=24 m=c0c174212cb84d73";
+      "plan \u{3a3}(n) v=36 m=c0b7d134b76feb29" ]
+    got
+
 let () =
   Alcotest.run "driver steps"
     [ ( "early exit",
@@ -132,4 +233,7 @@ let () =
             test_deadline_mid_execute ] );
       ( "single relation",
         [ Alcotest.test_case "one scan, one execute" `Quick
-            test_single_relation ] ) ]
+            test_single_relation ] );
+      ( "first plan",
+        [ Alcotest.test_case "root statistics pinned" `Quick
+            test_first_plan_pinned ] ) ]

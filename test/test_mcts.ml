@@ -42,6 +42,33 @@ let gamble rng =
     key = string_of_int;
     rollout_policy = None }
 
+(* A short stochastic walk with transpositions. From (depth, pos), action 0
+   moves on to (depth + 1, pos) at cost 1; action 1 rolls a three-sided die
+   and moves to (depth + 1, pos - 1 .. pos + 1) for free; action 2, legal
+   while pos > 0, cashes in 2 * pos and ends. Reaching depth 4 pays pos and
+   ends. Rolls keep landing on the same few states, so chance children are
+   shared. [rng] is the planner's own stream, as in the Monsoon simulator. *)
+let dice ?policy rng =
+  let arrive (d, pos) r = ((d, pos), if d = 4 then r +. float_of_int pos else r) in
+  { Mcts.actions =
+      (fun (d, pos) ->
+        if d < 0 || d >= 4 then [] else if pos > 0 then [ 0; 1; 2 ] else [ 0; 1 ]);
+    step =
+      (fun (d, pos) a ->
+        match a with
+        | 0 -> arrive (d + 1, pos) (-1.0)
+        | 1 -> arrive (d + 1, pos + Rng.int rng 3 - 1) 0.0
+        | _ -> ((-1, pos), 2.0 *. float_of_int pos));
+    is_terminal = (fun (d, _) -> d < 0 || d >= 4);
+    key = (fun (d, pos) -> Printf.sprintf "%d/%d" d pos);
+    rollout_policy = policy }
+
+(* The Monsoon rollout shape: cash in half the time when cashing in is
+   legal, else a uniform action. *)
+let cash_in_half rng _state acts =
+  if List.mem 2 acts && Rng.bool rng then 2
+  else List.nth acts (Rng.int rng (List.length acts))
+
 let plan_with ?(iterations = 4000) ?selection problem state =
   let rng = Rng.create 7 in
   let cfg = Mcts.default_config ~rng in
@@ -117,6 +144,61 @@ let test_chain_long_horizon () =
   | Some (a, _) -> Alcotest.(check int) "keeps walking" 0 a
   | None -> Alcotest.fail "no action"
 
+(* The dice walk's root statistics, pinned: each candidate's action,
+   visits and mean bits, the expansion and transposition counts, and the
+   next draw of the planner's stream afterwards. *)
+let dice_digest ?policy ?selection ~iterations seed =
+  let rng = Rng.create seed in
+  let tel = Monsoon_telemetry.Ctx.null () in
+  let cfg =
+    { (Mcts.default_config ~rng) with
+      Mcts.iterations;
+      selection = Option.value selection ~default:(Mcts.Uct (sqrt 2.0)) }
+  in
+  let planned =
+    Mcts.plan ~env:(Monsoon_telemetry.Ctx.to_env tel) cfg
+      (dice ?policy rng) (0, 1)
+  in
+  let counter n =
+    int_of_float
+      (Monsoon_telemetry.Metric.Counter.value (Monsoon_telemetry.Ctx.counter tel n))
+  in
+  let candidates =
+    match planned with
+    | None -> []
+    | Some (_, st) ->
+      List.map
+        (fun c ->
+          Printf.sprintf "%d v=%d m=%Lx" c.Mcts.cand_action c.Mcts.cand_visits
+            (Int64.bits_of_float c.Mcts.cand_mean))
+        st.Mcts.candidates
+  in
+  Printf.sprintf "expansions=%d transpositions=%d next=%Lx"
+    (counter "mcts.expansions") (counter "mcts.transpositions") (Rng.bits64 rng)
+  :: candidates
+
+let test_dice_pinned () =
+  let got =
+    dice_digest ~iterations:300 11
+    @ dice_digest ~policy:cash_in_half ~iterations:300 12
+    @ dice_digest ~selection:Mcts.Epsilon_greedy ~policy:cash_in_half
+        ~iterations:300 13
+  in
+  Alcotest.(check (list string)) "root statistics"
+    [ "expansions=65 transpositions=406 next=f1c4b8fbf726978c";
+      "0 v=42 m=3fb2492492492492";
+      "1 v=69 m=3feb5cc0ed7303b6";
+      "2 v=189 m=4000000000000000";
+      "expansions=83 transpositions=452 next=8fc323b850f5c2be";
+      "0 v=57 m=3fd79435e50d7943";
+      "1 v=83 m=3ff12818acb90f6c";
+      "2 v=160 m=4000000000000000";
+      "expansions=55 transpositions=383 next=2c940aa238224d13";
+      "0 v=52 m=3fd89d89d89d89d9";
+      "1 v=44 m=3fe8000000000000";
+      "2 v=204 m=4000000000000000" ]
+    got
+
 (* Root-child statistics, as reported in [stats.candidates]. *)
 let root_candidates () =
   match plan_with ~iterations:500 (bandit [| 1.0; 5.0; 3.0 |]) 0 with
@@ -176,7 +258,8 @@ let () =
           Alcotest.test_case "terminal none" `Quick test_terminal_returns_none;
           Alcotest.test_case "stats populated" `Quick test_stats_populated;
           Alcotest.test_case "deterministic" `Quick test_deterministic_given_seed;
-          Alcotest.test_case "long horizon chain" `Quick test_chain_long_horizon ] );
+          Alcotest.test_case "long horizon chain" `Quick test_chain_long_horizon;
+          Alcotest.test_case "dice walk pinned" `Quick test_dice_pinned ] );
       ( "root children",
         [ Alcotest.test_case "expansion order" `Quick test_candidates_in_expansion_order;
           Alcotest.test_case "visits sum to root" `Quick test_candidate_visits_sum_to_root;
