@@ -73,6 +73,25 @@ let mcts_cfg =
   { (Monsoon_mcts.Mcts.default_config ~rng:(Rng.create 77)) with
     Monsoon_mcts.Mcts.iterations = 100 }
 
+(* A request's first planning call on a quick-profile 5-instance IMDB query
+   at the profile's 150 iterations, built from scratch each run: the shape
+   bench_e2e's probe times. *)
+let first_plan_imdb =
+  Imdb.workload
+    { Imdb.seed = Experiments.quick.Experiments.seed;
+      scale = Experiments.quick.Experiments.imdb_scale }
+
+let first_plan_q = Workload.find_query first_plan_imdb "iq22"
+
+let imdb_first_plan () =
+  let rng = Rng.create 61 in
+  let ctx = Mdp.make_ctx first_plan_imdb.Workload.catalog first_plan_q in
+  let sim = Simulator.create ctx Prior.spike_and_slab rng in
+  Monsoon_mcts.Mcts.plan
+    { (Monsoon_mcts.Mcts.default_config ~rng) with
+      Monsoon_mcts.Mcts.iterations = Experiments.quick.Experiments.monsoon_iterations }
+    (Simulator.problem sim) (Mdp.init_state ctx)
+
 (* Fixtures for the repo/* kernels: the cross-query statistics repository
    (lib/stats_repo). Two separate log files so the flush kernel's append
    growth never changes what the replay / lookup kernels read. The seed
@@ -291,6 +310,8 @@ let tests =
              ignore
                (Monsoon_mcts.Mcts.plan mcts_cfg (Simulator.problem sec23_sim)
                   (Mdp.init_state sec23_ctx))));
+      Test.make ~name:"mcts/imdb-first-plan"
+        (Staged.stage (fun () -> ignore (imdb_first_plan ())));
       (* Columnar engine vs the frozen row engine, same query + plan. Each
          iteration builds a fresh executor, so hash tables and chunk
          buffers are paid inside the measurement for both sides. *)

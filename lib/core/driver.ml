@@ -377,7 +377,18 @@ let run ?(profile = Profile.disabled) ?(env = Env.default) config catalog
         bump ~by:mcts_dt mcts_seconds;
         bump replans;
         match planned with
-        | None -> finish ~timed_out:false state
+        | None ->
+          (* A non-terminal state has legal actions, so the planner comes
+             back empty only when its deadline ended the search before
+             the first iteration. *)
+          Recorder.record recorder
+            (Recorder.Note
+               { step = steps;
+                 message =
+                   (if Deadline.expired mcts_cfg.Monsoon_mcts.Mcts.deadline then
+                      "deadline expired before the planner's first iteration"
+                    else "planner returned no action") });
+          finish ~timed_out:true state
         | Some (action, mstats) -> (
           bump steps_taken;
           trace := Mdp.describe_action ctx action :: !trace;

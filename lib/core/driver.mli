@@ -72,7 +72,9 @@ val run :
     fallback is noted and re-raised), and the cooperative wall-clock
     deadline for the whole run (checked between MDP steps, per executor
     plan node, and between MCTS iterations unless [mcts.deadline] is
-    already set; expiry yields a normal timed-out outcome).
+    already set; expiry yields a normal timed-out outcome, and so does a
+    planning call that the deadline ended before its first iteration,
+    noted in the recorder).
 
     With a packed context, the run emits a [driver.run] root span (with
     [query] / [timed_out] / [cost] / [executes] attributes), a

@@ -132,15 +132,25 @@ let step t state action =
 (* Rollout policy: when a plan is pending, execute it half the time instead
    of wandering through more plan edits. This keeps simulations short and
    makes the value of "EXECUTE now" sharply visible; below the bias,
-   actions stay uniformly random. *)
-let rollout_policy rng _state acts =
-  if List.exists (function Mdp.Execute -> true | _ -> false) acts && Rng.bool rng
-  then Mdp.Execute
-  else List.nth acts (Rng.int rng (List.length acts))
+   actions stay uniformly random. EXECUTE is legal exactly when R_p is
+   non-empty, so the coin is flipped before any action is listed. *)
+let rollout_policy rng (state : Mdp.state) () =
+  match state.Mdp.r_p with
+  | _ :: _ when Rng.bool rng -> Some Mdp.Execute
+  | _ -> None
 
+(* Plan edits are deterministic; only EXECUTE samples the priors. *)
 let problem t =
   { Monsoon_mcts.Mcts.actions = (fun s -> Mdp.legal_actions t.ctx s);
-    step = (fun s a -> step t s a);
+    step =
+      (fun s a ->
+        match a with
+        | Mdp.Execute ->
+          let s', r = simulate_execute t s in
+          (s', r, false)
+        | Mdp.Add_stats_of_exec _ | Mdp.Wrap_stats _ | Mdp.Join_exec _
+        | Mdp.Join_planned _ | Mdp.Join_mixed _ ->
+          (Mdp.apply_plan_edit s a, 0.0, true));
     is_terminal = (fun s -> Mdp.is_terminal t.ctx s);
     key = Mdp.state_key;
     rollout_policy = Some rollout_policy }

@@ -34,7 +34,11 @@ val predict_counts :
     to keep the planning stream undisturbed. *)
 
 val problem : t -> (Mdp.state, Mdp.action) Monsoon_mcts.Mcts.problem
-(** Package as an MCTS planning problem. *)
+(** Package as an MCTS planning problem. Plan edits are reported as
+    deterministic transitions, EXECUTE as stochastic. The rollout policy
+    pre-chooses EXECUTE with probability ½ when R_p is non-empty (exactly
+    when EXECUTE is legal) and otherwise leaves the uniform choice to the
+    planner. *)
 
 val expected_execute_cost : t -> Mdp.state -> n:int -> float
 (** Monte-Carlo mean of the EXECUTE reward magnitude from a state ([n]

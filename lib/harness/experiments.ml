@@ -604,19 +604,26 @@ let reset_repo path =
     (Stats_repo.snapshots r);
   if Sys.file_exists path then (try Sys.remove path with Sys_error _ -> ())
 
+let with_warmstart_repo ?repo_path f =
+  match
+    match repo_path with Some p -> Some p | None -> Sys.getenv_opt "MONSOON_REPO"
+  with
+  | Some path ->
+    reset_repo path;
+    f path
+  | None ->
+    (* A fresh directory per run, so concurrent runs never share a log; the
+       log keeps its usual name, which the report's snapshot diff shows. *)
+    let dir = Filename.temp_dir "monsoon-warmstart-" "" in
+    let path = Filename.concat dir "monsoon-warmstart.jsonl" in
+    Fun.protect
+      ~finally:(fun () ->
+        reset_repo path;
+        try Sys.rmdir dir with Sys_error _ -> ())
+      (fun () -> f path)
+
 let warmstart ?repo_path profile =
-  let repo_path =
-    match repo_path with
-    | Some p -> p
-    | None -> (
-      match Sys.getenv_opt "MONSOON_REPO" with
-      | Some p -> p
-      | None ->
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          "monsoon-warmstart.jsonl")
-  in
-  reset_repo repo_path;
+  with_warmstart_repo ?repo_path @@ fun repo_path ->
   let w, queries = ablation_workload profile in
   (* Each regime runs under its own null-sink context so the replans and
      warm-start counters read back per regime. Counter values are sums of

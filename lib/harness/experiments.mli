@@ -82,11 +82,19 @@ val warmstart : ?repo_path:string -> profile -> string
     and a second snapshot is taken. The report shows per-query intermediate
     objects for both regimes, total replans per query, the dominance
     verdict line (greppable: ["WARMSTART DOMINANCE: objects=... replans=..."])
-    and the deterministic snapshot diff. [repo_path] defaults to
-    [$MONSOON_REPO] or a fixed file under the system temp directory; the
-    path is reset before the cold phase so the regimes are exactly
-    reproducible, and no path, timestamp, or wall-clock number appears in
-    the report, which is byte-identical for every [profile.jobs] value. *)
+    and the deterministic snapshot diff. The repository is
+    {!with_warmstart_repo}'s; no path, timestamp, or wall-clock number
+    appears in the report, which is byte-identical for every
+    [profile.jobs] value. *)
+
+val with_warmstart_repo : ?repo_path:string -> (string -> 'a) -> 'a
+(** [with_warmstart_repo ?repo_path f] runs [f] on the repository path of
+    one warm-start run. That is [repo_path], else [$MONSOON_REPO]; such a
+    path is reset (log and snapshots removed) before [f] so the regimes
+    are exactly reproducible. Failing both, it is
+    [monsoon-warmstart.jsonl] in a fresh directory under the system temp
+    directory, removed with the log and its snapshots when [f] returns or
+    raises, so concurrent default runs never share a log. *)
 
 val ablation_selection : profile -> string
 (** UCT vs ε-greedy (both Sec 5.1 strategies). *)

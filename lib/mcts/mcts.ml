@@ -2,10 +2,10 @@ open Monsoon_util
 
 type ('s, 'a) problem = {
   actions : 's -> 'a list;
-  step : 's -> 'a -> 's * float;
+  step : 's -> 'a -> 's * float * bool;
   is_terminal : 's -> bool;
   key : 's -> string;
-  rollout_policy : (Rng.t -> 's -> 'a list -> 'a) option;
+  rollout_policy : (Rng.t -> 's -> unit -> 'a option) option;
 }
 
 type selection = Uct of float | Epsilon_greedy
@@ -34,8 +34,12 @@ type 'a stats = {
   candidates : 'a candidate list;
 }
 
+(* A node lists its legal actions the first time a simulation reaches it
+   ([listed]); most expanded leaves are never revisited, and listing draws
+   no random numbers, so listing late is invisible to the search. *)
 type ('s, 'a) node = {
   state : 's;
+  mutable listed : bool;
   mutable untried : 'a list;
   mutable edges : ('s, 'a) edge list;  (* in expansion order *)
   mutable visits : int;
@@ -45,31 +49,48 @@ and ('s, 'a) edge = {
   action : 'a;
   mutable e_visits : int;
   mutable e_total : float;  (* sum of raw returns through this edge *)
-  children : (string, ('s, 'a) node) Hashtbl.t;
+  next : ('s, 'a) next;
 }
 
-let make_node p state = { state; untried = p.actions state; edges = []; visits = 0 }
+(* Where an edge leads. A deterministic edge keeps its one child and its
+   reward: stepping again would give the same key and reward. A stochastic
+   edge's children live in the search's child table under the edge's id
+   and the sampled state's key. *)
+and ('s, 'a) next = Fixed of ('s, 'a) node * float | Sampled of int
+
+module Children = Hashtbl.Make (struct
+  type t = int * string
+
+  let equal ((e : int), k) (e', k') = e = e' && String.equal k k'
+  let hash = Hashtbl.hash
+end)
+
+let make_node state = { state; listed = false; untried = []; edges = []; visits = 0 }
 
 let edge_mean e = if e.e_visits = 0 then 0.0 else e.e_total /. float_of_int e.e_visits
 
-(* Rollout: uniformly random actions until a terminal state; the return is
-   the (undiscounted, γ = 1) sum of rewards. *)
+(* Rollout: actions until a terminal state; the return is the
+   (undiscounted, γ = 1) sum of rewards. The policy's pre-choice comes
+   first; only when it declines are the actions listed, and one is taken
+   uniformly at random. *)
 let rollout cfg p state =
-  let pick =
+  let pre_choice =
     match p.rollout_policy with
     | Some policy -> policy cfg.rng
-    | None ->
-      fun _state acts -> List.nth acts (Rng.int cfg.rng (List.length acts))
+    | None -> fun _state () -> None
   in
   let rec go state steps acc =
     if p.is_terminal state || steps >= cfg.max_rollout_steps then acc
     else
-      match p.actions state with
-      | [] -> acc
-      | acts ->
-        let a = pick state acts in
-        let state', r = p.step state a in
-        go state' (steps + 1) (acc +. r)
+      match pre_choice state () with
+      | Some a -> take state steps acc a
+      | None -> (
+        match p.actions state with
+        | [] -> acc
+        | acts -> take state steps acc (List.nth acts (Rng.int cfg.rng (List.length acts))))
+  and take state steps acc a =
+    let state', r, _ = p.step state a in
+    go state' (steps + 1) (acc +. r)
   in
   go state 0 0.0
 
@@ -103,11 +124,16 @@ let select_eps cfg ~progress node =
       None node.edges
     |> Option.get
 
-(* One complete tree search: [cfg.iterations] simulations from a fresh root.
-   Returns the root node and the expansion and transposition counts.
-   [observe_depth] receives the deepest tree level of each iteration. *)
+(* One complete tree search: up to [cfg.iterations] simulations from a
+   fresh root. Returns the root node and the counts of iterations run,
+   expansions and transpositions. [observe_depth] receives the deepest tree
+   level of each iteration. *)
 let search cfg p root_state ~observe_depth =
-  let root = make_node p root_state in
+  let root = make_node root_state in
+  (* Children of every stochastic edge of this search, by (edge id, key). *)
+  let children = Children.create 64 in
+  let sampled_edges = ref 0 in
+  let iterations = ref 0 in
   let expansions = ref 0 in
   let transpositions = ref 0 in
   let depth_reached = ref 0 in
@@ -121,17 +147,17 @@ let search cfg p root_state ~observe_depth =
   let norm v =
     if !gmax -. !gmin < 1e-12 then 0.5 else (v -. !gmin) /. (!gmax -. !gmin)
   in
-  let child_of edge state' =
-    let k = p.key state' in
-    match Hashtbl.find_opt edge.children k with
+  let sampled_child id state' =
+    let k = (id, p.key state') in
+    match Children.find_opt children k with
     | Some n ->
       (* Transposition: a stochastic step reproduced an already-expanded
          state under this edge, so its subtree statistics are shared. *)
       incr transpositions;
       n
     | None ->
-      let n = make_node p state' in
-      Hashtbl.replace edge.children k n;
+      let n = make_node state' in
+      Children.add children k n;
       n
   in
   let backup node edge g =
@@ -142,18 +168,30 @@ let search cfg p root_state ~observe_depth =
   let rec simulate ~progress node depth =
     if depth > !depth_reached then depth_reached := depth;
     if p.is_terminal node.state || depth >= cfg.max_rollout_steps then 0.0
-    else
+    else begin
+      if not node.listed then begin
+        node.untried <- p.actions node.state;
+        node.listed <- true
+      end;
       match node.untried with
       | a :: rest ->
         (* Expansion: try one unvisited action, then roll out. *)
         node.untried <- rest;
         incr expansions;
-        let edge = { action = a; e_visits = 0; e_total = 0.0; children = Hashtbl.create 4 } in
+        let state', r, deterministic = p.step node.state a in
+        let child = make_node state' in
+        let next =
+          if deterministic then Fixed (child, r)
+          else begin
+            let id = !sampled_edges in
+            incr sampled_edges;
+            Children.add children (id, p.key state') child;
+            Sampled id
+          end
+        in
+        let edge = { action = a; e_visits = 0; e_total = 0.0; next } in
         node.edges <- node.edges @ [ edge ];
-        let state', r = p.step node.state a in
-        let child = child_of edge state' in
         let g = r +. rollout cfg p state' in
-        ignore child;
         backup node edge g;
         g
       | [] ->
@@ -164,12 +202,21 @@ let search cfg p root_state ~observe_depth =
             | Uct w -> select_uct w ~norm node
             | Epsilon_greedy -> select_eps cfg ~progress node
           in
-          let state', r = p.step node.state edge.action in
-          let child = child_of edge state' in
-          let g = r +. simulate ~progress child (depth + 1) in
+          let g =
+            match edge.next with
+            | Fixed (child, r) ->
+              (* Stepping again would reproduce this child: the same
+                 transposition a key lookup would find. *)
+              incr transpositions;
+              r +. simulate ~progress child (depth + 1)
+            | Sampled id ->
+              let state', r, _ = p.step node.state edge.action in
+              r +. simulate ~progress (sampled_child id state') (depth + 1)
+          in
           backup node edge g;
           g
         end
+    end
   in
   (* An expiring deadline ends the search between iterations instead of
      raising: the partial tree is still a valid (if weaker) plan. *)
@@ -180,10 +227,11 @@ let search cfg p root_state ~observe_depth =
        depth_reached := 0;
        let g = simulate ~progress root 0 in
        observe_depth (float_of_int !depth_reached);
-       observe g
+       observe g;
+       incr iterations
      done
    with Exit -> ());
-  (root, !expansions, !transpositions)
+  (root, !iterations, !expansions, !transpositions)
 
 let plan ?(env = Env.default) cfg p root_state =
   if p.is_terminal root_state then None
@@ -197,12 +245,14 @@ let plan ?(env = Env.default) cfg p root_state =
     let h_depth = Ctx.histogram tel "mcts.tree_depth" in
     let observe_depth d = Metric.Histogram.observe h_depth d in
     Ctx.with_span tel "mcts.plan" (fun span ->
-    let root, expansions, transpositions = search cfg p root_state ~observe_depth in
+    let root, iterations, expansions, transpositions =
+      search cfg p root_state ~observe_depth
+    in
     Metric.Counter.inc c_plans;
-    Metric.Counter.add c_iterations (float_of_int cfg.iterations);
+    Metric.Counter.add c_iterations (float_of_int iterations);
     Metric.Counter.add c_expansions (float_of_int expansions);
     Metric.Counter.add c_transpositions (float_of_int transpositions);
-    Span.set_attr span "iterations" (Span.Int cfg.iterations);
+    Span.set_attr span "iterations" (Span.Int iterations);
     Span.set_attr span "expansions" (Span.Int expansions);
     Span.set_attr span "transpositions" (Span.Int transpositions);
     Span.set_attr span "root_visits" (Span.Int root.visits);

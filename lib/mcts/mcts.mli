@@ -11,18 +11,41 @@
 
 type ('s, 'a) problem = {
   actions : 's -> 'a list;
-      (** Legal actions; must be non-empty for non-terminal states. *)
-  step : 's -> 'a -> 's * float;
+      (** Legal actions; must be non-empty for non-terminal states. Listing
+          must draw no random numbers: the search lists a node's actions
+          only when a simulation first reaches it. *)
+  step : 's -> 'a -> 's * float * bool;
       (** Samples one transition from the process model; returns the next
-          state and the immediate reward (negated cost). Must not mutate the
-          input state. *)
+          state, the immediate reward (negated cost) and whether the
+          transition is deterministic. Must not mutate the input state.
+
+          A transition reported deterministic promises that the same state
+          and action always give the same next-state key and reward, and
+          that the step draws no random numbers. The search then keeps the
+          edge's one child and reward and never steps that edge again: a
+          later descent follows the stored child and counts the
+          transposition a key lookup would have found. Stochastic edges
+          are stepped on every descent, their children shared by key. *)
   is_terminal : 's -> bool;
   key : 's -> string;
       (** Canonical state fingerprint: identical keys mean identical states
-          (used to share chance-node children). *)
-  rollout_policy : (Monsoon_util.Rng.t -> 's -> 'a list -> 'a) option;
+          (used to share chance-node children). Only the states reached
+          over stochastic edges are keyed. *)
+  rollout_policy : (Monsoon_util.Rng.t -> 's -> unit -> 'a option) option;
       (** The "predefined policy" driving simulations below the tree
-          (Sec 5.1). [None] picks uniformly at random. *)
+          (Sec 5.1), as a pre-choice made before the actions are listed:
+          [Some a] takes [a] without listing; [None] lists the actions and
+          takes one uniformly at random from the planner's rng, as does a
+          problem without a policy ([None]). A pre-choice must be a legal
+          action, and on a state with no legal actions the policy must
+          return [None] without drawing.
+
+          The trailing [unit] keeps the policy's draws and the listing
+          apart: a wrapper that times the policy (bench_e2e's probe times
+          [rollout_policy] and [actions] separately) measures exactly the
+          pre-choice. Handing the policy the action list lazily or as a
+          thunk would run the timed listing inside the timed policy and
+          count that time twice. *)
 }
 
 type selection =
@@ -67,13 +90,16 @@ val plan :
   ?env:Monsoon_util.Env.t ->
   config -> ('s, 'a) problem -> 's -> ('a * 'a stats) option
 (** [plan cfg p s] returns the preferred action from [s], or [None] when
-    [s] is terminal. The returned stats carry the full root-child
-    statistics ([candidates]) so callers (e.g. the driver's flight
-    recorder) can report why the action won.
+    [s] is terminal or the deadline ended the search before its first
+    iteration. The returned stats carry the full root-child statistics
+    ([candidates]) so callers (e.g. the driver's flight recorder) can
+    report why the action won.
 
     With a context packed into [?env] (the planner's deadline lives on
-    {!config}, not the environment), each call bumps [mcts.plans] / [mcts.iterations] /
-    [mcts.expansions] counters, observes per-iteration tree depth in the
-    [mcts.tree_depth] histogram, and emits an [mcts.plan] span carrying
-    iteration, expansion, and selection attributes
-    ([root_visits], [chosen_visits], [chosen_mean]). *)
+    {!config}, not the environment), each call bumps [mcts.plans] /
+    [mcts.iterations] (the iterations that ran: fewer than
+    [cfg.iterations] when the deadline ended the search) /
+    [mcts.expansions] / [mcts.transpositions] counters, observes
+    per-iteration tree depth in the [mcts.tree_depth] histogram, and emits
+    an [mcts.plan] span carrying iteration, expansion, and selection
+    attributes ([root_visits], [chosen_visits], [chosen_mean]). *)

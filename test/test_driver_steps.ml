@@ -224,6 +224,34 @@ let test_first_plan_pinned () =
       "plan \u{3a3}(n) v=36 m=c0b7d134b76feb29" ]
     got
 
+(* A planner deadline cancelled before the run: the first planning call
+   runs no iteration and comes back empty from a non-terminal state, which
+   ends the run timed out with a note, not as a finished run. *)
+let test_planner_deadline_expired () =
+  let imdb = Lazy.force quick_imdb in
+  let q = List.assoc "iq7" imdb.Monsoon_workloads.Workload.queries in
+  let dl = Deadline.after 3600.0 in
+  Deadline.cancel dl;
+  let base = config ~seed:5 () in
+  let config =
+    { base with
+      Driver.mcts = { base.Driver.mcts with Monsoon_mcts.Mcts.deadline = dl } }
+  in
+  let recorder = Recorder.create () in
+  let tel = Ctx.with_recorder (Ctx.create ~sink:Span.Null ()) recorder in
+  let outcome =
+    Driver.run ~env:(Ctx.to_env tel) config imdb.Monsoon_workloads.Workload.catalog q
+  in
+  Alcotest.(check bool) "timed out" true outcome.Driver.timed_out;
+  Alcotest.(check int) "executes" 0 outcome.Driver.executes;
+  Alcotest.(check (float 0.0)) "iterations" 0.0
+    (Metric.Counter.value (Ctx.counter tel "mcts.iterations"));
+  Alcotest.(check (list string)) "trajectory"
+    [ "start iq7 n=3";
+      "note 0 deadline expired before the planner's first iteration";
+      "finish steps=0 cost=0 timed_out=true card=0" ]
+    (digest recorder)
+
 let () =
   Alcotest.run "driver steps"
     [ ( "early exit",
@@ -236,4 +264,6 @@ let () =
             test_single_relation ] );
       ( "first plan",
         [ Alcotest.test_case "root statistics pinned" `Quick
-            test_first_plan_pinned ] ) ]
+            test_first_plan_pinned;
+          Alcotest.test_case "planner deadline expired" `Quick
+            test_planner_deadline_expired ] ) ]

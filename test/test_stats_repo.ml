@@ -225,6 +225,38 @@ let test_warm_dominates () =
     "warm strictly dominates cold on objects and replans" true
     (contains report "WARMSTART DOMINANCE: objects=yes replans=yes")
 
+(* With neither a path nor $MONSOON_REPO, each warm-start run gets its own
+   repository and leaves nothing behind: two runs at once see different
+   paths, and the log, its snapshots and their directory are gone after
+   each run. *)
+let test_warmstart_default_repo () =
+  if Sys.getenv_opt "MONSOON_REPO" <> None then Alcotest.skip ();
+  let tmp = Filename.get_temp_dir_name () in
+  let ours () =
+    Sys.readdir tmp |> Array.to_list
+    |> List.filter (String.starts_with ~prefix:"monsoon-warmstart-")
+    |> List.sort compare
+  in
+  let before = ours () in
+  let used = ref [] in
+  Experiments.with_warmstart_repo (fun p1 ->
+      Experiments.with_warmstart_repo (fun p2 ->
+          Alcotest.(check bool) "distinct paths" true (p1 <> p2);
+          List.iter
+            (fun p ->
+              Out_channel.with_open_text p (fun oc -> output_string oc "\n");
+              match Stats_repo.snapshot (Stats_repo.open_ p) with
+              | Ok snap -> used := p :: snap :: Filename.dirname p :: !used
+              | Error e -> Alcotest.fail e)
+            [ p1; p2 ]));
+  List.iter
+    (fun f -> Alcotest.(check bool) ("removed " ^ f) false (Sys.file_exists f))
+    !used;
+  let report = Experiments.warmstart Experiments.quick in
+  Alcotest.(check bool) "default run reports" true
+    (contains report "WARMSTART DOMINANCE: objects=yes replans=yes");
+  Alcotest.(check (list string)) "nothing left behind" before (ours ())
+
 (* Characterization of the experiment's report: the totals and the
    verdict of the quick cold-vs-warm run, byte for byte. *)
 let test_warmstart_report_pinned () =
@@ -486,7 +518,9 @@ let () =
       ( "warm start",
         [ Alcotest.test_case "dominance" `Slow test_warm_dominates;
           Alcotest.test_case "report totals pinned" `Slow
-            test_warmstart_report_pinned ] );
+            test_warmstart_report_pinned;
+          Alcotest.test_case "default repository per run" `Slow
+            test_warmstart_default_repo ] );
       ( "serving",
         [ Alcotest.test_case "two passes over one repository" `Quick
             test_service_over_repo ] ) ]
