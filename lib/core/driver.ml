@@ -384,10 +384,7 @@ let run ?(profile = Profile.disabled) ?(env = Env.default) config catalog
           Recorder.record recorder
             (Recorder.Note
                { step = steps;
-                 message =
-                   (if Deadline.expired mcts_cfg.Monsoon_mcts.Mcts.deadline then
-                      "deadline expired before the planner's first iteration"
-                    else "planner returned no action") });
+                 message = "deadline expired before the planner's first iteration" });
           finish ~timed_out:true state
         | Some (action, mstats) -> (
           bump steps_taken;

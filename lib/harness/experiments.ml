@@ -605,9 +605,10 @@ let reset_repo path =
   if Sys.file_exists path then (try Sys.remove path with Sys_error _ -> ())
 
 let with_warmstart_repo ?repo_path f =
-  match
-    match repo_path with Some p -> Some p | None -> Sys.getenv_opt "MONSOON_REPO"
-  with
+  let given =
+    match repo_path with Some _ -> repo_path | None -> Sys.getenv_opt "MONSOON_REPO"
+  in
+  match given with
   | Some path ->
     reset_repo path;
     f path
