@@ -144,61 +144,6 @@ let test_chain_long_horizon () =
   | Some (a, _) -> Alcotest.(check int) "keeps walking" 0 a
   | None -> Alcotest.fail "no action"
 
-(* The dice walk's root statistics, pinned: each candidate's action,
-   visits and mean bits, the expansion and transposition counts, and the
-   next draw of the planner's stream afterwards. *)
-let dice_digest ?policy ?selection ~iterations seed =
-  let rng = Rng.create seed in
-  let tel = Monsoon_telemetry.Ctx.null () in
-  let cfg =
-    { (Mcts.default_config ~rng) with
-      Mcts.iterations;
-      selection = Option.value selection ~default:(Mcts.Uct (sqrt 2.0)) }
-  in
-  let planned =
-    Mcts.plan ~env:(Monsoon_telemetry.Ctx.to_env tel) cfg
-      (dice ?policy rng) (0, 1)
-  in
-  let counter n =
-    int_of_float
-      (Monsoon_telemetry.Metric.Counter.value (Monsoon_telemetry.Ctx.counter tel n))
-  in
-  let candidates =
-    match planned with
-    | None -> []
-    | Some (_, st) ->
-      List.map
-        (fun c ->
-          Printf.sprintf "%d v=%d m=%Lx" c.Mcts.cand_action c.Mcts.cand_visits
-            (Int64.bits_of_float c.Mcts.cand_mean))
-        st.Mcts.candidates
-  in
-  Printf.sprintf "expansions=%d transpositions=%d next=%Lx"
-    (counter "mcts.expansions") (counter "mcts.transpositions") (Rng.bits64 rng)
-  :: candidates
-
-let test_dice_pinned () =
-  let got =
-    dice_digest ~iterations:300 11
-    @ dice_digest ~policy:cash_in_half ~iterations:300 12
-    @ dice_digest ~selection:Mcts.Epsilon_greedy ~policy:cash_in_half
-        ~iterations:300 13
-  in
-  Alcotest.(check (list string)) "root statistics"
-    [ "expansions=65 transpositions=406 next=f1c4b8fbf726978c";
-      "0 v=42 m=3fb2492492492492";
-      "1 v=69 m=3feb5cc0ed7303b6";
-      "2 v=189 m=4000000000000000";
-      "expansions=83 transpositions=452 next=8fc323b850f5c2be";
-      "0 v=57 m=3fd79435e50d7943";
-      "1 v=83 m=3ff12818acb90f6c";
-      "2 v=160 m=4000000000000000";
-      "expansions=55 transpositions=383 next=2c940aa238224d13";
-      "0 v=52 m=3fd89d89d89d89d9";
-      "1 v=44 m=3fe8000000000000";
-      "2 v=204 m=4000000000000000" ]
-    got
-
 (* A deadline that expires mid-search (here on the walk's 100th step) ends
    it early; the iterations counter and the span attribute count the
    iterations that ran, which is the root's visit count, not the
@@ -406,6 +351,32 @@ let search_digest ~reference ~problem ?selection ~iterations seed root =
   :: List.map
        (fun (a, v, m) -> Printf.sprintf "%d v=%d m=%Lx" a v (Int64.bits_of_float m))
        candidates
+
+(* The dice walk's root statistics, pinned. *)
+let test_dice_pinned () =
+  let digest ?policy ?selection seed =
+    search_digest ~reference:false
+      ~problem:(fun rng -> dice ?policy rng)
+      ?selection ~iterations:300 seed (0, 1)
+  in
+  let got =
+    digest 11 @ digest ~policy:cash_in_half 12
+    @ digest ~selection:Mcts.Epsilon_greedy ~policy:cash_in_half 13
+  in
+  Alcotest.(check (list string)) "root statistics"
+    [ "expansions=65 transpositions=406 next=f1c4b8fbf726978c";
+      "0 v=42 m=3fb2492492492492";
+      "1 v=69 m=3feb5cc0ed7303b6";
+      "2 v=189 m=4000000000000000";
+      "expansions=83 transpositions=452 next=8fc323b850f5c2be";
+      "0 v=57 m=3fd79435e50d7943";
+      "1 v=83 m=3ff12818acb90f6c";
+      "2 v=160 m=4000000000000000";
+      "expansions=55 transpositions=383 next=2c940aa238224d13";
+      "0 v=52 m=3fd89d89d89d89d9";
+      "1 v=44 m=3fe8000000000000";
+      "2 v=204 m=4000000000000000" ]
+    got
 
 (* Toy problems that mix deterministic and stochastic steps, with and
    without a pre-choice; the library must reproduce the reference. *)
