@@ -123,6 +123,160 @@ let test_single_relation () =
       List.length spans;
       qlog.Qlog.r_executes ]
 
+(* --- Profiled runs: the per-node facts an EXECUTE leaves behind --- *)
+
+(* The Sec 2.3 query plus a select on S, so scans make UDF observations:
+   WHERE F1(R.a) = F2(S.b) AND F3(R.c) = F4(T.d) AND F5(S.b) = 0. *)
+let sel_query () =
+  let b = Query.Builder.create ~name:"sel" in
+  let r = Query.Builder.rel b ~table:"R" ~alias:"R" in
+  let s = Query.Builder.rel b ~table:"S" ~alias:"S" in
+  let t = Query.Builder.rel b ~table:"T" ~alias:"T" in
+  let f1 = Query.Builder.term b (Udf.identity "a") [ (r, "a") ] in
+  let f2 = Query.Builder.term b (Udf.identity "b") [ (s, "b") ] in
+  let f3 = Query.Builder.term b (Udf.identity "c") [ (r, "c") ] in
+  let f4 = Query.Builder.term b (Udf.identity "d") [ (t, "d") ] in
+  let f5 = Query.Builder.term b (Udf.identity "b") [ (s, "b") ] in
+  Query.Builder.join_pred b f1 f2;
+  Query.Builder.join_pred b f3 f4;
+  Query.Builder.select_pred b f5 (Value.Int 0);
+  Query.Builder.build b
+
+(* A profiled run, digested: every Executed event's node rows (observed
+   count, and whether an operator profile rides on the row and is
+   complete), the other events' one-liners, and the outcome's measured
+   counts, measured distincts and UDF observations. *)
+let profiled ?(env = Env.default) config cat q =
+  let recorder = Recorder.create () in
+  let tel = Ctx.with_recorder (Ctx.create ~sink:Span.Null ()) recorder in
+  let profile = Monsoon_exec.Profile.create () in
+  let o = Driver.run ~profile ~env:(Ctx.to_env ~env tel) config cat q in
+  let num = function Some v -> Printf.sprintf "%g" v | None -> "-" in
+  List.concat_map
+    (function
+      | Recorder.Executed { step; nodes; timed_out; _ } ->
+        Printf.sprintf "executed %d timed_out=%b" step timed_out
+        :: List.map
+             (fun (n : Recorder.exec_node) ->
+               Printf.sprintf "  %s obs=%s profile=%s" n.Recorder.node_expr
+                 (num n.Recorder.node_observed)
+                 (match n.Recorder.node_profile with
+                 | None -> "-"
+                 | Some p -> Printf.sprintf "complete=%b" p.Recorder.p_complete))
+             nodes
+      | Recorder.Decision _ -> []
+      | e -> [ Fixtures.event_digest e ])
+    (Recorder.events recorder)
+  @ [ "counts "
+      ^ String.concat ","
+          (List.map
+             (fun (m, c) -> Printf.sprintf "%d=%g" (m : Relset.t) c)
+             o.Driver.measured_counts);
+      "distincts "
+      ^ String.concat ","
+          (List.map (fun (tm, d) -> Printf.sprintf "%d=%g" tm d)
+             o.Driver.measured_distincts);
+      "udf "
+      ^ String.concat ","
+          (List.map
+             (fun (tm, n, f) -> Printf.sprintf "%d:%g:%h" tm n f)
+             o.Driver.udf_observations) ]
+
+let sel_catalog () = Fixtures.sec23_catalog (Rng.create 92) ~scale:1000 ~d_s:1 ~d_t:1
+
+(* A completed profiled run: two EXECUTEs, the second with a Σ pass whose
+   distinct is absorbed; every row produced this step carries its profile,
+   cache hits carry none. *)
+let test_profiled_completes () =
+  Alcotest.(check (list string)) "profiled run"
+    [ "start sel n=3";
+      "stat 1 [R,T]=10000";
+      "stat 1 T=10";
+      "stat 1 R=1000";
+      "executed 1 timed_out=false";
+      "  (R \u{2a1d} T) obs=10000 profile=complete=true";
+      "  R obs=1000 profile=complete=true";
+      "  T obs=10 profile=complete=true";
+      "stat 5 [R,S,T]=100000";
+      "stat 5 [R,S]=10000";
+      "stat 5 S=10";
+      "stat 5 id(d)[r2.d]=1";
+      "executed 5 timed_out=false";
+      "  ((R \u{2a1d} S) \u{2a1d} T) obs=100000 profile=complete=true";
+      "  (R \u{2a1d} S) obs=10000 profile=complete=true";
+      "  R obs=1000 profile=-";
+      "  S obs=10 profile=complete=true";
+      "  T obs=10 profile=-";
+      "  \u{3a3}(T) obs=10 profile=complete=true";
+      "  T obs=10 profile=-";
+      "finish steps=6 cost=20010 timed_out=false card=100000";
+      "counts 7=100000,5=10000,4=10,3=10000,2=10,1=1000";
+      "distincts 3=1";
+      "udf 4:10:0x1p+0,3:10:0x1.999999999999ap-4" ]
+    (profiled (config ~seed:4 ()) (sel_catalog ()) (sel_query ()))
+
+(* The second EXECUTE dies to the budget inside (R ⨝ S) after the S scan
+   completed: S keeps its complete profile but shows no observed count
+   (the dying call's counts are never absorbed), the dying join keeps its
+   incomplete profile, and the S scan's UDF observation still counts. *)
+let test_profiled_budget_out () =
+  Alcotest.(check (list string)) "profiled run"
+    [ "start sel n=3";
+      "stat 1 [R,T]=10000";
+      "stat 1 T=10";
+      "stat 1 R=1000";
+      "executed 1 timed_out=false";
+      "  (R \u{2a1d} T) obs=10000 profile=complete=true";
+      "  R obs=1000 profile=complete=true";
+      "  T obs=10 profile=complete=true";
+      "executed 5 timed_out=true";
+      "  ((R \u{2a1d} S) \u{2a1d} T) obs=- profile=-";
+      "  (R \u{2a1d} S) obs=- profile=complete=false";
+      "  R obs=1000 profile=-";
+      "  S obs=- profile=complete=true";
+      "  T obs=10 profile=-";
+      "  T obs=10 profile=-";
+      "finish steps=6 cost=10000 timed_out=true card=0";
+      "counts 5=10000,4=10,1=1000";
+      "distincts ";
+      "udf 4:10:0x1p+0" ]
+    (profiled (config ~budget:15000.0 ~seed:4 ()) (sel_catalog ()) (sel_query ()))
+
+(* An armed udf: plan faults the second EXECUTE inside (S ⨝ [R,T]) after
+   the S scan completed; the step degrades to the left-deep fallback,
+   which succeeds. The faulted attempt's profiles are dropped (the
+   fallback's S row is a cache hit without a profile, and without a
+   count), but its UDF observation counts. *)
+let test_profiled_fault_degrades () =
+  let cat = Fixtures.sec23_catalog (Rng.create 95) ~scale:1000 ~d_s:10 ~d_t:10 in
+  let fault =
+    Fault.plan { Fault.no_faults with Fault.udf_rate = 0.0002 } (Rng.create 6)
+  in
+  Alcotest.(check (list string)) "profiled run"
+    [ "start sel n=3";
+      "stat 1 [R,T]=1000";
+      "stat 1 T=10";
+      "stat 1 R=1000";
+      "executed 1 timed_out=false";
+      "  (R \u{2a1d} T) obs=1000 profile=complete=true";
+      "  R obs=1000 profile=complete=true";
+      "  T obs=10 profile=complete=true";
+      "degraded 3 udf -> ((R \u{2a1d} S) \u{2a1d} T)";
+      "stat 3 [R,S,T]=1000";
+      "stat 3 [R,S]=1000";
+      "executed 3 timed_out=false";
+      "  ((R \u{2a1d} S) \u{2a1d} T) obs=1000 profile=complete=true";
+      "  (R \u{2a1d} S) obs=1000 profile=complete=true";
+      "  R obs=1000 profile=-";
+      "  S obs=- profile=-";
+      "  T obs=10 profile=-";
+      "finish steps=4 cost=2000 timed_out=false card=1000";
+      "counts 7=1000,5=1000,4=10,3=1000,1=1000";
+      "distincts ";
+      "udf 4:10:0x1.999999999999ap-4" ]
+    (profiled ~env:(Env.with_fault Env.default fault) (config ~seed:4 ()) cat
+       (sel_query ()))
+
 (* --- The first planning call, pinned --- *)
 
 (* The root of a request's first MCTS call on quick-profile queries at the
@@ -259,6 +413,12 @@ let () =
             test_budget_out_mid_plan;
           Alcotest.test_case "deadline mid-execute" `Quick
             test_deadline_mid_execute ] );
+      ( "profiled",
+        [ Alcotest.test_case "run completes" `Quick test_profiled_completes;
+          Alcotest.test_case "budget out after a child completed" `Quick
+            test_profiled_budget_out;
+          Alcotest.test_case "fault degrades under a udf plan" `Quick
+            test_profiled_fault_degrades ] );
       ( "single relation",
         [ Alcotest.test_case "one scan, one execute" `Quick
             test_single_relation ] );
