@@ -116,7 +116,7 @@ let run ?(env = Env.default) config ~budget catalog q =
                (Expr.join_nodes plan))
         in
         float_of_int completed /. float_of_int (max 1 (n - 1))
-      | _cost, _obs ->
+      | _cost ->
         total_cost := !total_cost +. Executor.total_produced exec;
         (match Executor.materialized exec (Query.all_mask q) with
         | Some inter ->

@@ -47,7 +47,7 @@ let execute_plan ?env ~t0 ~plan_time ~stats_cost ~budget
   match Executor.execute exec plan with
   | exception Executor.Timeout -> timed_out_outcome ()
   | exception Deadline.Expired -> timed_out_outcome ()
-  | cost, _obs ->
+  | cost ->
     let result_card =
       match Executor.materialized exec (Query.all_mask q) with
       | Some inter -> float_of_int (Intermediate.cardinality inter)

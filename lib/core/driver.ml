@@ -41,51 +41,61 @@ let selection_name = function
   | Monsoon_mcts.Mcts.Uct w -> Printf.sprintf "uct(w=%.3g)" w
   | Monsoon_mcts.Mcts.Epsilon_greedy -> "eps-greedy"
 
-(* Fold one EXECUTE step's observations into the real statistics set,
-   mirroring each hardened statistic into the flight recorder. *)
-let absorb_observations ~recorder ~step query stats (obs : Executor.stat_obs) =
+(* Fold the nodes of one EXECUTE call that returned into the real
+   statistics set, mirroring each hardened statistic into the flight
+   recorder. Counts go newest node first, then distincts newest Σ first
+   with each pass's terms in order; this write order decides which value
+   a term measured twice keeps. *)
+let absorb_nodes ~recorder ~step query stats (nodes : Executor.node list) =
+  let hardened subject pretty value =
+    if Recorder.enabled recorder then
+      Recorder.record recorder
+        (Recorder.Stat_observed { step; subject; pretty = pretty (); value })
+  in
+  let newest_first = List.rev nodes in
   List.iter
-    (fun (m, c) ->
-      Stats_catalog.set_count stats m c;
-      if Recorder.enabled recorder then
-        Recorder.record recorder
-          (Recorder.Stat_observed
-             { step;
-               subject = Recorder.Count m;
-               pretty = Expr.describe query (Expr.leaf m);
-               value = c }))
-    obs.Executor.obs_counts;
+    (fun (n : Executor.node) ->
+      match n.Executor.expr with
+      | Expr.Stats _ -> ()
+      | e ->
+        let m = Expr.mask e in
+        Stats_catalog.set_count stats m n.Executor.rows;
+        hardened (Recorder.Count m)
+          (fun () -> Expr.describe query (Expr.leaf m))
+          n.Executor.rows)
+    newest_first;
   List.iter
-    (fun (tm, d) ->
-      Stats_catalog.set_distinct stats ~term:tm ~scope:Stats_catalog.Wildcard d;
-      if Recorder.enabled recorder then
-        Recorder.record recorder
-          (Recorder.Stat_observed
-             { step;
-               subject = Recorder.Distinct tm;
-               pretty = Term.describe (Query.term query tm);
-               value = d }))
-    obs.Executor.obs_distincts
+    (fun (n : Executor.node) ->
+      List.iter
+        (fun (tm, d) ->
+          Stats_catalog.set_distinct stats ~term:tm
+            ~scope:Stats_catalog.Wildcard d;
+          hardened (Recorder.Distinct tm)
+            (fun () -> Term.describe (Query.term query tm))
+            d)
+        n.Executor.distincts)
+    newest_first
 
-(* Pre-order flight-recorder rows for the plans of one EXECUTE: observed
-   cardinalities come from what the executor materialized this step
-   ([obs_nodes]; the statistics catalog serves cache-hit nodes), predictions
-   from the plan-time [Simulator.predict_counts] pass. A mask whose count
-   was already measured at plan time has no prediction and hence no
-   q-error. Each drained operator profile attaches once, to the occurrence
-   that produced it — the first in plan order; a later occurrence of the
-   same node was a cache hit and keeps its row without a profile. *)
-let exec_nodes query stats ~predictions ~obs_nodes ~profiles plans =
-  let unclaimed = ref profiles in
+(* Pre-order flight-recorder rows for the plans of one EXECUTE, given the
+   node records of all its calls. Observed cardinalities are the
+   statistics catalog's, which holds what the step's returned calls
+   absorbed: a completed child of a call that then died keeps its profile
+   but shows no observed count. Predictions come from the plan-time
+   [Simulator.predict_counts] pass; a mask whose count was already
+   measured at plan time has no prediction and hence no q-error. Each
+   operator profile attaches once, to the first occurrence in plan order;
+   a later occurrence was a cache hit and keeps its row without one. *)
+let exec_nodes query stats ~predictions ~nodes plans =
+  let unclaimed = ref nodes in
   let claim e =
     match
-      List.partition (fun (n : Profile.node) -> Expr.equal n.Profile.n_expr e)
+      List.partition (fun (n : Executor.node) -> Expr.equal n.Executor.expr e)
         !unclaimed
     with
     | [], _ -> None
     | n :: _, rest ->
       unclaimed := rest;
-      Some n.Profile.n_profile
+      n.Executor.profile
   in
   let rec go depth e acc =
     match e with
@@ -110,11 +120,7 @@ let exec_nodes query stats ~predictions ~obs_nodes ~profiles plans =
       go depth inner acc
     | Expr.Leaf _ | Expr.Join _ ->
       let m = Expr.mask e in
-      let observed =
-        match List.find_opt (fun (e', _) -> Expr.equal e' e) obs_nodes with
-        | Some (_, c) -> Some c
-        | None -> Stats_catalog.count stats m
-      in
+      let observed = Stats_catalog.count stats m in
       let predicted = List.assoc_opt m predictions in
       let q_error =
         match (predicted, observed) with
@@ -174,9 +180,6 @@ let run ?(profile = Profile.disabled) ?(env = Env.default) config catalog
   @@ fun run_span ->
   let t0 = Timer.now () in
   let ctx = Mdp.make_ctx catalog query in
-  (* Every execute step drains exactly what the executor profiled since the
-     previous drain, so each Executed event carries only its own operators;
-     with the disabled collector the drain is empty. *)
   let exec =
     Executor.create ~profile ~env catalog query (Executor.budget config.budget)
   in
@@ -189,6 +192,8 @@ let run ?(profile = Profile.disabled) ?(env = Env.default) config catalog
   in
   let total_cost = ref 0.0 in
   let trace = ref [] in
+  (* Every call's UDF observations, failed calls included, newest first. *)
+  let rev_udf = ref [] in
   let finish ~timed_out state =
     let result_card =
       if timed_out then 0.0
@@ -231,27 +236,33 @@ let run ?(profile = Profile.disabled) ?(env = Env.default) config catalog
               Some (tm, d)
             | _ -> None)
           (Stats_catalog.distincts state.Mdp.stats);
-      udf_observations = Executor.udf_observations exec }
+      udf_observations = List.rev !rev_udf }
   in
-  (* The one place plans run: execute [plans] in order, folding each call's
-     observations into [stats] as it completes. Mid-plan death keeps what
-     completed before it in S, so the catalog fallback in [exec_nodes]
-     still attributes the observed counts. *)
+  (* The one place plans run: execute [plans] in order, folding each
+     returned call's node records into [stats]; mid-plan death keeps what
+     completed before it in S. Each attempt collects its own records, so a
+     faulted attempt's profiles never reach the fallback's event. *)
   let execute_step ~span ~attrs ~step ~predictions stats plans =
-    let obs_nodes = ref [] in
-    let nodes () =
-      exec_nodes query stats ~predictions ~obs_nodes:!obs_nodes
-        ~profiles:(Profile.drain profile) plans
+    let ran = ref [] in
+    let collect () =
+      let nodes = Executor.nodes exec in
+      ran := !ran @ nodes;
+      rev_udf :=
+        List.rev_append
+          (List.concat_map (fun (n : Executor.node) -> n.Executor.udf) nodes)
+          !rev_udf
     in
+    let call e =
+      let cost =
+        Fun.protect ~finally:collect (fun () -> Executor.execute exec e)
+      in
+      absorb_nodes ~recorder ~step query stats (Executor.nodes exec);
+      cost
+    in
+    let nodes () = exec_nodes query stats ~predictions ~nodes:!ran plans in
     match
       Ctx.with_span tel span ~attrs @@ fun _ ->
-      List.fold_left
-        (fun acc e ->
-          let c, obs = Executor.execute exec e in
-          absorb_observations ~recorder ~step query stats obs;
-          obs_nodes := !obs_nodes @ obs.Executor.obs_nodes;
-          acc +. c)
-        0.0 plans
+      List.fold_left (fun acc e -> acc +. call e) 0.0 plans
     with
     | cost -> Ran (cost, nodes ())
     | exception Executor.Timeout -> Budget_out (nodes ())
@@ -284,9 +295,6 @@ let run ?(profile = Profile.disabled) ?(env = Env.default) config catalog
       None
     | Faulted reason -> (
       bump degraded;
-      (* The aborted attempt's operators have no Executed event to ride
-         on; drop them so the fallback's event carries only its own. *)
-      ignore (Profile.drain profile);
       let fallback =
         List.fold_left
           (fun acc i -> Expr.join acc (Expr.base i))

@@ -25,6 +25,15 @@ type counters = {
   h_node : Metric.Histogram.t;  (* per-plan-node wall milliseconds *)
 }
 
+type node = {
+  expr : Expr.t;
+  rows : float;
+  complete : bool;
+  distincts : (int * float) list;
+  udf : (int * float * float) list;
+  profile : Recorder.node_profile option;
+}
+
 type t = {
   catalog : Catalog.t;
   query : Query.t;
@@ -33,7 +42,10 @@ type t = {
   mutable sketch : Hyperloglog.t option;  (* the Σ sketch, once allocated *)
   mutable produced : float;
   mutable sigma_total : float;
-  mutable udf_obs : (int * float * float) list;  (* term, evals, fraction *)
+  (* The running node's observations, newest first, reset per node. *)
+  mutable n_distincts : (int * float) list;
+  mutable n_udf : (int * float * float) list;  (* term, evals, fraction *)
+  mutable rev_nodes : node list;  (* the latest call's nodes, newest first *)
   fault : Fault.t;
   deadline : Deadline.t;
   tel : Ctx.t;
@@ -63,7 +75,9 @@ let create ?(profile = Profile.disabled) ?(env = Env.default) catalog query
     sketch = None;
     produced = 0.0;
     sigma_total = 0.0;
-    udf_obs = [];
+    n_distincts = [];
+    n_udf = [];
+    rev_nodes = [];
     fault = Env.fault env;
     deadline = Env.deadline env;
     tel;
@@ -72,20 +86,13 @@ let create ?(profile = Profile.disabled) ?(env = Env.default) catalog query
 
 let set_budget t bud = t.bud <- bud
 
-type stat_obs = {
-  obs_counts : (Relset.t * float) list;
-  obs_distincts : (int * float) list;
-  obs_stats_cost : float;
-  obs_nodes : (Expr.t * float) list;
-}
-
 let materialized t mask = Hashtbl.find_opt t.store mask
 
 let total_produced t = t.produced
 
 let sigma_objects t = t.sigma_total
 
-let udf_observations t = List.rev t.udf_obs
+let nodes t = List.rev t.rev_nodes
 
 let spend t n =
   t.produced <- t.produced +. n;
@@ -303,7 +310,7 @@ let scan_base t rel =
           (fun pid ->
             match Query.pred t.query pid with
             | Predicate.Select { term = tm; _ } ->
-              t.udf_obs <- (tm.Term.id, n_in, frac) :: t.udf_obs
+              t.n_udf <- (tm.Term.id, n_in, frac) :: t.n_udf
             | Predicate.Join _ -> ())
           pids;
         Intermediate.of_base t.query t.catalog ~ids rel
@@ -781,94 +788,93 @@ let stats_pass t (inter : Intermediate.t) =
       t.sigma_total <- t.sigma_total +. float_of_int card;
       let terms = Query.interesting_terms t.query inter.Intermediate.mask in
       let row_terms = ref 0 and col_terms = ref 0 in
-      let ds =
-        List.map
-          (fun tm ->
-            let hll = sketch t in
-            (match (if vec then identity_read t inter tm else None) with
-            | Some (ty, { Chunk.col; ids; _ }) ->
-              (* Column path, reading the base column in place: the HLL
-                 register updates are the same values in the same order as
-                 hashing the boxed rows. *)
-              if !col_terms = 0 then Profile.add_batches t.prof 1;
-              incr col_terms;
-              Profile.add_repr_read t.prof ty col ids ~n:card;
-              for i = 0 to card - 1 do
-                Hyperloglog.add_hash hll
-                  (Column.value_hash col (Array.unsafe_get ids i))
-              done
-            | None ->
-              incr row_terms;
-              Profile.add_repr_rows t.prof;
-              let ev = compile_term t inter tm in
-              for i = 0 to card - 1 do
-                Hyperloglog.add_hash hll (Value.hash (ev i i))
-              done);
-            let d = Float.max 1.0 (Float.round (Hyperloglog.count hll)) in
-            t.udf_obs <-
-              (tm.Term.id, float_of_int card,
-               if card = 0 then 0.0 else d /. float_of_int card)
-              :: t.udf_obs;
-            (tm.Term.id, d))
-          terms
-      in
+      List.iter
+        (fun tm ->
+          let hll = sketch t in
+          (match (if vec then identity_read t inter tm else None) with
+          | Some (ty, { Chunk.col; ids; _ }) ->
+            (* Column path, reading the base column in place: the HLL
+               register updates are the same values in the same order as
+               hashing the boxed rows. *)
+            if !col_terms = 0 then Profile.add_batches t.prof 1;
+            incr col_terms;
+            Profile.add_repr_read t.prof ty col ids ~n:card;
+            for i = 0 to card - 1 do
+              Hyperloglog.add_hash hll
+                (Column.value_hash col (Array.unsafe_get ids i))
+            done
+          | None ->
+            incr row_terms;
+            Profile.add_repr_rows t.prof;
+            let ev = compile_term t inter tm in
+            for i = 0 to card - 1 do
+              Hyperloglog.add_hash hll (Value.hash (ev i i))
+            done);
+          let d = Float.max 1.0 (Float.round (Hyperloglog.count hll)) in
+          t.n_distincts <- (tm.Term.id, d) :: t.n_distincts;
+          t.n_udf <-
+            (tm.Term.id, float_of_int card,
+             if card = 0 then 0.0 else d /. float_of_int card)
+            :: t.n_udf)
+        terms;
       (* A Σ pass that had to evaluate any term per-row (opaque UDF or an
          armed fault plan) counts as one scalar fallback. *)
       if !row_terms > 0 then begin
         Metric.Counter.inc t.m.m_scalar;
         if !col_terms > 0 then Profile.set_path t.prof "mixed"
         else Profile.set_path t.prof "row"
-      end;
-      ds)
+      end)
 
 let execute t expr =
   Ctx.with_span t.tel "exec.execute" (fun span ->
+  t.rev_nodes <- [];
   let cost = ref 0.0 in
   let stats_cost = ref 0.0 in
-  let obs_counts = ref [] in
-  let obs_distincts = ref [] in
-  let obs_nodes = ref [] in
   let full = Query.all_mask t.query in
-  let record e mask inter =
-    Hashtbl.replace t.store mask inter;
-    let c = float_of_int (Intermediate.cardinality inter) in
-    obs_counts := (mask, c) :: !obs_counts;
-    obs_nodes := (e, c) :: !obs_nodes
-  in
-  (* One plan node's materialization, profiled: the self time (children
-     are materialized outside [f]) lands on the exec.node_ms histogram,
-     the profile collector freezes a node — complete or not — on every
-     exit path, and a non-Null tracer gets one child span per plan node
-     under exec.execute, so Perfetto timelines show the operator
-     breakdown. Cache hits never pass through here, matching
-     [obs_nodes]. *)
-  let run_node : 'a. Expr.t -> Profile.kind -> rows_out:('a -> float)
-      -> (unit -> 'a) -> 'a =
-   fun e default_kind ~rows_out f ->
+  (* One plan node's materialization, recorded: on every exit path it
+     leaves one {!node} — complete or not, with the observations made
+     before it died — and its self time (children are materialized
+     outside [f]) lands on the exec.node_ms histogram. A non-Null tracer
+     gets one child span per plan node under exec.execute, its attributes
+     written from the record, so Perfetto timelines show the operator
+     breakdown. Cache hits never pass through here. *)
+  let run_node e default_kind f =
     Profile.reset t.prof;
+    t.n_distincts <- [];
+    t.n_udf <- [];
     let b0 = t.produced in
     let t0 = Timer.now () in
-    let finish span ~complete ~out =
+    let finish span ~complete ~rows =
       let dt = Timer.now () -. t0 in
       Metric.Histogram.observe t.m.h_node (dt *. 1000.0);
-      Profile.finish t.prof ~expr:e ~mask:(Expr.mask e) ~default_kind
-        ~rows_out:out ~budget:(t.produced -. b0) ~complete ~seconds:dt;
+      let node =
+        { expr = e;
+          rows;
+          complete;
+          distincts = List.rev t.n_distincts;
+          udf = List.rev t.n_udf;
+          profile =
+            Profile.finish t.prof ~default_kind ~rows_out:rows
+              ~budget:(t.produced -. b0) ~complete ~seconds:dt }
+      in
+      t.rev_nodes <- node :: t.rev_nodes;
       match span with
       | None -> ()
       | Some s ->
-        Span.set_attr s "rows_out" (Span.Float out);
-        Span.set_attr s "complete" (Span.Bool complete)
+        Span.set_attr s "rows_out" (Span.Float node.rows);
+        Span.set_attr s "complete" (Span.Bool node.complete)
     in
     let body span =
       match f () with
-      | v ->
-        finish span ~complete:true ~out:(rows_out v);
-        v
+      | inter ->
+        finish span ~complete:true
+          ~rows:(float_of_int (Intermediate.cardinality inter));
+        inter
       | exception ex ->
         (* Timeout / Deadline.Expired / Fault.Injected mid-operator: the
-           in-flight node is still flushed (rows_out 0, budget = what it
+           in-flight node is still recorded (rows 0, budget = what it
            drew) so profiles stay consistent with the exec.* counters. *)
-        finish span ~complete:false ~out:0.0;
+        finish span ~complete:false ~rows:0.0;
         raise ex
     in
     if Ctx.tracing t.tel then
@@ -877,36 +883,26 @@ let execute t expr =
         (fun s -> body (Some s))
     else body None
   in
-  let inter_card inter = float_of_int (Intermediate.cardinality inter) in
   let rec go ~is_root e : Intermediate.t =
     (* Batch boundary: one cooperative deadline check per plan node. *)
     Deadline.check t.deadline;
     match e with
     | Expr.Stats { inner; _ } ->
       let inter = go ~is_root inner in
+      ignore
+        (run_node e Profile.Sigma (fun () ->
+             stats_pass t inter;
+             inter));
       let card = float_of_int (Intermediate.cardinality inter) in
-      let ds =
-        run_node e Profile.Sigma ~rows_out:(fun _ -> card) (fun () ->
-            stats_pass t inter)
-      in
       cost := !cost +. card;
       stats_cost := !stats_cost +. card;
-      obs_distincts := ds @ !obs_distincts;
       inter
     | Expr.Leaf { mask = m; _ } -> (
       match Hashtbl.find_opt t.store m with
       | Some inter -> inter
       | None -> (
         match Relset.to_list m with
-        | [ i ] ->
-          let inter =
-            run_node e Profile.Scan ~rows_out:inter_card (fun () ->
-                scan_base t i)
-          in
-          let c = float_of_int (Intermediate.cardinality inter) in
-          obs_counts := (m, c) :: !obs_counts;
-          obs_nodes := (e, c) :: !obs_nodes;
-          inter
+        | [ i ] -> run_node e Profile.Scan (fun () -> scan_base t i)
         | _ -> invalid_arg "Executor.execute: unmaterialized intermediate leaf"))
     | Expr.Join { left = a; right = b; mask = m; _ } -> (
       match Hashtbl.find_opt t.store m with
@@ -914,14 +910,11 @@ let execute t expr =
       | None ->
         let ia = go ~is_root:false a in
         let ib = go ~is_root:false b in
-        let inter =
-          run_node e Profile.Join ~rows_out:inter_card (fun () ->
-              hash_join t ia ib)
-        in
-        let c = float_of_int (Intermediate.cardinality inter) in
+        let inter = run_node e Profile.Join (fun () -> hash_join t ia ib) in
         (* Final result of the complete query is not charged as cost. *)
-        if not (is_root && Relset.equal m full) then cost := !cost +. c;
-        record e m inter;
+        if not (is_root && Relset.equal m full) then
+          cost := !cost +. float_of_int (Intermediate.cardinality inter);
+        Hashtbl.replace t.store m inter;
         inter)
   in
   (* Attributes reflect whatever was charged, even when the budget runs
@@ -933,11 +926,7 @@ let execute t expr =
   match go ~is_root:true expr with
   | _ ->
     close_attrs ();
-    ( !cost,
-      { obs_counts = !obs_counts;
-        obs_distincts = !obs_distincts;
-        obs_stats_cost = !stats_cost;
-        obs_nodes = List.rev !obs_nodes } )
+    !cost
   | exception e ->
     (match e with
     | Fault.Injected _ -> Metric.Counter.inc t.m.m_fault

@@ -19,9 +19,9 @@
     passes over opaque
     (non-identity) UDF terms take the scalar path, which reads base rows
     through the ids one tuple at a time and is observationally identical
-    — the differential suite pins charged cost, [stat_obs], result rows,
-    counters and checkpoint draw order against the frozen
-    {!Row_engine}.
+    — the differential suite pins charged cost, the observations of the
+    {!node} records, result rows, counters and checkpoint draw order
+    against the frozen {!Row_engine}.
 
     Cost accounting matches {!Monsoon_relalg.Cost_model}: each join node is
     charged its output cardinality, a Σ node an extra pass over its input,
@@ -58,10 +58,10 @@ val create :
     [exec.sigma]).
 
     With a live [profile] collector (default {!Profile.disabled}), every
-    [execute] call additionally records one {!Profile.node} per plan node it
-    materializes — kind, path taken, representation mix, rows,
-    selectivity, batch counts, chain shape, budget drawn and wall time —
-    and each node's wall time lands on the [exec.node_ms] histogram.
+    {!node} record additionally carries the node's operator profile —
+    kind, path taken, representation mix, rows, selectivity, batch
+    counts, chain shape, budget drawn and wall time. Each node's wall
+    time lands on the [exec.node_ms] histogram either way.
     Fused-path hits and scalar fallbacks are counted on
     [exec.fused_ops] / [exec.scalar_fallbacks] regardless of profiling.
 
@@ -78,24 +78,41 @@ val create :
 
 val set_budget : t -> budget -> unit
 
-type stat_obs = {
-  obs_counts : (Relset.t * float) list;
-      (** true cardinalities of every expression materialized by this call *)
-  obs_distincts : (int * float) list;
-      (** term id → HLL distinct estimate, for Σ-topped expressions *)
-  obs_stats_cost : float;
-      (** portion of the charged cost due to Σ passes (paper Table 8) *)
-  obs_nodes : (Expr.t * float) list;
-      (** plan node → observed cardinality, one entry per expression this
-          call actually materialized (cache hits excluded), in completion
-          order. The flight recorder joins these against the plan-time
-          predictions to compute per-node q-errors. *)
+type node = {
+  expr : Expr.t;  (** the plan node *)
+  rows : float;
+      (** its true output cardinality (a Σ node's is its input's); 0 when
+          it died *)
+  complete : bool;
+      (** [false] for the node a call died in (to {!Timeout}, an expired
+          deadline or an injected fault) *)
+  distincts : (int * float) list;
+      (** term id → HLL distinct estimate, one per term a Σ node
+          finished, in term order; empty for scans and joins *)
+  udf : (int * float * float) list;
+      (** [(term id, rows evaluated, observed fraction)] per UDF-term
+          evaluation site, in occurrence order: a filtered scan gives its
+          select terms' pass fraction, a Σ pass the distinct-value
+          fraction [d / card]. Feeds the cross-query statistics
+          repository. *)
+  profile : Monsoon_telemetry.Recorder.node_profile option;
+      (** the operator profile; [None] unless the collector is live *)
 }
+(** What one executed plan node left behind: the one record of per-node
+    facts. [execute] makes one for every plan node it materializes —
+    cache hits make none — when the node ends, on every exit path. A node
+    that dies keeps the observations it made before it died, and its
+    incomplete profile. Purely observational: recording alters no cost,
+    RNG draw or checkpoint order. *)
 
-val execute : t -> Expr.t -> float * stat_obs
+val execute : t -> Expr.t -> float
 (** Materializes the expression (caching every intermediate), returning the
-    charged cost and the statistics observed. Raises {!Timeout} when the
-    budget runs out; the cache keeps whatever was completed. *)
+    charged cost. Raises {!Timeout} when the budget runs out; the cache
+    keeps whatever was completed. *)
+
+val nodes : t -> node list
+(** The most recent [execute] call's {!node} records, in completion
+    order, including the node the call died in when it raised. *)
 
 val materialized : t -> Relset.t -> Intermediate.t option
 
@@ -113,12 +130,3 @@ val sigma_objects : t -> float
     [exec.sigma_objects] counter this is private to the instance, so it
     stays exact when many executors share one telemetry context across
     domains. *)
-
-val udf_observations : t -> (int * float * float) list
-(** [(term id, rows evaluated, observed fraction)] per UDF-term evaluation
-    site this context has executed, in occurrence order: filtered base
-    scans contribute the select term's pass fraction, Σ passes the
-    distinct-value fraction [d / card]. Purely observational — the
-    accumulator feeds the cross-query statistics repository and alters no
-    cost, RNG draw, or checkpoint order, so the {!Row_engine} differential
-    contract is untouched. *)

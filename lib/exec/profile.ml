@@ -2,13 +2,14 @@ open Monsoon_storage
 open Monsoon_relalg
 module Recorder = Monsoon_telemetry.Recorder
 
-(* The per-plan-node execution profile collector. One collector accompanies
+(* The per-plan-node execution profile scratch. One collector accompanies
    one executor; the executor's operators write scratch detail (path taken,
    representations touched, chain shape) while a node runs and [finish]
-   freezes the scratch into the telemetry layer's operator record. Everything
-   except [p_ms] is a pure function of the execution, which profiling never
-   perturbs — so profiles are byte-identical (modulo time) across worker
-   counts and audited/unaudited runs.
+   freezes the scratch into the telemetry layer's operator record, which
+   the executor keeps in the node's record. Everything except [p_ms] is a
+   pure function of the execution, which profiling never perturbs — so
+   profiles are byte-identical (modulo time) across worker counts and
+   audited/unaudited runs.
 
    The disabled collector follows the Null-sink rule: every mutator is one
    load-and-branch, so the instrumented hot paths cost noise when
@@ -22,16 +23,8 @@ let kind_label = function
   | Cross -> "cross"
   | Sigma -> "sigma"
 
-type node = {
-  n_expr : Expr.t;
-  n_mask : Relset.t;
-  n_profile : Recorder.node_profile;
-}
-
 type t = {
   live : bool;
-  mutable rev_nodes : node list;  (* newest first *)
-  mutable drained : int;  (* how many of rev_nodes were already drained *)
   (* scratch for the in-flight node, reset per node *)
   mutable c_kind : kind option;
   mutable c_path : string;
@@ -46,8 +39,6 @@ type t = {
 
 let make live =
   { live;
-    rev_nodes = [];
-    drained = 0;
     c_kind = None;
     c_path = "";
     c_rows_in = 0.0;
@@ -151,52 +142,38 @@ let observe_chains t ~head ~next =
        else float_of_int !entries /. float_of_int !buckets)
   end
 
-let finish t ~expr ~mask ~default_kind ~rows_out ~budget ~complete ~seconds =
-  if t.live then begin
+let finish t ~default_kind ~rows_out ~budget ~complete ~seconds =
+  if not t.live then None
+  else begin
     let kind = match t.c_kind with Some k -> k | None -> default_kind in
     let selectivity =
       if t.c_denom <= 0.0 then 1.0 else rows_out /. t.c_denom
     in
-    let node =
-      { n_expr = expr;
-        n_mask = mask;
-        n_profile =
-          { Recorder.p_kind = kind_label kind;
-            p_path = t.c_path;
-            p_repr = String.concat "," (List.rev t.c_rev_repr);
-            p_rows_in = t.c_rows_in;
-            p_rows_out = rows_out;
-            p_selectivity = selectivity;
-            p_batches = t.c_batches;
-            p_sel_density =
-              (if t.c_sel_density < 0.0 then selectivity else t.c_sel_density);
-            p_chain_max = t.c_chain_max;
-            p_chain_mean = t.c_chain_mean;
-            p_budget = budget;
-            p_complete = complete;
-            p_ms = seconds *. 1000.0 } }
-    in
-    t.rev_nodes <- node :: t.rev_nodes
+    Some
+      { Recorder.p_kind = kind_label kind;
+        p_path = t.c_path;
+        p_repr = String.concat "," (List.rev t.c_rev_repr);
+        p_rows_in = t.c_rows_in;
+        p_rows_out = rows_out;
+        p_selectivity = selectivity;
+        p_batches = t.c_batches;
+        p_sel_density =
+          (if t.c_sel_density < 0.0 then selectivity else t.c_sel_density);
+        p_chain_max = t.c_chain_max;
+        p_chain_mean = t.c_chain_mean;
+        p_budget = budget;
+        p_complete = complete;
+        p_ms = seconds *. 1000.0 }
   end
 
-let nodes t = List.rev t.rev_nodes
-
-let drain t =
-  let total = List.length t.rev_nodes in
-  let fresh = total - t.drained in
-  t.drained <- total;
-  if fresh <= 0 then []
-  else List.rev (List.filteri (fun i _ -> i < fresh) t.rev_nodes)
-
-(* A deterministic one-line fingerprint of a node: everything except the
-   wall time, with floats printed as hex so equality is bit-exact. The
-   byte-identity tests (jobs-invariance, audited-vs-unaudited) compare
-   concatenations of these. *)
-let fingerprint q n =
-  let p = n.n_profile in
+(* A deterministic one-line fingerprint of a plan node's profile:
+   everything except the wall time, with floats printed as hex so equality
+   is bit-exact. The byte-identity tests (jobs-invariance,
+   audited-vs-unaudited) compare concatenations of these. *)
+let fingerprint q expr (p : Recorder.node_profile) =
   Printf.sprintf
     "%s kind=%s path=%s repr=%s in=%h out=%h sel=%h batches=%d dens=%h \
      chain=%d/%h budget=%h complete=%b"
-    (Expr.describe q n.n_expr) p.Recorder.p_kind p.p_path p.p_repr p.p_rows_in
+    (Expr.describe q expr) p.Recorder.p_kind p.p_path p.p_repr p.p_rows_in
     p.p_rows_out p.p_selectivity p.p_batches p.p_sel_density p.p_chain_max
     p.p_chain_mean p.p_budget p.p_complete

@@ -1,15 +1,18 @@
 (** Per-plan-node execution profiles for the vectorized executor.
 
     A collector is an explicit [?profile] argument of [Executor.create]
-    and [Driver.run] (default {!disabled}); when live, {!Executor.execute}
-    records one {!node} per plan node it materializes — operator kind,
-    wall time (on the {!Monsoon_util.Timer} monotonic clock, the span
-    clock), rows in/out, observed selectivity, chunk/batch counts, the
+    and [Driver.run] (default {!disabled}). It holds only the scratch of
+    the node in flight: while {!Executor.execute} materializes a plan
+    node, the operators write into it, and when the node ends — complete,
+    or dead to {!Executor.Timeout}, an expired deadline or an injected
+    fault — {!finish} freezes it into a
+    {!Monsoon_telemetry.Recorder.node_profile}: operator kind, wall time
+    (on the {!Monsoon_util.Timer} monotonic clock, the span clock), rows
+    in/out, observed selectivity, chunk/batch counts, the
     column-representation mix per input slot, selection-vector density,
     the fused-vs-scalar path taken, join bucket-chain shape, and budget
-    spent — in completion order, including a final incomplete node when
-    the operator died to {!Executor.Timeout}, an expired deadline, or an
-    injected fault.
+    spent. The profile travels in the node's {!Executor.node} record;
+    the collector keeps no list of its own.
 
     {b Determinism contract.} Every field except [p_ms] is a pure
     function of the execution, and profiling never perturbs execution
@@ -30,15 +33,6 @@ type kind = Scan | Join | Cross | Sigma
 
 val kind_label : kind -> string
 (** ["scan"] / ["hash-join"] / ["cross"] / ["sigma"]. *)
-
-type node = {
-  n_expr : Expr.t;  (** the plan node *)
-  n_mask : Relset.t;
-  n_profile : Monsoon_telemetry.Recorder.node_profile;
-      (** the operator record — kind, path, representation mix, rows,
-          selectivity, batches, chain shape, budget, completeness and wall
-          milliseconds; see {!Monsoon_telemetry.Recorder.node_profile} *)
-}
 
 type t
 
@@ -84,30 +78,20 @@ val observe_chains : t -> head:int array -> next:int array -> unit
 
 val finish :
   t ->
-  expr:Expr.t ->
-  mask:Relset.t ->
   default_kind:kind ->
   rows_out:float ->
   budget:float ->
   complete:bool ->
   seconds:float ->
-  unit
-(** Freeze the scratch into a {!node} (kind from {!set_kind} when set,
-    else [default_kind]; [seconds] is stored as [p_ms]) and append it in
-    completion order. *)
+  Monsoon_telemetry.Recorder.node_profile option
+(** Freeze the scratch into the node's profile (kind from {!set_kind}
+    when set, else [default_kind]; [seconds] is stored as [p_ms]); [None]
+    from {!disabled}. *)
 
-(** {2 Consumer interface (driver, tests)} *)
+(** {2 Consumer interface (tests)} *)
 
-val nodes : t -> node list
-(** All nodes, completion order. *)
-
-val drain : t -> node list
-(** Nodes recorded since the previous [drain], completion order. The
-    driver drains after every [Executor.execute] call — including the
-    early-exit paths — so each Executed event carries exactly its own
-    step's profiles. *)
-
-val fingerprint : Query.t -> node -> string
-(** Deterministic one-line digest of everything except the wall time
-    (hex floats, so equality is bit-exact) — the byte-identity tests
-    compare concatenations of these. *)
+val fingerprint :
+  Query.t -> Expr.t -> Monsoon_telemetry.Recorder.node_profile -> string
+(** Deterministic one-line digest of a plan node's profile, everything
+    except the wall time (hex floats, so equality is bit-exact) — the
+    byte-identity tests compare concatenations of these. *)

@@ -2,9 +2,11 @@
    against the frozen row-at-a-time {!Row_engine}, over an identical
    sequence of EXECUTE steps per (workload, query, plan, budget,
    environment) cell. Everything observable must be bit-identical: charged
-   cost, [stat_obs] (counts, distincts, stats_cost, obs_nodes in completion
-   order), result rows, total produced, Σ objects, remaining budget, and
-   which exception (Timeout / fault / deadline) ends a step. *)
+   cost, the reference's [stat_obs] (counts, distincts, stats_cost,
+   obs_nodes in completion order) against the same views of the new
+   engine's node records, result rows, total produced, Σ objects,
+   remaining budget, and which exception (Timeout / fault / deadline) ends
+   a step. *)
 
 open Monsoon_util
 open Monsoon_storage
@@ -44,13 +46,27 @@ let run_new ?env cat q ~budget exprs =
     List.map
       (fun e ->
         match E.execute exec e with
-        | cost, obs ->
+        | cost ->
+          (* The reference's observation lists, rebuilt from the node
+             records: counts and distincts newest node first, node rows
+             and the Σ cost in completion order. *)
+          let sigma, rel =
+            List.partition
+              (fun (n : E.node) ->
+                match n.E.expr with Expr.Stats _ -> true | _ -> false)
+              (E.nodes exec)
+          in
           Printf.sprintf "cost=%h counts=[%s] dist=[%s] sc=%h nodes=[%s] rows=%s"
             cost
-            (fp_counts obs.E.obs_counts)
-            (fp_distincts obs.E.obs_distincts)
-            obs.E.obs_stats_cost
-            (fp_nodes obs.E.obs_nodes)
+            (fp_counts
+               (List.rev_map
+                  (fun (n : E.node) -> (Expr.mask n.E.expr, n.E.rows))
+                  rel))
+            (fp_distincts
+               (List.concat_map (fun (n : E.node) -> n.E.distincts)
+                  (List.rev sigma)))
+            (List.fold_left (fun acc (n : E.node) -> acc +. n.E.rows) 0.0 sigma)
+            (fp_nodes (List.map (fun (n : E.node) -> (n.E.expr, n.E.rows)) rel))
             (fp_rows (E.result_rows exec e))
         | exception E.Timeout -> "timeout"
         | exception Fault.Injected reason -> "fault:" ^ reason

@@ -167,7 +167,7 @@ let test_multi_step_beats_worst_fixed_plan () =
       let monsoon = (Driver.run config cat q).Driver.cost in
       let fixed plan =
         let exec = Monsoon_exec.Executor.create cat q (Monsoon_exec.Executor.budget 1e9) in
-        fst (Monsoon_exec.Executor.execute exec plan)
+        Monsoon_exec.Executor.execute exec plan
       in
       let rs_t = fixed (Expr.join (Expr.join (Expr.base 0) (Expr.base 1)) (Expr.base 2)) in
       let rt_s = fixed (Expr.join (Expr.join (Expr.base 0) (Expr.base 2)) (Expr.base 1)) in

@@ -27,12 +27,43 @@ let two_table_catalog rng ~n_r ~n_s ~d =
 
 let full_join _q = Expr.join (Expr.base 0) (Expr.base 1)
 
+(* Views of the latest call's node records: true counts by mask, Σ
+   distincts, and the Σ share of the cost. *)
+let observed_counts exec =
+  List.filter_map
+    (fun (n : Executor.node) ->
+      match n.Executor.expr with
+      | Expr.Stats _ -> None
+      | e -> Some (Expr.mask e, n.Executor.rows))
+    (Executor.nodes exec)
+
+let observed_distincts exec =
+  List.concat_map (fun (n : Executor.node) -> n.Executor.distincts)
+    (Executor.nodes exec)
+
+let sigma_cost exec =
+  List.fold_left
+    (fun acc (n : Executor.node) ->
+      match n.Executor.expr with
+      | Expr.Stats _ -> acc +. n.Executor.rows
+      | _ -> acc)
+    0.0 (Executor.nodes exec)
+
+(* The profile of the two-instance join the latest call ran. *)
+let join_profile exec =
+  Option.get
+    (List.find
+       (fun (n : Executor.node) ->
+         Relset.cardinal (Expr.mask n.Executor.expr) = 2)
+       (Executor.nodes exec))
+      .Executor.profile
+
 let test_join_matches_brute_force () =
   let rng = Rng.create 31 in
   let q = two_table_query () in
   let cat = two_table_catalog rng ~n_r:200 ~n_s:150 ~d:20 in
   let exec = Executor.create cat q (Executor.budget 1e6) in
-  let _cost, _obs = Executor.execute exec (full_join q) in
+  let _cost = Executor.execute exec (full_join q) in
   let rows = Executor.result_rows exec (full_join q) in
   Alcotest.(check int) "same cardinality as brute force"
     (Fixtures.brute_force_count cat q)
@@ -44,7 +75,7 @@ let test_join_root_not_charged () =
   let q = two_table_query () in
   let cat = two_table_catalog rng ~n_r:100 ~n_s:100 ~d:10 in
   let exec = Executor.create cat q (Executor.budget 1e6) in
-  let cost, _ = Executor.execute exec (full_join q) in
+  let cost = Executor.execute exec (full_join q) in
   Alcotest.(check (float 0.0)) "zero cost" 0.0 cost
 
 let test_scan_filter_applied () =
@@ -81,13 +112,13 @@ let test_intermediate_cache_reused () =
   let cat = Fixtures.sec23_catalog rng ~scale:1000 ~d_s:1 ~d_t:10 in
   let exec = Executor.create cat q (Executor.budget 1e8) in
   let rs = Expr.join (Expr.base 0) (Expr.base 1) in
-  let c1, _ = Executor.execute exec rs in
+  let c1 = Executor.execute exec rs in
   Alcotest.(check bool) "first run charged" true (c1 > 0.0);
-  let c2, _ = Executor.execute exec rs in
+  let c2 = Executor.execute exec rs in
   Alcotest.(check (float 0.0)) "cached rerun free" 0.0 c2;
   (* A plan reusing the cached intermediate as a leaf only pays the top. *)
   let top = Expr.join (Expr.leaf (Relset.of_list [ 0; 1 ])) (Expr.base 2) in
-  let c3, _ = Executor.execute exec top in
+  let c3 = Executor.execute exec top in
   Alcotest.(check (float 0.0)) "root of full query free" 0.0 c3
 
 let test_sec23_three_way_ground_truth () =
@@ -108,9 +139,9 @@ let test_observed_counts () =
   let exec = Executor.create cat q (Executor.budget 1e8) in
   let inner = Expr.join (Expr.base 0) (Expr.base 1) in
   let plan = Expr.join inner (Expr.base 2) in
-  let cost, obs = Executor.execute exec plan in
+  let cost = Executor.execute exec plan in
   (* Observations cover the two join masks (plus any filtered scans). *)
-  let c_of m = List.assoc_opt m obs.Executor.obs_counts in
+  let c_of m = List.assoc_opt m (observed_counts exec) in
   let inner_card =
     float_of_int
       (Intermediate.cardinality (Option.get (Executor.materialized exec (Expr.mask inner))))
@@ -125,9 +156,9 @@ let test_sigma_measures_distincts () =
   let q = Fixtures.sec23_query () in
   let cat = Fixtures.sec23_catalog rng ~scale:1000 ~d_s:7 ~d_t:4 in
   let exec = Executor.create cat q (Executor.budget 1e8) in
-  let cost, obs = Executor.execute exec (Expr.stats (Expr.base 1)) in
+  let cost = Executor.execute exec (Expr.stats (Expr.base 1)) in
   (* Σ(S) measures d(F2, S): term id 1. *)
-  (match List.assoc_opt 1 obs.Executor.obs_distincts with
+  (match List.assoc_opt 1 (observed_distincts exec) with
   | Some d ->
     let truth = float_of_int (Table.distinct_exact (Catalog.find cat "S") "b") in
     Alcotest.(check bool) "HLL close to exact" true
@@ -136,7 +167,7 @@ let test_sigma_measures_distincts () =
   (* Cost of Σ over a base table: one pass over its rows. *)
   let c_s = float_of_int (Table.cardinality (Catalog.find cat "S")) in
   Alcotest.(check (float 0.0)) "one pass" c_s cost;
-  Alcotest.(check (float 0.0)) "all of it is stats cost" c_s obs.Executor.obs_stats_cost
+  Alcotest.(check (float 0.0)) "all of it is stats cost" c_s (sigma_cost exec)
 
 let test_sigma_on_intermediate () =
   let rng = Rng.create 39 in
@@ -144,7 +175,7 @@ let test_sigma_on_intermediate () =
   let cat = Fixtures.sec23_catalog rng ~scale:2000 ~d_s:3 ~d_t:5 in
   let exec = Executor.create cat q (Executor.budget 1e8) in
   let inner = Expr.join (Expr.base 0) (Expr.base 1) in
-  let cost, obs = Executor.execute exec (Expr.stats inner) in
+  let cost = Executor.execute exec (Expr.stats inner) in
   let inner_card =
     float_of_int
       (Intermediate.cardinality (Option.get (Executor.materialized exec (Expr.mask inner))))
@@ -152,7 +183,7 @@ let test_sigma_on_intermediate () =
   (* Materialize (charged) + extra Σ pass. *)
   Alcotest.(check (float 0.0)) "2x inner" (2.0 *. inner_card) cost;
   (* Terms F1, F2, F3 are all evaluable on R⨝S. *)
-  let ids = List.sort compare (List.map fst obs.Executor.obs_distincts) in
+  let ids = List.sort compare (List.map fst (observed_distincts exec)) in
   Alcotest.(check (list int)) "terms measured" [ 0; 1; 2 ] ids
 
 let test_cross_product_when_unconnected () =
@@ -163,7 +194,7 @@ let test_cross_product_when_unconnected () =
   let cat = Fixtures.sec23_catalog rng ~scale:2000 ~d_s:2 ~d_t:2 in
   let exec = Executor.create cat q (Executor.budget 1e8) in
   let st = Expr.join (Expr.base 1) (Expr.base 2) in
-  let cost, _ = Executor.execute exec st in
+  let cost = Executor.execute exec st in
   let c_s = float_of_int (Table.cardinality (Catalog.find cat "S")) in
   let c_t = float_of_int (Table.cardinality (Catalog.find cat "T")) in
   Alcotest.(check (float 0.0)) "|S|*|T|" (c_s *. c_t) cost
@@ -182,11 +213,10 @@ let read_label ty col ids ~n =
   let p = Profile.create () in
   Profile.reset p;
   Profile.add_repr_read p ty col ids ~n;
-  Profile.finish p ~expr:(Expr.base 0) ~mask:(Relset.singleton 0)
-    ~default_kind:Profile.Scan ~rows_out:0.0 ~budget:0.0 ~complete:true
-    ~seconds:0.0;
-  (List.hd (Profile.nodes p)).Profile.n_profile.Monsoon_telemetry.Recorder
-    .p_repr
+  (Option.get
+     (Profile.finish p ~default_kind:Profile.Scan ~rows_out:0.0 ~budget:0.0
+        ~complete:true ~seconds:0.0))
+    .Monsoon_telemetry.Recorder.p_repr
 
 let check_gather ~label ty values ids =
   (* Only the first [n] ids count: the trailing 3 (a Null in the
@@ -270,15 +300,11 @@ let test_null_free_scan_joins_fused () =
   let prof = Profile.create () in
   let exec = Executor.create ~profile:prof cat q (Executor.budget 1e6) in
   ignore (Executor.execute exec (full_join q));
-  let join =
-    List.find
-      (fun (n : Profile.node) -> Relset.cardinal n.Profile.n_mask = 2)
-      (Profile.nodes prof)
-  in
+  let join = join_profile exec in
   Alcotest.(check string) "fused int join" "join_ints"
-    join.Profile.n_profile.Monsoon_telemetry.Recorder.p_path;
+    join.Monsoon_telemetry.Recorder.p_path;
   Alcotest.(check string) "key representations" "ints,ints"
-    join.Profile.n_profile.Monsoon_telemetry.Recorder.p_repr
+    join.Monsoon_telemetry.Recorder.p_repr
 
 (* A join on two int keys (R.k = S.k and R.v = S.v, build keys repeated)
    takes the fused int kernel, reported as [join_ints] and counted in
@@ -315,13 +341,9 @@ let test_two_int_keys_join_fused () =
       (Executor.budget 1e6)
   in
   ignore (Executor.execute exec (full_join q));
-  let join =
-    List.find
-      (fun (n : Profile.node) -> Relset.cardinal n.Profile.n_mask = 2)
-      (Profile.nodes prof)
-  in
+  let join = join_profile exec in
   Alcotest.(check string) "two-key int join path" "join_ints"
-    join.Profile.n_profile.Monsoon_telemetry.Recorder.p_path;
+    join.Monsoon_telemetry.Recorder.p_path;
   Alcotest.(check int) "fused ops" 1 (count "exec.fused_ops");
   Alcotest.(check int) "scalar fallbacks" 0 (count "exec.scalar_fallbacks");
   Alcotest.(check int) "rows" (Fixtures.brute_force_count cat q)
@@ -360,17 +382,13 @@ let test_udf_keys_join_routing () =
     let prof = Profile.create () in
     let exec = Executor.create ~profile:prof ~env cat q (Executor.budget 1e6) in
     ignore (Executor.execute exec (full_join q));
-    let join =
-      List.find
-        (fun (n : Profile.node) -> Relset.cardinal n.Profile.n_mask = 2)
-        (Profile.nodes prof)
-    in
+    let join = join_profile exec in
     let count name =
       int_of_float
         (Monsoon_telemetry.Metric.Counter.value
            (Monsoon_telemetry.Ctx.counter tel name))
     in
-    ( join.Profile.n_profile.Monsoon_telemetry.Recorder.p_path,
+    ( join.Monsoon_telemetry.Recorder.p_path,
       count "exec.fused_ops",
       count "exec.scalar_fallbacks",
       Array.length (Executor.result_rows exec (full_join q)) )

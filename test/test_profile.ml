@@ -74,14 +74,24 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
+(* Every call's node records, in call order. *)
 let run_profiled ?env cat q exprs =
   let prof = Profile.create () in
   let exec = Executor.create ~profile:prof ?env cat q (Executor.budget 1e7) in
-  List.iter (fun e -> ignore (Executor.execute exec e)) exprs;
-  prof
+  List.concat_map
+    (fun e ->
+      ignore (Executor.execute exec e);
+      Executor.nodes exec)
+    exprs
 
-let fingerprints q prof =
-  String.concat "\n" (List.map (Profile.fingerprint q) (Profile.nodes prof))
+let profile_of (n : Executor.node) = Option.get n.Executor.profile
+
+let fingerprints q nodes =
+  String.concat "\n"
+    (List.map
+       (fun (n : Executor.node) ->
+         Profile.fingerprint q n.Executor.expr (profile_of n))
+       nodes)
 
 let std_exprs = [ Expr.stats (Expr.base 0); full_join ]
 
@@ -98,7 +108,7 @@ let test_rows_match_row_engine () =
   let rng = Rng.create 41 in
   let q = two_table_query ~select_const:(Some 1) () in
   let cat = two_table_catalog rng ~n_r:300 ~n_s:200 ~d:12 in
-  let prof = run_profiled cat q std_exprs in
+  let nodes = run_profiled cat q std_exprs in
   let old_exec = Row_engine.create cat q (Row_engine.budget 1e7) in
   let old_nodes =
     List.concat_map
@@ -107,32 +117,31 @@ let test_rows_match_row_engine () =
         obs.Row_engine.obs_nodes)
       std_exprs
   in
-  let nodes = Profile.nodes prof in
   Alcotest.(check bool) "profiled nodes recorded" true (nodes <> []);
   List.iter
-    (fun (n : Profile.node) ->
-      match n.Profile.n_profile.Recorder.p_kind with
+    (fun (n : Executor.node) ->
+      match (profile_of n).Recorder.p_kind with
       | "sigma" -> ()
       | _ ->
         let expected =
           match
             List.find_opt
-              (fun (e, _) -> Expr.equal e n.Profile.n_expr)
+              (fun (e, _) -> Expr.equal e n.Executor.expr)
               old_nodes
           with
           | Some (_, c) -> c
           | None ->
             Alcotest.failf "no row-engine observation for %s"
-              (Expr.describe q n.Profile.n_expr)
+              (Expr.describe q n.Executor.expr)
         in
         Alcotest.(check (float 0.0))
-          ("rows_out vs row engine: " ^ Expr.describe q n.Profile.n_expr)
-          expected n.Profile.n_profile.Recorder.p_rows_out;
+          ("rows_out vs row engine: " ^ Expr.describe q n.Executor.expr)
+          expected (profile_of n).Recorder.p_rows_out;
         Alcotest.(check bool) "selectivity in [0,1]" true
-          (n.Profile.n_profile.Recorder.p_selectivity >= 0.0
-          && n.Profile.n_profile.Recorder.p_selectivity <= 1.0);
+          ((profile_of n).Recorder.p_selectivity >= 0.0
+          && (profile_of n).Recorder.p_selectivity <= 1.0);
         Alcotest.(check bool) "complete" true
-          n.Profile.n_profile.Recorder.p_complete)
+          (profile_of n).Recorder.p_complete)
     nodes
 
 (* --- Byte identity: across worker domains, and audited vs unaudited --- *)
@@ -160,8 +169,6 @@ let test_audit_invariance () =
 
 (* --- Representation mix and path attribution --- *)
 
-let profile_of (n : Profile.node) = n.Profile.n_profile
-
 let join_node nodes =
   profile_of
     (List.find
@@ -178,8 +185,7 @@ let test_repr_ints () =
   let rng = Rng.create 43 in
   let q = two_table_query ~select_const:(Some 1) () in
   let cat = two_table_catalog rng ~n_r:200 ~n_s:150 ~d:10 in
-  let prof = run_profiled cat q [ full_join ] in
-  let nodes = Profile.nodes prof in
+  let nodes = run_profiled cat q [ full_join ] in
   let j = join_node nodes in
   Alcotest.(check string) "int join is fused" "join_ints" j.Recorder.p_path;
   Alcotest.(check (list string))
@@ -200,8 +206,7 @@ let test_repr_dict_and_boxed () =
   let cat = tricky_fixture () in
   (* Dictionary select: join on f (floats), select A.s = "birch". *)
   let q = tricky_query ~on:"f" ~select:(Some ("s", Value.Str "birch")) in
-  let prof = run_profiled cat q [ full_join ] in
-  let nodes = Profile.nodes prof in
+  let nodes = run_profiled cat q [ full_join ] in
   let a_scan =
     List.find
       (fun p -> p.Recorder.p_path = "sel_eq_const")
@@ -216,8 +221,7 @@ let test_repr_dict_and_boxed () =
     (List.mem "floats" (repr j));
   (* Null-poisoned int column: demoted to boxed, interned into codes. *)
   let qn = tricky_query ~on:"n" ~select:None in
-  let profn = run_profiled cat qn [ full_join ] in
-  let jn = join_node (Profile.nodes profn) in
+  let jn = join_node (run_profiled cat qn [ full_join ]) in
   Alcotest.(check string) "boxed join runs the int kernel on codes"
     "join_ints" jn.Recorder.p_path;
   Alcotest.(check bool) "boxed column in join mix" true
@@ -232,13 +236,11 @@ let test_disabled_collector_noop () =
   Profile.add_batches p 3;
   Profile.add_repr_rows p;
   Profile.set_sel_density p ~kept:1 ~of_:2;
-  Profile.finish p ~expr:(Expr.base 0)
-    ~mask:(Expr.mask (Expr.base 0))
-    ~default_kind:Profile.Scan ~rows_out:10.0 ~budget:0.0 ~complete:true
-    ~seconds:0.0;
-  Alcotest.(check bool) "disabled stays dead" false (Profile.live p);
-  Alcotest.(check int) "no nodes recorded" 0 (List.length (Profile.nodes p));
-  Alcotest.(check int) "nothing to drain" 0 (List.length (Profile.drain p))
+  Alcotest.(check bool) "no profile frozen" true
+    (Profile.finish p ~default_kind:Profile.Scan ~rows_out:10.0 ~budget:0.0
+       ~complete:true ~seconds:0.0
+    = None);
+  Alcotest.(check bool) "disabled stays dead" false (Profile.live p)
 
 (* --- Early-exit paths: Timeout / Deadline / Fault flush consistently --- *)
 
@@ -253,7 +255,7 @@ let test_timeout_flushes_profile_and_counters () =
   let exec = Executor.create ~profile:prof ~env cat q (Executor.budget 1000.0) in
   Alcotest.check_raises "timeout" Executor.Timeout (fun () ->
       ignore (Executor.execute exec full_join));
-  let nodes = Profile.nodes prof in
+  let nodes = Executor.nodes exec in
   Alcotest.(check int) "two scans + the dying join" 3 (List.length nodes);
   let last = profile_of (List.nth nodes 2) in
   Alcotest.(check bool) "join flushed incomplete" false last.Recorder.p_complete;
@@ -291,7 +293,7 @@ let test_deadline_leaves_no_phantom_node () =
   (* The cooperative check fires at the node boundary, before any
      operator starts: no half-recorded scratch may leak. *)
   Alcotest.(check int) "no phantom nodes" 0
-    (List.length (Profile.nodes prof))
+    (List.length (Executor.nodes exec))
 
 let test_fault_flushes_incomplete_node () =
   let rng = Rng.create 46 in
@@ -307,7 +309,7 @@ let test_fault_flushes_incomplete_node () =
      ignore (Executor.execute exec full_join);
      Alcotest.fail "expected an injected fault"
    with Fault.Injected _ -> ());
-  let nodes = Profile.nodes prof in
+  let nodes = Executor.nodes exec in
   Alcotest.(check bool) "dying node flushed" true (nodes <> []);
   let last = profile_of (List.nth nodes (List.length nodes - 1)) in
   Alcotest.(check bool) "flushed incomplete" false last.Recorder.p_complete;
@@ -468,7 +470,8 @@ let test_profile_attached_once () =
   in
   let recorder = Recorder.create () in
   let prof = Profile.create () in
-  let env = Ctx.to_env (Ctx.with_recorder (Ctx.null ()) recorder) in
+  let tel = Ctx.with_recorder (Ctx.null ()) recorder in
+  let env = Ctx.to_env tel in
   let (_ : Driver.outcome) =
     Driver.run ~profile:prof ~env config w.Monsoon_workloads.Workload.catalog q
   in
@@ -491,8 +494,9 @@ let test_profile_attached_once () =
          (fun n -> n.Recorder.node_profile <> None)
          (List.concat executed))
   in
-  Alcotest.(check int) "profiled rows = drained profile nodes"
-    (List.length (Profile.nodes prof))
+  (* One exec.node_ms observation per executed plan node. *)
+  Alcotest.(check int) "profiled rows = executed plan nodes"
+    (Metric.Histogram.count (Ctx.histogram tel "exec.node_ms"))
     profiled
 
 let () =

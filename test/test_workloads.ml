@@ -163,7 +163,7 @@ let test_ott_queries_empty_and_cheap () =
     (fun (name, q) ->
       let plan = Ott.hand_written name q in
       let exec = Executor.create cat q (Executor.budget 1e7) in
-      let cost, _ = Executor.execute exec plan in
+      let cost = Executor.execute exec plan in
       let rows = Executor.result_rows exec plan in
       Alcotest.(check int) (name ^ " empty result") 0 (Array.length rows);
       (* The expert plan stays comparatively cheap. When the two filters sit
