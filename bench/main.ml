@@ -118,6 +118,19 @@ let repo_observations () =
 let repo_flush_path = Filename.temp_file "monsoon-bench-repo-flush" ".jsonl"
 let repo_seed_path = Filename.temp_file "monsoon-bench-repo-seed" ".jsonl"
 
+(* Both logs, and any snapshots named after them, are removed at exit. *)
+let () =
+  at_exit (fun () ->
+      List.iter
+        (fun path ->
+          let dir = Filename.dirname path in
+          (try Array.to_list (Sys.readdir dir) with Sys_error _ -> [])
+          |> List.filter
+               (String.starts_with ~prefix:(Filename.basename path))
+          |> List.iter (fun f ->
+                 try Sys.remove (Filename.concat dir f) with Sys_error _ -> ()))
+        [ repo_flush_path; repo_seed_path ])
+
 let () =
   let repo = Stats_repo.open_ repo_seed_path in
   let counts, distincts, udf = repo_observations () in

@@ -190,43 +190,6 @@ let prop_hll_error_bound =
       let err = hll_relative_error ~p:12 ~n in
       err < 6.0 *. (1.04 /. sqrt 4096.0))
 
-(* --- Reservoir --- *)
-
-let test_reservoir_under_capacity () =
-  let rng = Rng.create 1 in
-  let r = Reservoir.create rng ~capacity:10 in
-  List.iter (Reservoir.add r) [ 1; 2; 3 ];
-  Alcotest.(check int) "seen" 3 (Reservoir.seen r);
-  Alcotest.(check int) "sample size" 3 (Array.length (Reservoir.sample r))
-
-let test_reservoir_at_capacity () =
-  let rng = Rng.create 2 in
-  let r = Reservoir.create rng ~capacity:100 in
-  for i = 1 to 10_000 do
-    Reservoir.add r i
-  done;
-  Alcotest.(check int) "sample capped" 100 (Array.length (Reservoir.sample r));
-  Alcotest.(check int) "seen all" 10_000 (Reservoir.seen r)
-
-let test_reservoir_uniformity () =
-  (* Each item should appear with probability capacity/n; check the mean of
-     sampled values is near the population mean. *)
-  let rng = Rng.create 3 in
-  let means = ref [] in
-  for _ = 1 to 200 do
-    let r = Reservoir.create rng ~capacity:50 in
-    for i = 1 to 1000 do
-      Reservoir.add r i
-    done;
-    let s = Reservoir.sample r in
-    means :=
-      (Array.fold_left (fun acc v -> acc +. float_of_int v) 0.0 s
-      /. float_of_int (Array.length s))
-      :: !means
-  done;
-  let grand = Dist.mean (Array.of_list !means) in
-  Alcotest.(check bool) "mean near 500.5" true (abs_float (grand -. 500.5) < 15.0)
-
 (* --- GEE distinct estimator --- *)
 
 let test_gee_exact_when_full () =
@@ -269,38 +232,6 @@ let prop_gee_bounds =
       let seen = float_of_int (Distinct_estimator.exact sample) in
       est >= seen && est <= float_of_int population)
 
-(* --- Misra–Gries --- *)
-
-let test_mg_finds_heavy_hitter () =
-  let mg = Misra_gries.create ~k:10 in
-  (* 5000 copies of "hot", 5000 spread over 1000 cold values. *)
-  let rng = Rng.create 4 in
-  for _ = 1 to 5000 do
-    Misra_gries.add mg "hot"
-  done;
-  for _ = 1 to 5000 do
-    Misra_gries.add mg (Printf.sprintf "cold%d" (Rng.int rng 1000))
-  done;
-  let hh = Misra_gries.heavy_hitters mg in
-  Alcotest.(check bool) "hot is first" true
-    (match hh with (v, _) :: _ -> v = "hot" | [] -> false)
-
-let test_mg_undercount_bound () =
-  let mg = Misra_gries.create ~k:10 in
-  for _ = 1 to 1000 do
-    Misra_gries.add mg "x"
-  done;
-  for i = 1 to 500 do
-    Misra_gries.add mg (string_of_int i)
-  done;
-  let count = List.assoc_opt "x" (Misra_gries.heavy_hitters mg) in
-  (match count with
-  | Some c ->
-    (* Undercount bounded by n/k = 150. *)
-    Alcotest.(check bool) "within bound" true (c >= 1000 - 150 && c <= 1000)
-  | None -> Alcotest.fail "x evicted despite frequency > n/k");
-  Alcotest.(check int) "processed" 1500 (Misra_gries.processed mg)
-
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "sketch"
@@ -314,17 +245,10 @@ let () =
           Alcotest.test_case "clear" `Quick test_hll_clear;
           Alcotest.test_case "count bits pinned" `Quick
             test_hll_count_pinned ] );
-      ( "reservoir",
-        [ Alcotest.test_case "under capacity" `Quick test_reservoir_under_capacity;
-          Alcotest.test_case "at capacity" `Quick test_reservoir_at_capacity;
-          Alcotest.test_case "uniformity" `Quick test_reservoir_uniformity ] );
       ( "distinct estimator",
         [ Alcotest.test_case "full sample" `Quick test_gee_exact_when_full;
           Alcotest.test_case "all unique" `Quick test_gee_all_unique_sample;
           Alcotest.test_case "bounds" `Quick test_gee_monotone_bounds;
           Alcotest.test_case "empty" `Quick test_gee_empty;
           Alcotest.test_case "exact" `Quick test_exact_distinct ] );
-      ( "misra-gries",
-        [ Alcotest.test_case "heavy hitter" `Quick test_mg_finds_heavy_hitter;
-          Alcotest.test_case "undercount bound" `Quick test_mg_undercount_bound ] );
       ("properties", qc [ prop_hll_error_bound; prop_gee_bounds ]) ]

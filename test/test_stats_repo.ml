@@ -12,6 +12,17 @@ open Monsoon_harness
 module Stats_repo = Monsoon_stats_repo.Stats_repo
 module Json = Monsoon_telemetry.Json
 
+(* Removes a repository path's log and every file named after it (its
+   snapshots). *)
+let remove_repo_files p =
+  let dir = Filename.dirname p in
+  (try Array.to_list (Sys.readdir dir) with Sys_error _ -> [])
+  |> List.filter (String.starts_with ~prefix:(Filename.basename p))
+  |> List.iter (fun f ->
+         try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+
+(* A repository path of its own, clean when handed out and removed again
+   when the test binary exits. *)
 let fresh_path =
   let n = ref 0 in
   fun () ->
@@ -21,20 +32,8 @@ let fresh_path =
         (Filename.get_temp_dir_name ())
         (Printf.sprintf "monsoon-test-repo-%d-%d.jsonl" (Unix.getpid ()) !n)
     in
-    List.iter
-      (fun f -> try Sys.remove f with Sys_error _ -> ())
-      (p
-      :: (try
-            Sys.readdir (Filename.dirname p)
-            |> Array.to_list
-            |> List.filter_map (fun f ->
-                   if
-                     String.length f > String.length (Filename.basename p)
-                     && String.sub f 0 (String.length (Filename.basename p))
-                        = Filename.basename p
-                   then Some (Filename.concat (Filename.dirname p) f)
-                   else None)
-          with Sys_error _ -> []));
+    remove_repo_files p;
+    at_exit (fun () -> remove_repo_files p);
     p
 
 let q = Fixtures.sec23_query ()
