@@ -139,10 +139,11 @@ let () =
   done
 
 (* Fixtures for the exec/* kernels: the vectorized columnar {!Executor}
-   against the frozen row-at-a-time {!Row_engine} on identical scan /
-   hash-join / Σ work. Synthetic int-keyed tables, big enough that
-   per-row interpretation overhead dominates the row engine's time
-   (equivalence itself is proven in test/test_differential.ml). *)
+   against the frozen row-at-a-time [Row_engine] (the reference engine in
+   test/row_engine) on identical scan / hash-join / Σ work. Synthetic
+   int-keyed tables, big enough that per-row interpretation overhead
+   dominates the row engine's time (equivalence itself is proven in
+   test/test_differential.ml). *)
 
 module Sto = Monsoon_storage
 
@@ -251,11 +252,8 @@ let chain_cat, chain_q, chain_probe_q =
     query ~name:"exec-chain-probe" [ "C0"; "C1"; "C2" ] ~select:(Some (2, 7)) )
 
 let exec_row q e () =
-  let exec =
-    Monsoon_exec.Row_engine.create exec_cat q
-      (Monsoon_exec.Row_engine.budget 1e7)
-  in
-  ignore (Monsoon_exec.Row_engine.execute exec e)
+  let exec = Row_engine.create exec_cat q (Row_engine.budget 1e7) in
+  ignore (Row_engine.execute exec e)
 
 (* Tiny Runner rows for the aggregation kernels (tables 4 and 5). *)
 let synthetic_rows =
@@ -436,7 +434,7 @@ let tests =
              done));
       (* Fault plane: the disabled checkpoint must be a single branch
          (compare against armed-with-a-draw, which pays one RNG draw per
-         checkpoint; a rate-0 spec yields the disabled plan itself). *)
+         checkpoint; a rate-0 class is one branch more and no draw). *)
       Test.make ~name:"fault/disabled-checkpoint-x100"
         (Staged.stage (fun () ->
              for _ = 1 to 100 do

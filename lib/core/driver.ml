@@ -41,18 +41,20 @@ let selection_name = function
   | Monsoon_mcts.Mcts.Uct w -> Printf.sprintf "uct(w=%.3g)" w
   | Monsoon_mcts.Mcts.Epsilon_greedy -> "eps-greedy"
 
-(* Fold the nodes of one EXECUTE call that returned into the real
-   statistics set, mirroring each hardened statistic into the flight
-   recorder. Counts go newest node first, then distincts newest Σ first
-   with each pass's terms in order; this write order decides which value
-   a term measured twice keeps. *)
+(* Fold the completed nodes of one EXECUTE call into the real statistics
+   set, mirroring each hardened statistic into the flight recorder. Counts
+   go newest node first, then distincts newest Σ first with each pass's
+   terms in order; this write order decides which value a term measured
+   twice keeps. *)
 let absorb_nodes ~recorder ~step query stats (nodes : Executor.node list) =
   let hardened subject pretty value =
     if Recorder.enabled recorder then
       Recorder.record recorder
         (Recorder.Stat_observed { step; subject; pretty = pretty (); value })
   in
-  let newest_first = List.rev nodes in
+  let newest_first =
+    List.rev (List.filter (fun (n : Executor.node) -> n.Executor.complete) nodes)
+  in
   List.iter
     (fun (n : Executor.node) ->
       match n.Executor.expr with
@@ -240,8 +242,10 @@ let run ?(profile = Profile.disabled) ?(env = Env.default) config catalog
   in
   (* The one place plans run: execute [plans] in order, folding each
      returned call's node records into [stats]; mid-plan death keeps what
-     completed before it in S. Each attempt collects its own records, so a
-     faulted attempt's profiles never reach the fallback's event. *)
+     completed before it in S. A faulted call's completed nodes are folded
+     in too: they stay cached, so the degraded fallback reuses them without
+     measuring. Each attempt collects its own records, so a faulted
+     attempt's profiles never reach the fallback's event. *)
   let execute_step ~span ~attrs ~step ~predictions stats plans =
     let ran = ref [] in
     let collect () =
@@ -253,11 +257,13 @@ let run ?(profile = Profile.disabled) ?(env = Env.default) config catalog
           !rev_udf
     in
     let call e =
-      let cost =
-        Fun.protect ~finally:collect (fun () -> Executor.execute exec e)
-      in
-      absorb_nodes ~recorder ~step query stats (Executor.nodes exec);
-      cost
+      match Fun.protect ~finally:collect (fun () -> Executor.execute exec e) with
+      | cost ->
+        absorb_nodes ~recorder ~step query stats (Executor.nodes exec);
+        cost
+      | exception (Fault.Injected _ as ex) ->
+        absorb_nodes ~recorder ~step query stats (Executor.nodes exec);
+        raise ex
     in
     let nodes () = exec_nodes query stats ~predictions ~nodes:!ran plans in
     match

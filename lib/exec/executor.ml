@@ -118,14 +118,27 @@ let identity_read t (inter : Intermediate.t) (tm : Term.t) =
           n = Intermediate.cardinality inter } )
   | _ -> None
 
+(* {2 Fault checkpoints}
+
+   An operator's draws, all at its entry ({!Fault}): one [udf] per opaque
+   term, in order. Identity projections never draw. *)
+let draw_udfs t terms =
+  List.iter
+    (fun tm -> if not (Udf.is_identity tm.Term.udf) then Fault.udf t.fault)
+    terms
+
+(* The terms of predicates [pids], each predicate's in declared order. *)
+let pred_terms t pids =
+  List.concat_map (fun pid -> Predicate.terms (Query.pred t.query pid)) pids
+
 (* {2 The scalar path}
 
-   Opaque UDF terms (in scans, Σ passes and join keys) and armed fault
-   plans evaluate terms one tuple at a time, reading each argument from
-   its instance's base row through the tuple's row id — the values the row engine's boxed tuples hold at the
-   same slots. A compiled term takes a (left, right) pair of tuple indices
-   so one evaluator serves single intermediates (the index passed twice)
-   and straddling join filters. *)
+   Opaque UDF terms (in scans, Σ passes and join keys) evaluate one tuple
+   at a time, reading each argument from its instance's base row through
+   the tuple's row id — the values the row engine's boxed tuples hold at
+   the same slots. A compiled term takes a (left, right) pair of tuple
+   indices so one evaluator serves single intermediates (the index passed
+   twice) and straddling join filters. *)
 
 (* Argument [rel.col] of tuple [i] of [inter]. *)
 let arg_reader t (inter : Intermediate.t) ~rel ~col =
@@ -134,26 +147,19 @@ let arg_reader t (inter : Intermediate.t) ~rel ~col =
   let rows = Table.rows table and j = Schema.index_of (Table.schema table) col in
   fun i -> rows.(ids.(i)).(j)
 
-let compile_args t tm (args : (int -> int -> Value.t) list) =
+let compile_args tm (args : (int -> int -> Value.t) list) =
   let args = Array.of_list args in
   let n = Array.length args in
   let buf = Array.make n Value.Null in
-  let ev li ri =
+  fun li ri ->
     for a = 0 to n - 1 do
       buf.(a) <- args.(a) li ri
     done;
     Udf.apply tm.Term.udf buf
-  in
-  (* UDF checkpoint: the wrapper exists only when a plan is armed, so the
-     disabled path keeps the bare evaluator. *)
-  if Fault.armed t.fault then (fun li ri ->
-    Fault.udf t.fault;
-    ev li ri)
-  else ev
 
 (* [tm] over tuples of one intermediate: call it as [ev i i]. *)
 let compile_term t inter tm =
-  compile_args t tm
+  compile_args tm
     (List.map
        (fun (rel, col) ->
          let r = arg_reader t inter ~rel ~col in
@@ -162,7 +168,7 @@ let compile_term t inter tm =
 
 (* [tm] over a candidate pair of [la] ⨝ [rb]: call it as [ev li ri]. *)
 let compile_pair_term t (la : Intermediate.t) rb tm =
-  compile_args t tm
+  compile_args tm
     (List.map
        (fun (rel, col) ->
          if Relset.mem rel la.Intermediate.mask then begin
@@ -214,16 +220,12 @@ let scan_base t rel =
   match Hashtbl.find_opt t.store mask with
   | Some inter -> inter
   | None ->
+    let pids = Query.select_preds_of_rel t.query rel in
+    Fault.row t.fault;
+    draw_udfs t (pred_terms t pids);
     let n = Table.cardinality (table_of t rel) in
     Metric.Counter.add t.m.m_scanned (float_of_int n);
-    (* Row checkpoint: one draw per scanned base row. A poisoned row aborts
-       the scan — corrupt data is detected, not silently propagated. *)
-    if Fault.armed t.fault then
-      for _ = 1 to n do
-        Fault.row t.fault
-      done;
     let inter0 = Intermediate.of_table t.query t.catalog rel in
-    let pids = Query.select_preds_of_rel t.query rel in
     Profile.set_input t.prof ~rows:(float_of_int n) ~denom:(float_of_int n);
     let inter =
       if pids = [] then begin
@@ -232,55 +234,45 @@ let scan_base t rel =
       end
       else begin
         let vectorized =
-          if Fault.armed t.fault then None
-          else begin
-            match vector_filters t inter0 pids with
-            | None -> None
-            | Some preds ->
-              Profile.add_batches t.prof 1;
-              (* Representation mix of every predicate slot this scan
-                 touches: the base table's own cached columns. *)
-              if Profile.live t.prof then
-                List.iter
-                  (fun pid ->
-                    let slot_repr tm =
-                      match identity_read t inter0 tm with
-                      | Some (_, r) -> Profile.add_repr t.prof r.Chunk.col
-                      | None -> ()
-                    in
-                    match Query.pred t.query pid with
-                    | Predicate.Select { term = tm; _ } -> slot_repr tm
-                    | Predicate.Join { left; right; _ } ->
-                      slot_repr left;
-                      slot_repr right)
-                  pids;
-              (* Selection-vector refinement in predicate order — the same
-                 accepted set as the scalar short-circuit conjunction. The
-                 first predicate is fused into the selection build when it
-                 is a plain [col = const] (vector_filters succeeding means
-                 every term is an identity projection). *)
-              let sel =
-                match (Query.pred t.query (List.hd pids), preds) with
-                | Predicate.Select { term = tm; value; _ }, _ :: rest ->
-                  let col =
-                    match identity_read t inter0 tm with
-                    | Some (_, r) -> r.Chunk.col
-                    | None -> assert false
-                  in
-                  let sel = Chunk.sel_eq_const col value n in
-                  Metric.Counter.inc t.m.m_fused;
-                  Profile.set_path t.prof "sel_eq_const";
-                  Profile.set_sel_density t.prof ~kept:sel.Chunk.n ~of_:n;
-                  List.iter (fun p -> Chunk.refine p sel) rest;
-                  sel
-                | _ ->
-                  Profile.set_path t.prof "refine";
-                  let sel = Chunk.sel_all n in
-                  List.iter (fun p -> Chunk.refine p sel) preds;
-                  sel
-              in
-              Some (Array.sub sel.Chunk.idx 0 sel.Chunk.n)
-          end
+          match vector_filters t inter0 pids with
+          | None -> None
+          | Some preds ->
+            Profile.add_batches t.prof 1;
+            (* Representation mix of every predicate slot this scan
+               touches: the base table's own cached columns. *)
+            if Profile.live t.prof then
+              List.iter
+                (fun tm ->
+                  match identity_read t inter0 tm with
+                  | Some (_, r) -> Profile.add_repr t.prof r.Chunk.col
+                  | None -> ())
+                (pred_terms t pids);
+            (* Selection-vector refinement in predicate order — the same
+               accepted set as the scalar short-circuit conjunction. The
+               first predicate is fused into the selection build when it
+               is a plain [col = const] (vector_filters succeeding means
+               every term is an identity projection). *)
+            let sel =
+              match (Query.pred t.query (List.hd pids), preds) with
+              | Predicate.Select { term = tm; value; _ }, _ :: rest ->
+                let col =
+                  match identity_read t inter0 tm with
+                  | Some (_, r) -> r.Chunk.col
+                  | None -> assert false
+                in
+                let sel = Chunk.sel_eq_const col value n in
+                Metric.Counter.inc t.m.m_fused;
+                Profile.set_path t.prof "sel_eq_const";
+                Profile.set_sel_density t.prof ~kept:sel.Chunk.n ~of_:n;
+                List.iter (fun p -> Chunk.refine p sel) rest;
+                sel
+              | _ ->
+                Profile.set_path t.prof "refine";
+                let sel = Chunk.sel_all n in
+                List.iter (fun p -> Chunk.refine p sel) preds;
+                sel
+            in
+            Some (Array.sub sel.Chunk.idx 0 sel.Chunk.n)
         in
         let ids =
           match vectorized with
@@ -381,8 +373,7 @@ let[@inline] put o (aids : int array array) (bids : int array array) i j =
 let joined o a b =
   Intermediate.of_join a b ~card:o.n ~ids:(Array.append o.oa o.ob)
 
-(* The scalar join loops — the armed-fault path (checkpoint draw order is
-   part of the contract) and the path of joins with a straddling filter.
+(* The scalar join loops, the path of joins with a straddling filter.
    Byte-for-byte the row engine's semantics: the same candidate pairs in
    the same order, the same term evaluations. *)
 let hash_join_scalar t (la : Intermediate.t) (rb : Intermediate.t) ~conn
@@ -430,8 +421,6 @@ let hash_join_scalar t (la : Intermediate.t) (rb : Intermediate.t) ~conn
     and np = Intermediate.cardinality probe in
     Metric.Counter.add t.m.m_built (float_of_int nb);
     Metric.Counter.add t.m.m_probed (float_of_int np);
-    (* Build checkpoint: one draw per hash-join build. *)
-    Fault.build t.fault;
     let table = Hashtbl.create (nb * 2) in
     for bi = 0 to nb - 1 do
       Hashtbl.add table (key_of keyers_build bi) bi
@@ -683,7 +672,7 @@ let key_columns t (inter : Intermediate.t) terms =
   in
   (cols, !rows, raised)
 
-(* The hash join with no armed fault and no straddling filter, on any key
+(* The hash join with no straddling filter, on any key
    terms: each key pair becomes two int code columns ({!Chunk.key_codes})
    and {!join_ints} runs on them. Counters, the per-emitted-row budget
    draw and the emission order all replicate the scalar loop. A build key
@@ -736,6 +725,8 @@ let hash_join t (la : Intermediate.t) (rb : Intermediate.t) =
       ~right:rb.Intermediate.mask
   in
   let filter_pids = List.filter (fun p -> not (List.mem p conn)) newly in
+  draw_udfs t (pred_terms t (conn @ filter_pids));
+  if conn <> [] then Fault.build t.fault;
   let nl = Intermediate.cardinality la and nr = Intermediate.cardinality rb in
   (* Join selectivity is measured against the cross-product size. *)
   Profile.set_input t.prof
@@ -745,9 +736,8 @@ let hash_join t (la : Intermediate.t) (rb : Intermediate.t) =
   (* A straddling filter always has a non-identity term: an identity term
      reads one instance, so a join predicate between identity terms on
      both sides connects them and a selection is evaluable at its scan.
-     Joins with one, and every join under an armed fault plan, take the
-     scalar loop. *)
-  if Fault.armed t.fault || filter_pids <> [] then begin
+     Joins with one take the scalar loop. *)
+  if filter_pids <> [] then begin
     Metric.Counter.inc t.m.m_scalar;
     Profile.set_path t.prof (if conn = [] then "cross-scalar" else "scalar");
     Profile.add_repr_rows t.prof;
@@ -777,21 +767,21 @@ let stats_pass t (inter : Intermediate.t) =
   Ctx.with_span t.tel "exec.sigma"
     ~attrs:[ ("objects", Span.Int card) ]
     (fun _ ->
-      let vec = not (Fault.armed t.fault) in
+      let terms = Query.interesting_terms t.query inter.Intermediate.mask in
+      draw_udfs t terms;
       Profile.set_input t.prof ~rows:(float_of_int card)
         ~denom:(float_of_int card);
       (* Attributed before the budget draw so a Σ pass that trips Timeout
          still reports which path it was on. *)
-      Profile.set_path t.prof (if vec then "column" else "row");
+      Profile.set_path t.prof "column";
       spend t (float_of_int card);
       Metric.Counter.add t.m.m_sigma (float_of_int card);
       t.sigma_total <- t.sigma_total +. float_of_int card;
-      let terms = Query.interesting_terms t.query inter.Intermediate.mask in
       let row_terms = ref 0 and col_terms = ref 0 in
       List.iter
         (fun tm ->
           let hll = sketch t in
-          (match (if vec then identity_read t inter tm else None) with
+          (match identity_read t inter tm with
           | Some (ty, { Chunk.col; ids; _ }) ->
             (* Column path, reading the base column in place: the HLL
                register updates are the same values in the same order as
@@ -817,8 +807,8 @@ let stats_pass t (inter : Intermediate.t) =
              if card = 0 then 0.0 else d /. float_of_int card)
             :: t.n_udf)
         terms;
-      (* A Σ pass that had to evaluate any term per-row (opaque UDF or an
-         armed fault plan) counts as one scalar fallback. *)
+      (* A Σ pass that had to evaluate any opaque term per-row counts as one
+         scalar fallback. *)
       if !row_terms > 0 then begin
         Metric.Counter.inc t.m.m_scalar;
         if !col_terms > 0 then Profile.set_path t.prof "mixed"

@@ -15,13 +15,12 @@
     one int kernel on int codes of its keys ({!Chunk.key_codes}; an opaque
     UDF key is evaluated once per tuple first), and Σ feeds column hashes
     straight into one HyperLogLog sketch per executor, cleared per term.
-    Armed fault plans, joins with a straddling filter, and scans and Σ
-    passes over opaque
-    (non-identity) UDF terms take the scalar path, which reads base rows
+    Joins with a straddling filter, and scans and Σ passes over opaque
+    (non-identity) UDF terms, take the scalar path, which reads base rows
     through the ids one tuple at a time and is observationally identical
     — the differential suite pins charged cost, the observations of the
     {!node} records, result rows, counters and checkpoint draw order
-    against the frozen {!Row_engine}.
+    against the frozen row-at-a-time reference engine beside the tests.
 
     Cost accounting matches {!Monsoon_relalg.Cost_model}: each join node is
     charged its output cardinality, a Σ node an extra pass over its input,
@@ -65,16 +64,14 @@ val create :
     Fused-path hits and scalar fallbacks are counted on
     [exec.fused_ops] / [exec.scalar_fallbacks] regardless of profiling.
 
-    With an armed [env.fault], the plan is consulted at three checkpoints —
-    each compiled UDF evaluation, each scanned base row, each hash-join
-    build — and a firing checkpoint aborts the call with
-    [Monsoon_util.Fault.Injected] (counted on the [fault.injected]
-    counter); an armed plan also pins execution to the scalar row path so
-    the checkpoint draw order is exactly the row engine's. With
-    [env.deadline] set, every plan node of an [execute] call cooperatively
-    checks the token and raises [Monsoon_util.Deadline.Expired] once it
-    trips. Defaults are the Null sinks: one branch per checkpoint when
-    off. *)
+    [env.fault] is consulted at each operator's entry, per
+    {!Monsoon_util.Fault}'s checkpoint contract; a firing checkpoint aborts
+    the call with [Monsoon_util.Fault.Injected] (counted on the
+    [fault.injected] counter). Armed or not, execution takes the same
+    paths. With [env.deadline] set, every plan node of an [execute] call
+    cooperatively checks the token and raises
+    [Monsoon_util.Deadline.Expired] once it trips. Defaults are the Null
+    sinks: one branch per checkpoint when off. *)
 
 val set_budget : t -> budget -> unit
 

@@ -18,7 +18,7 @@
     function of the execution, and profiling never perturbs execution
     (it only reads), so {!fingerprint}s are byte-identical across
     [--jobs] worker counts and audited/unaudited runs; rows and
-    selectivities agree exactly with the scalar {!Row_engine} oracle
+    selectivities agree exactly with the row-at-a-time reference engine
     (pinned by the differential suite).
 
     {b Null-path rule.} {!disabled} is the one-branch no-op collector:

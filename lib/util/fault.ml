@@ -26,7 +26,7 @@ let spec_of_string str =
     | Some r when r >= 0.0 && r <= 1.0 -> Ok r
     | _ -> Error (Printf.sprintf "%s rate %S not in [0,1]" key v)
   in
-  let rec go spec = function
+  let rec go seen spec = function
     | [] -> Ok spec
     | part :: rest -> (
       match String.index_opt part ':' with
@@ -35,7 +35,10 @@ let spec_of_string str =
       | Some i -> (
         let key = String.sub part 0 i in
         let v = String.sub part (i + 1) (String.length part - i - 1) in
+        let go = go (key :: seen) in
         match key with
+        | _ when List.mem key seen ->
+          Error (Printf.sprintf "fault class %S listed twice" key)
         | "udf" ->
           Result.bind (parse_rate key v) (fun r ->
               go { spec with udf_rate = r } rest)
@@ -58,25 +61,12 @@ let spec_of_string str =
     |> List.map String.trim
     |> List.filter (fun s -> s <> "")
   in
-  if parts = [] then Error "empty fault spec" else go no_faults parts
+  if parts = [] then Error "empty fault spec" else go [] no_faults parts
 
-type armed_plan = { spec : spec; rng : Rng.t; mutable fired : int }
-type t = Disabled | Armed of armed_plan
+type t = Disabled | Armed of { spec : spec; rng : Rng.t }
 
 let disabled = Disabled
-let armed = function Disabled -> false | Armed _ -> true
-
-(* A plan that can never fire is the disabled plan: an armed plan pins the
-   executor to the scalar path, which a rate-0 spec must not cost. Worker
-   kills are read from the spec by the pool owners, never from the plan. *)
-let plan spec rng =
-  if spec.udf_rate = 0.0 && spec.row_rate = 0.0 && spec.build_rate = 0.0 then
-    Disabled
-  else Armed { spec; rng; fired = 0 }
-
-let fire a kind =
-  a.fired <- a.fired + 1;
-  raise (Injected kind)
+let plan spec rng = Armed { spec; rng }
 
 (* One draw per checkpoint whose rate is positive: a rate-0 class never
    touches the RNG, so enabling one class cannot shift another's stream
@@ -86,11 +76,8 @@ let check t kind rate_of =
   | Disabled -> ()
   | Armed a ->
     let rate = rate_of a.spec in
-    if rate > 0.0 && Rng.unit_float a.rng < rate then fire a kind
+    if rate > 0.0 && Rng.unit_float a.rng < rate then raise (Injected kind)
 
 let udf t = check t "udf" (fun s -> s.udf_rate)
 let row t = check t "row" (fun s -> s.row_rate)
 let build t = check t "build" (fun s -> s.build_rate)
-
-let injected = function Disabled -> 0 | Armed a -> a.fired
-let worker_kills = function Disabled -> 0 | Armed a -> a.spec.worker_kills

@@ -242,15 +242,16 @@ let test_profiled_budget_out () =
       "udf 4:10:0x1p+0" ]
     (profiled (config ~budget:15000.0 ~seed:4 ()) (sel_catalog ()) (sel_query ()))
 
-(* An armed udf: plan faults the second EXECUTE inside (S ⨝ [R,T]) after
-   the S scan completed; the step degrades to the left-deep fallback,
-   which succeeds. The faulted attempt's profiles are dropped (the
-   fallback's S row is a cache hit without a profile, and without a
-   count), but its UDF observation counts. *)
+(* An armed build: plan faults the second EXECUTE at the build of
+   (S ⨝ [R,T]) after the S scan completed; the step degrades to the
+   left-deep fallback, which succeeds. The S scan's count is hardened from
+   the faulted call (the fallback's S row is a cache hit, so it carries no
+   profile but shows the observed count), the faulted attempt's profiles
+   are dropped, and its UDF observation counts. *)
 let test_profiled_fault_degrades () =
   let cat = Fixtures.sec23_catalog (Rng.create 95) ~scale:1000 ~d_s:10 ~d_t:10 in
   let fault =
-    Fault.plan { Fault.no_faults with Fault.udf_rate = 0.0002 } (Rng.create 6)
+    Fault.plan { Fault.no_faults with Fault.build_rate = 0.3 } (Rng.create 14)
   in
   Alcotest.(check (list string)) "profiled run"
     [ "start sel n=3";
@@ -261,17 +262,18 @@ let test_profiled_fault_degrades () =
       "  (R \u{2a1d} T) obs=1000 profile=complete=true";
       "  R obs=1000 profile=complete=true";
       "  T obs=10 profile=complete=true";
-      "degraded 3 udf -> ((R \u{2a1d} S) \u{2a1d} T)";
+      "stat 3 S=1";
+      "degraded 3 build -> ((R \u{2a1d} S) \u{2a1d} T)";
       "stat 3 [R,S,T]=1000";
       "stat 3 [R,S]=1000";
       "executed 3 timed_out=false";
       "  ((R \u{2a1d} S) \u{2a1d} T) obs=1000 profile=complete=true";
       "  (R \u{2a1d} S) obs=1000 profile=complete=true";
       "  R obs=1000 profile=-";
-      "  S obs=- profile=-";
+      "  S obs=1 profile=-";
       "  T obs=10 profile=-";
       "finish steps=4 cost=2000 timed_out=false card=1000";
-      "counts 7=1000,5=1000,4=10,3=1000,1=1000";
+      "counts 7=1000,5=1000,4=10,3=1000,2=1,1=1000";
       "distincts ";
       "udf 4:10:0x1.999999999999ap-4" ]
     (profiled ~env:(Env.with_fault Env.default fault) (config ~seed:4 ()) cat
@@ -417,7 +419,7 @@ let () =
         [ Alcotest.test_case "run completes" `Quick test_profiled_completes;
           Alcotest.test_case "budget out after a child completed" `Quick
             test_profiled_budget_out;
-          Alcotest.test_case "fault degrades under a udf plan" `Quick
+          Alcotest.test_case "fault degrades under a build plan" `Quick
             test_profiled_fault_degrades ] );
       ( "single relation",
         [ Alcotest.test_case "one scan, one execute" `Quick

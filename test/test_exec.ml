@@ -350,8 +350,8 @@ let test_two_int_keys_join_fused () =
     (Array.length (Executor.result_rows exec (full_join q)))
 
 (* Routing: a join on opaque-UDF keys evaluates them into columns and
-   runs the int kernel; an armed fault plan (its checkpoint draw order is
-   part of the contract) and a straddling filter keep the scalar loop. *)
+   runs the int kernel, armed fault plan or not (its checkpoints are drawn
+   at the operator's entry); a straddling filter keeps the scalar loop. *)
 let test_udf_keys_join_routing () =
   let rng = Rng.create 37 in
   let cat = two_table_catalog rng ~n_r:120 ~n_s:90 ~d:15 in
@@ -403,10 +403,10 @@ let test_udf_keys_join_routing () =
   let armed =
     Fault.plan { Fault.no_faults with Fault.build_rate = 1e-12 } (Rng.create 5)
   in
-  Alcotest.(check bool) "the plan is armed" true (Fault.armed armed);
-  let path, _, scalar, armed_rows = run ~fault:armed q in
-  Alcotest.(check string) "armed fault plan path" "scalar" path;
-  Alcotest.(check int) "armed fault plan scalar fallbacks" 1 scalar;
+  let path, fused, scalar, armed_rows = run ~fault:armed q in
+  Alcotest.(check string) "armed fault plan path" "join_ints" path;
+  Alcotest.(check int) "armed fault plan fused ops" 1 fused;
+  Alcotest.(check int) "armed fault plan scalar fallbacks" 0 scalar;
   Alcotest.(check int) "armed fault plan rows" rows armed_rows;
   let path, _, _, _ = run (query ~straddling:true) in
   Alcotest.(check string) "straddling filter path" "scalar" path

@@ -35,7 +35,10 @@ let test_spec_rejects () =
   bad "worker:-1";
   bad "worker:0.5";
   bad "gremlin:0.2";
-  bad "udf=0.2"
+  bad "udf=0.2";
+  (* A repeated class is refused, not resolved to its last value. *)
+  bad "udf:0.05,udf:0,worker:1";
+  bad "worker:1,worker:1"
 
 let gen_rate =
   QCheck.Gen.(
@@ -70,15 +73,12 @@ let prop_spec_parse_total =
       match Fault.spec_of_string str with Ok _ | Error _ -> true)
 
 let test_disabled_is_noop () =
-  (* Every checkpoint on the disabled plan is silent; nothing counts. *)
+  (* Every checkpoint on the disabled plan is silent. *)
   for _ = 1 to 100 do
     Fault.udf Fault.disabled;
     Fault.row Fault.disabled;
     Fault.build Fault.disabled
-  done;
-  Alcotest.(check bool) "not armed" false (Fault.armed Fault.disabled);
-  Alcotest.(check int) "no firings" 0 (Fault.injected Fault.disabled);
-  Alcotest.(check int) "no kills" 0 (Fault.worker_kills Fault.disabled)
+  done
 
 let firing_sequence ~seed ~rate ~n =
   let f = Fault.plan { Fault.no_faults with Fault.udf_rate = rate } (Rng.create seed) in
@@ -93,12 +93,58 @@ let test_plan_determinism () =
   Alcotest.(check bool) "different seed, different firings" true (a <> c)
 
 let test_rate_zero_plan_is_disabled () =
-  Alcotest.(check bool) "rate-0 spec yields the disabled plan" false
-    (Fault.armed (Fault.plan Fault.no_faults (Rng.create 7)));
-  Alcotest.(check bool) "any positive rate arms" true
-    (Fault.armed
-       (Fault.plan { Fault.no_faults with Fault.build_rate = 1e-9 }
-          (Rng.create 7)))
+  (* A plan that never fires — rate 0, or positive rates that miss every
+     draw — runs the executor down exactly the disabled plan's paths: the
+     same operator profiles and the same fused and scalar counts, on a
+     query with opaque terms in its scans, join keys and Σ passes. *)
+  let open Monsoon_relalg in
+  let open Monsoon_exec in
+  let w =
+    Udf_bench.workload
+      { Udf_bench.seed = 15; imdb_scale = 0.04; tpch_scale = 0.04 }
+  in
+  let q = Workload.find_query w "uq1" in
+  let full =
+    List.fold_left
+      (fun acc i -> Expr.join acc (Expr.base i))
+      (Expr.base 0)
+      (List.init (Query.n_rels q - 1) (fun i -> i + 1))
+  in
+  let steps = [ Expr.stats (Expr.base 0); full; Expr.stats full ] in
+  let run fault =
+    let tel = Ctx.null () in
+    let profile = Profile.create () in
+    let exec =
+      Executor.create ~profile
+        ~env:(Env.with_fault (Ctx.to_env tel) fault)
+        w.Workload.catalog q (Executor.budget 1e8)
+    in
+    let profiles =
+      List.concat_map
+        (fun e ->
+          ignore (Executor.execute exec e);
+          List.map
+            (fun (n : Executor.node) ->
+              Profile.fingerprint q n.Executor.expr
+                (Option.get n.Executor.profile))
+            (Executor.nodes exec))
+        steps
+    in
+    let count name = Metric.Counter.value (Ctx.counter tel name) in
+    (profiles, count "exec.fused_ops", count "exec.scalar_fallbacks")
+  in
+  let ((_, fused, scalar) as disabled) = run Fault.disabled in
+  Alcotest.(check bool) "fused and scalar paths both run" true
+    (fused > 0.0 && scalar > 0.0);
+  let same label fault =
+    Alcotest.(check bool) label true (run fault = disabled)
+  in
+  same "rate-0 plan" (Fault.plan Fault.no_faults (Rng.create 7));
+  same "a plan that never fires"
+    (Fault.plan
+       { Fault.no_faults with
+         Fault.udf_rate = 1e-12; row_rate = 1e-12; build_rate = 1e-12 }
+       (Rng.create 7))
 
 let test_rate_zero_never_draws () =
   (* A rate-0 class must not touch the RNG: arming it cannot shift another
@@ -110,7 +156,6 @@ let test_rate_zero_never_draws () =
     Fault.row f;
     Fault.build f
   done;
-  Alcotest.(check int) "rate-0 plan never fires" 0 (Fault.injected f);
   let untouched = Rng.create 7 in
   Alcotest.(check bool) "plan rng never advanced" true
     (Rng.unit_float rng = Rng.unit_float untouched)
@@ -260,14 +305,25 @@ let test_jobs_invariance_under_faults () =
      token exercises worker churn on the pooled run. *)
   let w = small_tpch () in
   let faults =
-    Some { Fault.no_faults with Fault.udf_rate = 0.001; worker_kills = 1 }
+    Some { Fault.no_faults with Fault.build_rate = 0.05; worker_kills = 1 }
   in
   let seq = Runner.run_suite (suite_config ?faults ()) (suite_strategies ()) w in
   let par =
     Runner.run_suite (suite_config ?faults ~jobs:4 ()) (suite_strategies ()) w
   in
   Alcotest.(check bool) "rows identical for jobs=1 and jobs=4" true
-    (fingerprint seq = fingerprint par)
+    (fingerprint seq = fingerprint par);
+  Alcotest.(check bool) "the plan fired" true
+    (List.exists
+       (fun (r : Runner.row) ->
+         List.exists
+           (fun (c : Runner.cell) ->
+             c.Runner.attempts > 1
+             || Option.fold ~none:false
+                  ~some:(fun (o : Strategy.outcome) -> o.Strategy.degraded > 0)
+                  c.Runner.outcome)
+           r.Runner.cells)
+       seq)
 
 let test_retry_then_quarantine () =
   (* row:1.0 poisons the first scanned row of every attempt: the cell
@@ -301,10 +357,14 @@ let test_retry_then_quarantine () =
 let test_degraded_execution () =
   (* A UDF fault during a planned EXECUTE must not kill the run: the driver
      falls back to a left-deep plan, records a Degraded event the explain
-     report renders, and the outcome still carries a result. Seeds are
-     scanned deterministically until one hits the degrade path (a fault
-     can also land outside EXECUTE, which retries instead). *)
-  let w = Ott.workload { Ott.seed = 5; scale = 0.05; domain = 50 } in
+     report renders, and the outcome still carries a result. Only the UDF
+     suite has opaque terms, so only its queries draw udf checkpoints.
+     Seeds are scanned deterministically until one hits the degrade path
+     (a fault can also land outside EXECUTE, which retries instead). *)
+  let w =
+    Udf_bench.workload
+      { Udf_bench.seed = 15; imdb_scale = 0.04; tpch_scale = 0.04 }
+  in
   let monsoon =
     Strategy.monsoon ~iterations:60 ~scale_with_size:false
       Monsoon_stats.Prior.spike_and_slab
@@ -315,7 +375,7 @@ let test_degraded_execution () =
     let recorder = Recorder.create () in
     let tel = Ctx.with_recorder (Ctx.null ()) recorder in
     let fault =
-      Fault.plan { Fault.no_faults with Fault.udf_rate = 5e-4 } (Rng.create seed)
+      Fault.plan { Fault.no_faults with Fault.udf_rate = 0.05 } (Rng.create seed)
     in
     match
       monsoon.Strategy.run
@@ -362,22 +422,24 @@ let test_degraded_execution () =
       (Metric.Counter.value (Ctx.counter tel "driver.degraded")
       >= float_of_int o.Strategy.degraded);
     (* The trajectory from the fault on: Degraded, the fallback plan's
-       statistics and Executed event, then the finish. *)
+       statistics and Executed event, then the finish. The faulted call
+       completed t, ci and (t ⨝ ci) before the fault, so their counts were
+       hardened before the Degraded event and the fallback's cache hits
+       show them. *)
     let rec from_degraded = function
       | (Recorder.Degraded _ :: _) as rest -> rest
       | _ :: rest -> from_degraded rest
       | [] -> []
     in
     Alcotest.(check (list string)) "degraded trajectory"
-      [ "degraded 1 udf -> ((ott1_0 \u{2a1d} ott2_1) \u{2a1d} ott3_2)";
-        "stat 1 [ott1_0,ott2_1,ott3_2]=0";
-        "stat 1 [ott1_0,ott2_1]=0";
-        "stat 1 ott1_0=5";
-        "executed 1 cost=0 timed_out=false [((ott1_0 \u{2a1d} ott2_1) \
-         \u{2a1d} ott3_2)@0 pred=- obs=0; (ott1_0 \u{2a1d} ott2_1)@1 pred=- \
-         obs=0; ott1_0@2 pred=- obs=5; ott2_1@2 pred=1.42408 obs=-; \
-         ott3_2@1 pred=400 obs=-]";
-        "finish steps=2 cost=0 timed_out=false card=0" ]
+      [ "degraded 4 udf -> ((t \u{2a1d} ci) \u{2a1d} n)";
+        "stat 4 [t,ci,n]=1487";
+        "stat 4 n=508";
+        "executed 4 cost=0 timed_out=false [((t \u{2a1d} ci) \u{2a1d} n)@0 \
+         pred=25.5856 obs=1487; (t \u{2a1d} ci)@1 pred=1218.48 obs=2400; \
+         t@2 pred=800 obs=800; ci@2 pred=2400 obs=2400; n@1 pred=6.79863 \
+         obs=508]";
+        "finish steps=5 cost=0 timed_out=false card=1487" ]
       (List.map Fixtures.event_digest
          (from_degraded (Recorder.events recorder)))
 

@@ -301,7 +301,7 @@ let test_fault_flushes_incomplete_node () =
   let cat = two_table_catalog rng ~n_r:100 ~n_s:100 ~d:5 in
   let prof = Profile.create () in
   let fault =
-    Fault.plan { Fault.no_faults with Fault.udf_rate = 1.0 } (Rng.create 7)
+    Fault.plan { Fault.no_faults with Fault.build_rate = 1.0 } (Rng.create 7)
   in
   let env = Env.with_fault Env.default fault in
   let exec = Executor.create ~profile:prof ~env cat q (Executor.budget 1e6) in
@@ -313,8 +313,10 @@ let test_fault_flushes_incomplete_node () =
   Alcotest.(check bool) "dying node flushed" true (nodes <> []);
   let last = profile_of (List.nth nodes (List.length nodes - 1)) in
   Alcotest.(check bool) "flushed incomplete" false last.Recorder.p_complete;
-  Alcotest.(check string) "armed fault forces the scalar path" "scalar"
-    last.Recorder.p_path
+  Alcotest.(check string) "the join's build faulted" "hash-join"
+    last.Recorder.p_kind;
+  (* Checkpoints come first: the faulted operator drew no budget. *)
+  Alcotest.(check (float 0.0)) "nothing drawn" 0.0 last.Recorder.p_budget
 
 (* --- Golden explain operator table --- *)
 

@@ -831,16 +831,15 @@ let test_loadgen_open_loop_and_json () =
 let test_end_to_end_service_chaos () =
   let open Monsoon_harness in
   let profile = Experiments.quick in
-  (* The udf rate is per UDF *evaluation* (thousands per query), so a
-     survivable rate is tiny — see the README's chaos section. At this
-     rate the degradation ladder absorbs every fault on the fallback
-     plan; at higher rates the fallback faults too and the request
-     legitimately reports 500 (the suite harness retries those; the
-     server does not). One closed-loop client keeps request-id
-     assignment (hence per-request fault streams) deterministic, so the
-     outcome set is pinned, not probabilistic. *)
+  (* The IMDB suite has no opaque terms, so the plan faults hash-join
+     builds (one draw per join). At this rate the degradation ladder
+     absorbs every fault on the fallback plan; at higher rates the
+     fallback faults too and the request legitimately reports 500 (the
+     suite harness retries those; the server does not). One closed-loop
+     client keeps request-id assignment (hence per-request fault streams)
+     deterministic, so the outcome set is pinned, not probabilistic. *)
   let faults =
-    match Fault.spec_of_string "udf:0.000015,worker:1" with
+    match Fault.spec_of_string "build:0.05,worker:1" with
     | Ok s -> s
     | Error e -> Alcotest.fail e
   in
