@@ -37,6 +37,10 @@ type outcome = {
   udf_observations : (int * float * float) list;
 }
 
+(* The recorder's name for a state: the hex MD5 of its binary key, which
+   JSON and the text reports can carry. *)
+let state_id state = Digest.to_hex (Digest.string (Mdp.state_key state))
+
 let selection_name = function
   | Monsoon_mcts.Mcts.Uct w -> Printf.sprintf "uct(w=%.3g)" w
   | Monsoon_mcts.Mcts.Epsilon_greedy -> "eps-greedy"
@@ -45,8 +49,10 @@ let selection_name = function
    set, mirroring each hardened statistic into the flight recorder. Counts
    go newest node first, then distincts newest Σ first with each pass's
    terms in order; this write order decides which value a term measured
-   twice keeps. *)
-let absorb_nodes ~recorder ~step query stats (nodes : Executor.node list) =
+   twice keeps. [replaced] counts the writes that overwrite a different
+   measured value, from this call or an earlier one. *)
+let absorb_nodes ~recorder ~replaced ~step query stats
+    (nodes : Executor.node list) =
   let hardened subject pretty value =
     if Recorder.enabled recorder then
       Recorder.record recorder
@@ -70,6 +76,11 @@ let absorb_nodes ~recorder ~step query stats (nodes : Executor.node list) =
     (fun (n : Executor.node) ->
       List.iter
         (fun (tm, d) ->
+          (if Stats_catalog.has_measurement stats ~term:tm then
+             match Stats_catalog.distinct stats ~term:tm ~pred:None with
+             | Some old when not (Float.equal old d) ->
+               Metric.Counter.add replaced 1.0
+             | _ -> ());
           Stats_catalog.set_distinct stats ~term:tm
             ~scope:Stats_catalog.Wildcard d;
           hardened (Recorder.Distinct tm)
@@ -175,6 +186,7 @@ let run ?(profile = Profile.disabled) ?(env = Env.default) config catalog
   let executes = tally tel "driver.executes" in
   let steps_taken = tally tel "driver.steps" in
   let degraded = tally tel "driver.degraded" in
+  let replaced = Ctx.counter tel "driver.distincts_replaced" in
   let h_qerr = Ctx.histogram tel "driver.q_error" in
   let h_replans = Ctx.histogram tel "driver.replans_per_query" in
   Ctx.with_span tel "driver.run"
@@ -259,10 +271,12 @@ let run ?(profile = Profile.disabled) ?(env = Env.default) config catalog
     let call e =
       match Fun.protect ~finally:collect (fun () -> Executor.execute exec e) with
       | cost ->
-        absorb_nodes ~recorder ~step query stats (Executor.nodes exec);
+        absorb_nodes ~recorder ~replaced ~step query stats
+          (Executor.nodes exec);
         cost
       | exception (Fault.Injected _ as ex) ->
-        absorb_nodes ~recorder ~step query stats (Executor.nodes exec);
+        absorb_nodes ~recorder ~replaced ~step query stats
+          (Executor.nodes exec);
         raise ex
     in
     let nodes () = exec_nodes query stats ~predictions ~nodes:!ran plans in
@@ -344,7 +358,7 @@ let run ?(profile = Profile.disabled) ?(env = Env.default) config catalog
       (Recorder.Query_start
          { query = Query.name query;
            n_rels = Query.n_rels query;
-           state_key = Mdp.state_key init });
+           state_key = state_id init });
   (* Degenerate single-instance queries have no join-order problem: the
      filtered scan is the whole plan, run as step 0. *)
   if Query.n_rels query <= 1 then
@@ -407,7 +421,7 @@ let run ?(profile = Profile.disabled) ?(env = Env.default) config catalog
             Recorder.record recorder
               (Recorder.Decision
                  { step = steps;
-                   state_key = Mdp.state_key state;
+                   state_key = state_id state;
                    legal_actions = List.length (Mdp.legal_actions ctx state);
                    chosen = Mdp.describe_action ctx action;
                    selection =

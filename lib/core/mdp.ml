@@ -1,4 +1,3 @@
-open Monsoon_util
 open Monsoon_storage
 open Monsoon_relalg
 open Monsoon_stats
@@ -257,23 +256,22 @@ let after_execute state stats =
     r_e = List.fold_left (fun r_e e -> fold_executed add e r_e) state.r_e state.r_p;
     stats }
 
-(* "P[plans]E[execs]" and the statistics' fingerprint: plan keys joined by
-   ';', R_e masks by ','. *)
+(* The exact bytes of the state, every section length-prefixed: the
+   number of plans and each plan's [Expr.key] after its length, the number
+   of R_e masks and each mask, then the statistics' fingerprint. Ints are
+   8 little-endian bytes. *)
 let state_key state =
   let b = Buffer.create 256 in
-  Buffer.add_string b "P[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char b ';';
-      Buffer.add_string b (Expr.key e))
+  let add_int i = Buffer.add_int64_le b (Int64.of_int i) in
+  add_int (List.length state.r_p);
+  List.iter
+    (fun e ->
+      let k = Expr.key e in
+      add_int (String.length k);
+      Buffer.add_string b k)
     state.r_p;
-  Buffer.add_string b "]E[";
-  List.iteri
-    (fun i m ->
-      if i > 0 then Buffer.add_char b ',';
-      Decimal.add_int b m)
-    state.r_e;
-  Buffer.add_char b ']';
+  add_int (List.length state.r_e);
+  List.iter add_int state.r_e;
   Buffer.add_string b (Stats_catalog.fingerprint state.stats);
   Buffer.contents b
 

@@ -82,7 +82,9 @@ val after_execute : state -> Stats_catalog.t -> state
     is inserted into the ascending, duplicate-free R_e. *)
 
 val state_key : state -> string
-(** Canonical fingerprint for MCTS chance-node sharing. *)
+(** The exact bytes of the state, for MCTS chance-node sharing: equal keys
+    iff equal R_p (by [Expr.key]), R_e and statistics
+    ({!Stats_catalog.fingerprint}). Binary, not printable. *)
 
 val pp_action : ctx -> Format.formatter -> action -> unit
 (** The single pretty-printer for actions (["plan Σ(S)"], ["EXECUTE"], …);

@@ -28,9 +28,11 @@ type ('s, 'a) problem = {
           are stepped on every descent, their children shared by key. *)
   is_terminal : 's -> bool;
   key : 's -> string;
-      (** Canonical state fingerprint: identical keys mean identical states
-          (used to share chance-node children). Only the states reached
-          over stochastic edges are keyed. *)
+      (** The state's identity: equal keys iff equal states, so sampled
+          transitions share a chance-node child exactly when they reach
+          the same state. Any bytes (the MDP's key is binary, not
+          text). Only the states reached over stochastic edges are
+          keyed. *)
   rollout_policy : (Monsoon_util.Rng.t -> 's -> unit -> 'a option) option;
       (** The "predefined policy" driving simulations below the tree
           (Sec 5.1), as a pre-choice made before the actions are listed:

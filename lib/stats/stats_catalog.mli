@@ -40,22 +40,9 @@ val counts : t -> (Relset.t * float) list
 val distincts : t -> (int * scope * float) list
 
 val fingerprint : t -> string
-(** ["C[counts]D[distincts]V[version]"], the statistics part of the MCTS
-    state key. Counts render as ["mask:%.4g"] ascending by mask;
-    distincts as ["term@scope:%.4g"] with scope ['*'] (measured), ['s']
-    (selection) or the predicate id, ascending by term, then [Wildcard],
-    [For_select], [For_pred] by predicate (a monomorphic comparator that
-    keeps the order polymorphic [compare] gave these entries); both
-    joined by [',']. Numbers are written by {!Monsoon_util.Decimal}, the
-    same bytes as [string_of_int] and [Printf]'s [%.4g]. Rendered once
-    per catalog contents: any [set_*] renders it afresh. *)
-
-val size : t -> int
-(** Total number of entries. Not a safe fingerprint on its own: an
-    overwrite leaves [size] unchanged — combine with {!version}. *)
-
-val version : t -> int
-(** Monotone write counter: bumped by every [set_count]/[set_distinct],
-    including overwrites, and carried by {!copy}. Two catalogs reached by
-    different write sequences from the same origin never share a
-    (size, version) pair, which is what the MCTS state hash needs. *)
+(** The exact bytes of the catalog, the statistics part of the MCTS state
+    key: equal fingerprints iff equal {!counts} and {!distincts}, value
+    bits included. Each of the four maps (counts, measured, predicate-
+    and selection-scoped distincts) is written as its size, then its
+    bindings in key order, every int and every float's
+    [Int64.bits_of_float] as 8 little-endian bytes. *)

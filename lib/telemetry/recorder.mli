@@ -84,10 +84,11 @@ type stat_subject =
 
 type event =
   | Query_start of { query : string; n_rels : int; state_key : string }
-      (** always first: the initial MDP state *)
+      (** always first: the initial MDP state. A state is named by the
+          32-character lowercase hex MD5 of its binary planner key. *)
   | Decision of {
       step : int;
-      state_key : string;
+      state_key : string;  (** as in [Query_start] *)
       legal_actions : int;
       chosen : string;
       selection : string;  (** MCTS selection strategy, e.g. ["uct(w=1.41)"] *)

@@ -99,16 +99,25 @@ let test_state_key_distinguishes () =
   let s2 = seeded_state ctx in
   Alcotest.(check bool) "stats differ" true (Mdp.state_key s0 <> Mdp.state_key s2)
 
-(* Regression: an overwrite that leaves every rendered entry identical
-   (same size, same %.4g values) used to collide with the pre-overwrite
-   key — the catalog's write counter now keeps them apart. *)
-let test_state_key_overwrite_no_collision () =
+(* The key is the state's exact contents, not its write history: a
+   same-value overwrite keeps it, and a value that agrees with the old one
+   to four significant digits changes it. *)
+let test_state_key_same_value_overwrite () =
   let ctx = paper_ctx () in
   let s = seeded_state ctx in
   let before = Mdp.state_key s in
   Stats_catalog.set_distinct s.Mdp.stats ~term:0 ~scope:Stats_catalog.Wildcard
     1000.0;
-  Alcotest.(check bool) "same-value overwrite changes the key" true
+  Alcotest.(check string) "same-value overwrite keeps the key" before
+    (Mdp.state_key s)
+
+let test_state_key_overwrite_no_collision () =
+  let ctx = paper_ctx () in
+  let s = seeded_state ctx in
+  let before = Mdp.state_key s in
+  Stats_catalog.set_distinct s.Mdp.stats ~term:0 ~scope:Stats_catalog.Wildcard
+    1000.4;
+  Alcotest.(check bool) "four-digit twin changes the key" true
     (Mdp.state_key s <> before)
 
 let test_terminal () =
@@ -269,6 +278,8 @@ let () =
           Alcotest.test_case "plan edit rejects execute" `Quick test_plan_edit_rejects_execute;
           Alcotest.test_case "executed masks" `Quick test_executed_masks;
           Alcotest.test_case "state key" `Quick test_state_key_distinguishes;
+          Alcotest.test_case "state key same-value overwrite" `Quick
+            test_state_key_same_value_overwrite;
           Alcotest.test_case "state key overwrite collision" `Quick
             test_state_key_overwrite_no_collision;
           Alcotest.test_case "terminal" `Quick test_terminal ] );

@@ -408,6 +408,39 @@ let test_planner_deadline_expired () =
       "finish steps=0 cost=0 timed_out=true card=0" ]
     (digest recorder)
 
+(* --- Replaced measured distincts --- *)
+
+(* The quick IMDB explain run of [query]: the count of measured distincts
+   a later measurement replaced with a different value, and the same count
+   replayed from the recorder's hardened-statistics events. *)
+let replaced_distincts query =
+  let tel = Ctx.null () in
+  let profile = { Monsoon_harness.Experiments.quick with ctx = tel } in
+  match Monsoon_harness.Experiments.explain profile ~experiment:"imdb" ~query with
+  | Error e -> Alcotest.fail e
+  | Ok recorder ->
+    let last = Hashtbl.create 8 in
+    let replayed =
+      List.fold_left
+        (fun n -> function
+          | Recorder.Stat_observed { subject = Recorder.Distinct tm; value; _ } ->
+            let old = Hashtbl.find_opt last tm in
+            Hashtbl.replace last tm value;
+            (match old with Some v when v <> value -> n + 1 | _ -> n)
+          | _ -> n)
+        0 (Recorder.events recorder)
+    in
+    ( int_of_float
+        (Metric.Counter.value (Ctx.counter tel "driver.distincts_replaced")),
+      replayed )
+
+let test_distincts_replaced () =
+  (* iq6 measures id(id)[r2.id] as 30 and then as 1252 in one EXECUTE. *)
+  Alcotest.(check (pair int int)) "iq6 replaces one" (1, 1)
+    (replaced_distincts "iq6");
+  Alcotest.(check (pair int int)) "iq1 replaces none" (0, 0)
+    (replaced_distincts "iq1")
+
 let () =
   Alcotest.run "driver steps"
     [ ( "early exit",
@@ -428,4 +461,7 @@ let () =
         [ Alcotest.test_case "root statistics pinned" `Quick
             test_first_plan_pinned;
           Alcotest.test_case "planner deadline expired" `Quick
-            test_planner_deadline_expired ] ) ]
+            test_planner_deadline_expired ] );
+      ( "statistics",
+        [ Alcotest.test_case "replaced distincts counted" `Quick
+            test_distincts_replaced ] ) ]

@@ -39,8 +39,11 @@ let test_trajectory_invariants () =
   | Recorder.Query_start { query; n_rels; state_key } ->
     Alcotest.(check string) "query name" "sec2.3" query;
     Alcotest.(check int) "three instances" 3 n_rels;
-    Alcotest.(check bool) "initial state fingerprint" true
-      (state_key <> "")
+    Alcotest.(check bool) "initial state id is 32 lowercase hex digits" true
+      (String.length state_key = 32
+      && String.for_all
+           (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
+           state_key)
   | _ -> Alcotest.fail "first event must be Query_start");
   (match List.nth events (List.length events - 1) with
   | Recorder.Query_finish { steps; timed_out; cost; result_card } ->

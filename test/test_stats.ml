@@ -44,32 +44,11 @@ let test_copy_isolated () =
   Alcotest.(check (option (float 0.0))) "original untouched" (Some 10.0)
     (Stats_catalog.count s 1);
   Alcotest.(check (option (float 0.0))) "original misses new" None (Stats_catalog.count s 2);
-  Alcotest.(check int) "sizes diverge" 1 (Stats_catalog.size s);
-  Alcotest.(check int) "copy grew" 2 (Stats_catalog.size s')
-
-let test_version_counter () =
-  let s = Stats_catalog.create () in
-  Alcotest.(check int) "fresh catalog" 0 (Stats_catalog.version s);
-  Stats_catalog.set_count s 5 123.0;
-  let v1 = Stats_catalog.version s in
-  Alcotest.(check bool) "first write bumps" true (v1 > 0);
-  (* The collision that motivated the counter: an overwrite with the very
-     same value leaves [size] (and every rendered entry) unchanged. *)
-  Stats_catalog.set_count s 5 123.0;
-  Alcotest.(check bool) "same-value overwrite bumps" true
-    (Stats_catalog.version s > v1);
-  Alcotest.(check int) "size blind to the overwrite" 1 (Stats_catalog.size s);
-  Stats_catalog.set_distinct s ~term:0 ~scope:Stats_catalog.Wildcard 9.0;
-  let v2 = Stats_catalog.version s in
-  Stats_catalog.set_distinct s ~term:0 ~scope:Stats_catalog.Wildcard 9.0;
-  Alcotest.(check bool) "distinct overwrite bumps" true
-    (Stats_catalog.version s > v2);
-  let s' = Stats_catalog.copy s in
-  Alcotest.(check int) "copy carries the counter" (Stats_catalog.version s)
-    (Stats_catalog.version s');
-  Stats_catalog.set_count s' 5 123.0;
-  Alcotest.(check bool) "copies diverge independently" true
-    (Stats_catalog.version s' > Stats_catalog.version s)
+  Alcotest.(check (list (pair int (float 0.0)))) "original keeps one count"
+    [ (1, 10.0) ] (Stats_catalog.counts s);
+  Alcotest.(check (list (pair int (float 0.0)))) "copy grew"
+    [ (1, 99.0); (2, 20.0) ]
+    (List.sort compare (Stats_catalog.counts s'))
 
 let test_enumerations () =
   let s = Stats_catalog.create () in
@@ -79,33 +58,89 @@ let test_enumerations () =
   Alcotest.(check int) "counts" 1 (List.length (Stats_catalog.counts s));
   Alcotest.(check int) "distincts" 2 (List.length (Stats_catalog.distincts s))
 
-(* The exact bytes of the statistics fingerprint, which the MCTS state key
-   embeds: the %.4g rendering (a tie to even, rounding across a power of
-   ten, zero, small values), the order of distincts (by term, then
-   Wildcard, For_select, For_pred by predicate) and the version counter
-   after overwrites. *)
-let test_fingerprint_bytes () =
+(* The fingerprint is exact: two catalogs share it iff their entries and
+   values are equal. The writes collide on purpose: few masks, terms and
+   predicates, so overwrites are common; values that agree to four digits
+   and the float neighbours of a value; and second sequences that replay
+   the first in another order, repeat a write, nudge one value by an ulp,
+   or move every entry to another map under the same key and value. *)
+type write = Count of int * float | Distinct of int * Stats_catalog.scope * float
+
+let apply writes =
   let s = Stats_catalog.create () in
   List.iter
-    (fun (m, c) -> Stats_catalog.set_count s m c)
-    [ (7, 0.000012345); (1, 0.0); (2, 1.5); (3, 1200.0); (4, 12345.0); (5, 12355.0);
-      (6, 9999.5) ];
-  List.iter
-    (fun (term, scope, d) -> Stats_catalog.set_distinct s ~term ~scope d)
-    [ (3, Stats_catalog.For_pred 10, 0.000012345);
-      (3, Stats_catalog.Wildcard, 12345.0);
-      (12, Stats_catalog.Wildcard, 12355.0);
-      (3, Stats_catalog.For_pred 2, 1.5);
-      (1, Stats_catalog.For_pred 0, 0.0);
-      (3, Stats_catalog.For_select, 9999.5);
-      (0, Stats_catalog.For_select, 1200.0) ];
-  Stats_catalog.set_count s 3 1200.0;
-  Stats_catalog.set_distinct s ~term:3 ~scope:Stats_catalog.Wildcard 12345.0;
-  Alcotest.(check string) "fingerprint"
-    ("C[1:0,2:1.5,3:1200,4:1.234e+04,5:1.236e+04,6:1e+04,7:1.234e-05]"
-    ^ "D[0@s:1200,1@0:0,3@*:1.234e+04,3@s:1e+04,3@2:1.5,3@10:1.234e-05,12@*:1.236e+04]"
-    ^ "V[16]")
-    (Stats_catalog.fingerprint s)
+    (function
+      | Count (m, c) -> Stats_catalog.set_count s m c
+      | Distinct (term, scope, d) -> Stats_catalog.set_distinct s ~term ~scope d)
+    writes;
+  s
+
+let show_write = function
+  | Count (m, c) -> Printf.sprintf "c %d %h" m c
+  | Distinct (tm, scope, d) ->
+    Printf.sprintf "d %d@%s %h" tm
+      (match scope with
+      | Stats_catalog.Wildcard -> "*"
+      | Stats_catalog.For_select -> "s"
+      | Stats_catalog.For_pred p -> string_of_int p)
+      d
+
+let write_pairs =
+  let open QCheck.Gen in
+  let value =
+    oneofl
+      [ 0.0; 1.0; 1000.0; 1000.4; Float.succ 1000.0; Float.pred 1000.0; 6009.0 ]
+  in
+  let scope =
+    oneof
+      [ return Stats_catalog.Wildcard; return Stats_catalog.For_select;
+        map (fun p -> Stats_catalog.For_pred p) (int_bound 2) ]
+  in
+  let write =
+    oneof
+      [ map2 (fun m c -> Count (m, c)) (int_bound 2) value;
+        map3 (fun tm scope d -> Distinct (tm, scope, d)) (int_bound 2) scope value ]
+  in
+  let nudge = function
+    | Count (m, c) -> Count (m, Float.succ c)
+    | Distinct (tm, scope, d) -> Distinct (tm, scope, Float.pred d)
+  in
+  let move = function
+    | Count (k, v) -> Distinct (k, Stats_catalog.Wildcard, v)
+    | Distinct (k, Stats_catalog.Wildcard, v) ->
+      Distinct (k, Stats_catalog.For_select, v)
+    | Distinct (k, Stats_catalog.For_select, v) -> Count (k, v)
+    | Distinct (k, Stats_catalog.For_pred p, v) ->
+      Distinct (k, Stats_catalog.For_pred (p + 1), v)
+  in
+  let writes = list_size (int_bound 8) write in
+  writes >>= fun a ->
+  let pick = if a = [] then write else oneofl a in
+  let b =
+    frequency
+      [ (2, writes);
+        (3, shuffle_l a);
+        (2, map (fun w -> a @ [ w ]) pick);
+        (2, map (fun w -> a @ [ nudge w ]) pick);
+        (1, return (a @ a));
+        (2, return (List.map move a)) ]
+  in
+  map (fun b -> (a, b)) b
+
+let prop_fingerprint_exact =
+  QCheck.Test.make ~name:"fingerprints equal iff contents equal" ~count:2000
+    (QCheck.make
+       ~print:(fun (a, b) ->
+         let show ws = String.concat "; " (List.map show_write ws) in
+         Printf.sprintf "[%s] vs [%s]" (show a) (show b))
+       write_pairs)
+    (fun (a, b) ->
+      let sa = apply a and sb = apply b in
+      let same_contents =
+        Stats_catalog.counts sa = Stats_catalog.counts sb
+        && Stats_catalog.distincts sa = Stats_catalog.distincts sb
+      in
+      Stats_catalog.fingerprint sa = Stats_catalog.fingerprint sb = same_contents)
 
 (* --- Priors --- *)
 
@@ -210,9 +245,7 @@ let () =
           Alcotest.test_case "distinct precedence" `Quick test_distinct_precedence;
           Alcotest.test_case "selection scope" `Quick test_select_scope;
           Alcotest.test_case "copy isolation" `Quick test_copy_isolated;
-          Alcotest.test_case "enumerations" `Quick test_enumerations;
-          Alcotest.test_case "version counter" `Quick test_version_counter;
-          Alcotest.test_case "fingerprint bytes" `Quick test_fingerprint_bytes ] );
+          Alcotest.test_case "enumerations" `Quick test_enumerations ] );
       ( "priors",
         [ Alcotest.test_case "seven priors" `Quick test_all_priors_listed;
           Alcotest.test_case "by name" `Quick test_by_name;
@@ -221,4 +254,7 @@ let () =
           Alcotest.test_case "increasing vs decreasing" `Quick test_increasing_vs_decreasing;
           Alcotest.test_case "custom prior" `Quick test_custom_prior;
           Alcotest.test_case "density shapes" `Quick test_density_shapes ] );
-      ("properties", qc [ prop_priors_in_support; prop_priors_selection_context ]) ]
+      ( "properties",
+        qc
+          [ prop_fingerprint_exact; prop_priors_in_support;
+            prop_priors_selection_context ] ) ]

@@ -206,51 +206,6 @@ let prop_beta_in_unit =
       done;
       !ok)
 
-(* [Decimal] writes the bytes of [Printf.sprintf "%.4g"] and
-   [string_of_int]. The float draws concentrate where a fast path can go
-   wrong: near rounding ties at every scale the scaling covers and beyond
-   it, next to powers of ten (decade changes, the fixed/exponent switch),
-   and the values it must hand to the C formatter. *)
-let g4 x =
-  let b = Buffer.create 16 in
-  Decimal.add_g4 b x;
-  Buffer.contents b
-
-let decimal_int i =
-  let b = Buffer.create 24 in
-  Decimal.add_int b i;
-  Buffer.contents b
-
-let float_draw =
-  let open QCheck.Gen in
-  let neighbours x = oneofl [ x; Float.pred x; Float.succ x ] in
-  let tie =
-    map2
-      (fun k j -> (float_of_int k +. 0.5) *. (10.0 ** float_of_int j))
-      (int_range 0 20_000) (int_range (-8) 12)
-  in
-  let power = map (fun j -> Float.of_string ("1e" ^ string_of_int j)) (int_range (-30) 30) in
-  frequency
-    [ (3, map Int64.float_of_bits ui64);
-      (3, map float_of_int (int_range 0 1_000_000_000));
-      (4, tie >>= neighbours);
-      (2, power >>= neighbours);
-      (1, map Float.neg (tie >>= neighbours));
-      (1, oneofl [ 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity ]) ]
-
-let prop_decimal_g4 =
-  QCheck.Test.make ~name:"Decimal.add_g4 is %.4g" ~count:50_000
-    (QCheck.make ~print:(Printf.sprintf "%h") float_draw)
-    (fun x -> g4 x = Printf.sprintf "%.4g" x)
-
-let prop_decimal_int =
-  QCheck.Test.make ~name:"Decimal.add_int is string_of_int" ~count:10_000
-    (QCheck.make ~print:string_of_int
-       QCheck.Gen.(
-         frequency
-           [ (4, int); (2, int_range (-1_000_000) 0); (1, oneofl [ min_int; max_int; 0; -1 ]) ]))
-    (fun i -> decimal_int i = string_of_int i)
-
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "util"
@@ -282,5 +237,4 @@ let () =
           Alcotest.test_case "combine order" `Quick test_hash_combine_order ] );
       ( "properties",
         qc
-          [ prop_percentile_bounds; prop_zipf_in_range; prop_beta_in_unit; prop_decimal_g4;
-            prop_decimal_int ] ) ]
+          [ prop_percentile_bounds; prop_zipf_in_range; prop_beta_in_unit ] ) ]
