@@ -251,6 +251,32 @@ let chain_cat, chain_q, chain_probe_q =
     query ~name:"exec-chain" [ "C1"; "C2"; "C3" ] ~select:None,
     query ~name:"exec-chain-probe" [ "C0"; "C1"; "C2" ] ~select:(Some (2, 7)) )
 
+(* Straddling filters over chain_cat's C1 and C2: an opaque parity test
+   of C1.pk + C2.pk, which reads both sides, so each join evaluates it
+   per candidate pair. [straddling_q] joins on x (~19.6k candidates);
+   [filtered_cross_q] has no connecting key, and C1 is filtered to y = 7,
+   so the cross product tests ~20k candidates. About half pass. *)
+let straddling_q, filtered_cross_q =
+  let parity =
+    Udf.make "bench_pk_parity" (function
+      | [| Sto.Value.Int a; Sto.Value.Int b |] -> Sto.Value.Int ((a + b) land 1)
+      | _ -> Sto.Value.Null)
+  in
+  let query ~name ~key =
+    let b = Query.Builder.create ~name in
+    let c1 = Query.Builder.rel b ~table:"C1" ~alias:"C1" in
+    let c2 = Query.Builder.rel b ~table:"C2" ~alias:"C2" in
+    let at rel col = Query.Builder.term b (Udf.identity col) [ (rel, col) ] in
+    if key then Query.Builder.join_pred b (at c1 "x") (at c2 "x")
+    else Query.Builder.select_pred b (at c1 "y") (Sto.Value.Int 7);
+    Query.Builder.select_pred b
+      (Query.Builder.term b parity [ (c1, "pk"); (c2, "pk") ])
+      (Sto.Value.Int 0);
+    Query.Builder.build b
+  in
+  ( query ~name:"exec-straddling" ~key:true,
+    query ~name:"exec-cross-filtered" ~key:false )
+
 let exec_row q e () =
   let exec = Row_engine.create exec_cat q (Row_engine.budget 1e7) in
   ignore (Row_engine.execute exec e)
@@ -354,6 +380,14 @@ let tests =
               ignore
                 (Monsoon_exec.Executor.execute exec
                    (Expr.stats (Expr.leaf (Expr.mask c12))))));
+      Test.make ~name:"exec/join-straddling-columnar"
+        (Staged.stage
+           (exec_columnar ~cat:chain_cat straddling_q
+              (Expr.join (Expr.base 0) (Expr.base 1))));
+      Test.make ~name:"exec/cross-filtered-columnar"
+        (Staged.stage
+           (exec_columnar ~cat:chain_cat filtered_cross_q
+              (Expr.join (Expr.base 0) (Expr.base 1))));
       Test.make ~name:"exec/sigma-columnar"
         (Staged.stage (exec_columnar exec_scan_q (Expr.stats (Expr.base 0))));
       Test.make ~name:"exec/sigma-row"
