@@ -395,8 +395,8 @@ let explain_cmd =
           ~doc:
             "Attach an execution profile collector: the report's plan \
              tables gain per-operator rows — time share, rows in/out, \
-             selectivity, column-representation mix, and whether the \
-             fused or scalar path ran. Off by default; profiling only \
+             selectivity, column-representation mix, and the path each \
+             operator took. Off by default; profiling only \
              reads, so the run's decisions and costs are unchanged.")
   in
   let run quick dot json op_profile experiment query =

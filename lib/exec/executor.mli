@@ -15,10 +15,12 @@
     one int kernel on int codes of its keys ({!Chunk.key_codes}; an opaque
     UDF key is evaluated once per tuple first), and Σ feeds column hashes
     straight into one HyperLogLog sketch per executor, cleared per term.
-    Joins with a straddling filter, and scans and Σ passes over opaque
-    (non-identity) UDF terms, take the scalar path, which reads base rows
-    through the ids one tuple at a time and is observationally identical
-    — the differential suite pins charged cost, the observations of the
+    Each operator has one path. Opaque (non-identity) UDF terms are
+    evaluated one tuple at a time inside it, reading base rows through
+    the ids: a scan refines its selection vector by them, the join kernel
+    and the cross product test straddling filters per candidate pair
+    before the pair draws budget, and Σ hashes their values. The
+    differential suite pins charged cost, the observations of the
     {!node} records, result rows, counters and checkpoint draw order
     against the frozen row-at-a-time reference engine beside the tests.
 
@@ -61,8 +63,10 @@ val create :
     kind, path taken, representation mix, rows, selectivity, batch
     counts, chain shape, budget drawn and wall time. Each node's wall
     time lands on the [exec.node_ms] histogram either way.
-    Fused-path hits and scalar fallbacks are counted on
-    [exec.fused_ops] / [exec.scalar_fallbacks] regardless of profiling.
+    Kernel operators (hash joins, filtered cross products, scans whose
+    selections are all identity projections) are counted on
+    [exec.fused_ops], and scans and Σ passes that evaluate an opaque term
+    on [exec.scalar_fallbacks], regardless of profiling.
 
     [env.fault] is consulted at each operator's entry, per
     {!Monsoon_util.Fault}'s checkpoint contract; a firing checkpoint aborts

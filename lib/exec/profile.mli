@@ -10,7 +10,7 @@
     (on the {!Monsoon_util.Timer} monotonic clock, the span clock), rows
     in/out, observed selectivity, chunk/batch counts, the
     column-representation mix per input slot, selection-vector density,
-    the fused-vs-scalar path taken, join bucket-chain shape, and budget
+    the path the operator took, join bucket-chain shape, and budget
     spent. The profile travels in the node's {!Executor.node} record;
     the collector keeps no list of its own.
 
@@ -66,8 +66,8 @@ val add_repr_read : t -> Value.ty -> Column.t -> int array -> n:int -> unit
     typed label. *)
 
 val add_repr_rows : t -> unit
-(** The operator touched boxed rows, not a column: the scalar path, or a
-    join key evaluated by an opaque UDF. *)
+(** The operator touched boxed rows, not a column: an opaque UDF term
+    (a scan selection, a join key or a Σ term) evaluated per tuple. *)
 
 val set_sel_density : t -> kept:int -> of_:int -> unit
 

@@ -38,8 +38,8 @@ type candidate = {
 type node_profile = {
   p_kind : string;  (** operator kind: ["scan"]/["hash-join"]/["cross"]/["sigma"] *)
   p_path : string;
-      (** fused-vs-scalar path attribution, e.g. ["join_ints"],
-          ["sel_eq_const"], ["refine"], ["scalar"] *)
+      (** the path the operator took, e.g. ["join_ints"], ["cross"],
+          ["sel_eq_const"], ["refine"], ["raw"], ["column"], ["row"] *)
   p_repr : string;
       (** comma-joined column representation per input slot touched, in
           touch order (["ints"]/["floats"]/["dict"]/["boxed"]/["rows"]) *)
@@ -48,7 +48,9 @@ type node_profile = {
   p_selectivity : float;
       (** rows out over the operator's input domain (the cross-product
           size for joins, the scan input for scans, 1 for Σ) *)
-  p_batches : int;  (** chunk views consumed (0 on the scalar path) *)
+  p_batches : int;
+      (** chunk views consumed (0 for a raw scan and for a Σ pass over
+          opaque terms only) *)
   p_sel_density : float;
       (** selection-vector density after the first fused predicate;
           defaults to the overall selectivity when nothing was fused *)

@@ -351,7 +351,8 @@ let test_two_int_keys_join_fused () =
 
 (* Routing: a join on opaque-UDF keys evaluates them into columns and
    runs the int kernel, armed fault plan or not (its checkpoints are drawn
-   at the operator's entry); a straddling filter keeps the scalar loop. *)
+   at the operator's entry); so does a join with a straddling filter,
+   which the kernel tests per candidate pair. *)
 let test_udf_keys_join_routing () =
   let rng = Rng.create 37 in
   let cat = two_table_catalog rng ~n_r:120 ~n_s:90 ~d:15 in
@@ -408,8 +409,13 @@ let test_udf_keys_join_routing () =
   Alcotest.(check int) "armed fault plan fused ops" 1 fused;
   Alcotest.(check int) "armed fault plan scalar fallbacks" 0 scalar;
   Alcotest.(check int) "armed fault plan rows" rows armed_rows;
-  let path, _, _, _ = run (query ~straddling:true) in
-  Alcotest.(check string) "straddling filter path" "scalar" path
+  let q = query ~straddling:true in
+  let path, fused, scalar, rows = run q in
+  Alcotest.(check string) "straddling filter path" "join_ints" path;
+  Alcotest.(check int) "straddling filter fused ops" 1 fused;
+  Alcotest.(check int) "straddling filter scalar fallbacks" 0 scalar;
+  Alcotest.(check int) "straddling filter rows"
+    (Fixtures.brute_force_count cat q) rows
 
 (* Property: hash join result always equals the nested-loop oracle. *)
 let prop_join_equals_oracle =
