@@ -175,28 +175,3 @@ let with_span tr ?(attrs = []) name f =
       set_attr s "error" (Str (Printexc.to_string e));
       close ();
       raise e)
-
-let load_jsonl path =
-  let ( let* ) r f = Result.bind r f in
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec go acc lineno =
-        match input_line ic with
-        | exception End_of_file -> Ok (List.rev acc)
-        | "" -> go acc (lineno + 1)
-        | line ->
-          let* j =
-            Result.map_error
-              (fun e -> Printf.sprintf "line %d: %s" lineno e)
-              (Json.of_string line)
-          in
-          let* s =
-            Result.map_error
-              (fun e -> Printf.sprintf "line %d: %s" lineno e)
-              (of_json j)
-          in
-          go (s :: acc) (lineno + 1)
-      in
-      go [] 1)

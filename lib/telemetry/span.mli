@@ -85,6 +85,3 @@ val with_line_lock : (unit -> 'a) -> 'a
 
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
-
-val load_jsonl : string -> (t list, string) result
-(** Reads a JSONL trace file back into spans (blank lines skipped). *)

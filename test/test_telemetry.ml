@@ -153,6 +153,23 @@ let test_null_sink_noop () =
   Alcotest.(check int) "no attrs retained" 0
     (List.length (Option.get !seen).Span.attrs)
 
+(* A JSONL trace file read back into spans (blank lines skipped), or the
+   first reason it cannot be: an unreadable file or a line that is not a
+   span. *)
+let load_spans path =
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception Sys_error msg -> Error msg
+  | text ->
+    let rec go acc lineno = function
+      | [] -> Ok (List.rev acc)
+      | "" :: rest -> go acc (lineno + 1) rest
+      | line :: rest -> (
+        match Result.bind (Json.of_string line) Span.of_json with
+        | Ok s -> go (s :: acc) (lineno + 1) rest
+        | Error e -> Error (Printf.sprintf "line %d: %s" lineno e))
+    in
+    go [] 1 (String.split_on_char '\n' text)
+
 let test_jsonl_roundtrip () =
   let file = Filename.temp_file "monsoon_trace" ".jsonl" in
   let oc = open_out file in
@@ -165,7 +182,7 @@ let test_jsonl_roundtrip () =
            ~attrs:[ ("n", Span.Int 42); ("f", Span.Float 2.5) ]
            (fun _ -> ())));
   close_out oc;
-  match Span.load_jsonl file with
+  match load_spans file with
   | Error e -> Alcotest.fail e
   | Ok [ child; root ] ->
     Alcotest.(check string) "child name" "child" child.Span.name;
@@ -194,13 +211,13 @@ let test_jsonl_flush_mid_run () =
      visible to a concurrent reader — this is what lets `tail -f` follow
      a long run. *)
   Span.flush sink;
-  (match Span.load_jsonl file with
+  (match load_spans file with
   | Ok [ s ] -> Alcotest.(check string) "span visible" "first" s.Span.name
   | Ok spans -> Alcotest.failf "expected one span, got %d" (List.length spans)
   | Error e -> Alcotest.fail e);
   Span.with_span tr "second" (fun _ -> ());
   Span.flush (Span.Multi [ Span.Null; sink ]);
-  (match Span.load_jsonl file with
+  (match load_spans file with
   | Ok spans ->
     Alcotest.(check int) "both spans visible after Multi flush" 2
       (List.length spans)
@@ -210,6 +227,25 @@ let test_jsonl_flush_mid_run () =
      no-op rather than an error. *)
   Ctx.flush (Ctx.null ());
   Span.flush (Span.Memory (Span.memory_buffer ()))
+
+(* An unreadable path is an [Error], not an exception, and so is a line
+   that is not a span. *)
+let test_jsonl_load_errors () =
+  let file = Filename.temp_file "monsoon_trace" ".jsonl" in
+  Sys.remove file;
+  (match load_spans file with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a missing trace file loaded");
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc "\n[1,2]\n");
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      match load_spans file with
+      | Error e ->
+        Alcotest.(check bool) ("names the line: " ^ e) true
+          (String.starts_with ~prefix:"line 2: " e)
+      | Ok _ -> Alcotest.fail "a non-span line loaded")
 
 (* --- Snapshots --- *)
 
@@ -473,7 +509,8 @@ let () =
           Alcotest.test_case "null sink is a no-op" `Quick test_null_sink_noop;
           Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
           Alcotest.test_case "jsonl flush mid-run" `Quick
-            test_jsonl_flush_mid_run ] );
+            test_jsonl_flush_mid_run;
+          Alcotest.test_case "jsonl load errors" `Quick test_jsonl_load_errors ] );
       ( "snapshot",
         [ Alcotest.test_case "metrics reports" `Quick test_snapshot_reports;
           Alcotest.test_case "empty histogram export" `Quick
