@@ -921,7 +921,10 @@ let qlog_cmd =
      cardinality misestimates. With --diff OLD, compares OLD against FILE \
      per query class on the deterministic fields only (cost, outcomes, \
      replans — never wall-clock latency) and renders a regression report; \
-     exits 1 when any class regressed, so CI can gate on it."
+     exits 1 when any class regressed, so CI can gate on it. A line that \
+     is blank, torn or not a record is named (number and reason) ahead of \
+     the report, which covers the records that could be read, and the \
+     command exits 1."
   in
   let file_arg =
     Arg.(
@@ -955,27 +958,43 @@ let qlog_cmd =
             "Mean-cost growth ratio above which a class counts as \
              regressed (default 1.1 = +10%).")
   in
+  (* A log's rejected lines head the output, one per line; the command
+     still fails on any, so a torn log never passes a clean-diff gate. *)
+  let read file =
+    match Jsonl.read file Qlog.of_json with
+    | Error msg -> Error (Printf.sprintf "%s: qlog: cannot read: %s" file msg)
+    | Ok (records, rejected) ->
+      List.iter
+        (fun { Jsonl.line; reason } ->
+          Printf.printf "%s: rejected line %d: %s\n" file line reason)
+        rejected;
+      Ok (records, List.length rejected)
+  in
   let run diff top threshold file =
-    match Qlog.load file with
-    | Error msg -> Error (Printf.sprintf "%s: %s" file msg)
-    | Ok records -> (
+    let ( let* ) = Result.bind in
+    let* records, rejected = read file in
+    let* rejected, regressions =
       match diff with
       | None ->
         print_string (Qlog.report ~top records);
-        Ok ()
-      | Some old_file -> (
-        match Qlog.load old_file with
-        | Error msg -> Error (Printf.sprintf "%s: %s" old_file msg)
-        | Ok old_records ->
-          let report, regressions =
-            Qlog.diff_report ~threshold ~old_:old_records records
-          in
-          print_string report;
-          if regressions = 0 then Ok ()
-          else
-            Error
-              (Printf.sprintf "%d class%s regressed" regressions
-                 (if regressions = 1 then "" else "es"))))
+        Ok (rejected, 0)
+      | Some old_file ->
+        let* old_records, old_rejected = read old_file in
+        let report, regressions =
+          Qlog.diff_report ~threshold ~old_:old_records records
+        in
+        print_string report;
+        Ok (rejected + old_rejected, regressions)
+    in
+    if regressions > 0 then
+      Error
+        (Printf.sprintf "%d class%s regressed" regressions
+           (if regressions = 1 then "" else "es"))
+    else if rejected > 0 then
+      Error
+        (Printf.sprintf "%d rejected line%s" rejected
+           (if rejected = 1 then "" else "s"))
+    else Ok ()
   in
   Cmd.v (Cmd.info "qlog" ~doc)
     Term.(

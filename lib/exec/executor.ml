@@ -238,12 +238,25 @@ let scan_base t rel =
             | Some col, _, _ -> Profile.add_repr t.prof col
             | None, _, _ -> Profile.add_repr_rows t.prof)
           preds;
+        (* Selectivity observations for the repository, newest first: each
+           select term evaluated the rows the terms before it kept, and
+           kept this fraction of them. They join the node's only once the
+           scan has paid for its output. *)
+        let obs = ref [] in
+        let observe (tm : Term.t) ~rows_in ~kept =
+          let frac =
+            if rows_in = 0 then 0.0
+            else float_of_int kept /. float_of_int rows_in
+          in
+          obs := (tm.Term.id, float_of_int rows_in, frac) :: !obs
+        in
         let sel, rest =
           match preds with
-          | (Some col, _, value) :: rest ->
+          | (Some col, tm, value) :: rest ->
             let sel = Chunk.sel_eq_const col value n in
             Profile.set_path t.prof "sel_eq_const";
             Profile.set_sel_density t.prof ~kept:sel.Chunk.n ~of_:n;
+            observe tm ~rows_in:n ~kept:sel.Chunk.n;
             (sel, rest)
           | _ ->
             Profile.set_path t.prof "refine";
@@ -251,23 +264,17 @@ let scan_base t rel =
         in
         List.iter
           (fun (col, tm, value) ->
-            match col with
+            let rows_in = sel.Chunk.n in
+            (match col with
             | Some col -> Chunk.refine (Chunk.eq_const col value) sel
             | None ->
               let ev = compile_term t inter0 tm in
-              Chunk.refine (fun i -> Value.equal (ev i i) value) sel)
+              Chunk.refine (fun i -> Value.equal (ev i i) value) sel);
+            observe tm ~rows_in ~kept:sel.Chunk.n)
           rest;
         let ids = Array.sub sel.Chunk.idx 0 sel.Chunk.n in
         spend t (float_of_int (Array.length ids));
-        (* Selectivity observations for the repository: each select term on
-           this scan evaluated every raw row and kept this fraction. *)
-        let n_in = float_of_int n in
-        let frac =
-          if n_in = 0.0 then 0.0 else float_of_int (Array.length ids) /. n_in
-        in
-        List.iter
-          (fun (_, tm, _) -> t.n_udf <- (tm.Term.id, n_in, frac) :: t.n_udf)
-          preds;
+        t.n_udf <- !obs @ t.n_udf;
         Intermediate.of_base t.query t.catalog ~ids rel
       end
     in

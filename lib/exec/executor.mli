@@ -92,8 +92,9 @@ type node = {
           finished, in term order; empty for scans and joins *)
   udf : (int * float * float) list;
       (** [(term id, rows evaluated, observed fraction)] per UDF-term
-          evaluation site, in occurrence order: a filtered scan gives its
-          select terms' pass fraction, a Σ pass the distinct-value
+          evaluation site, in occurrence order: a filtered scan gives each
+          select term the rows the terms before it kept and the fraction
+          of those it kept, a Σ pass the distinct-value
           fraction [d / card]. Feeds the cross-query statistics
           repository. *)
   profile : Monsoon_telemetry.Recorder.node_profile option;

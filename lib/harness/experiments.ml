@@ -792,6 +792,14 @@ let service profile ~experiment ?(faults = Fault.no_faults) ?stats_repo () =
       | Some qs -> List.filter (fun q -> List.mem_assoc q w.Workload.queries) qs
       | None -> List.map fst w.Workload.queries
     in
+    (* The repository's lines rejected at open, on /metrics: a torn or
+       malformed log is then visible, never silently smaller. *)
+    Option.iter
+      (fun repo ->
+        Metric.Counter.add
+          (Ctx.counter profile.ctx "stats_repo.lines_rejected")
+          (float_of_int (Stats_repo.lines_rejected repo)))
+      stats_repo;
     let strategy =
       Strategy.monsoon ~iterations:profile.monsoon_iterations ?stats_repo
         Prior.spike_and_slab

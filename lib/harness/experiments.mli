@@ -149,7 +149,9 @@ val service :
     to no faults), plus the query-name list to advertise on [GET /queries].
     [experiment] accepts the same ids as {!explain}. Worker kills in
     [faults] are not applied here — the serve entry point passes them to
-    {!Monsoon_server.Server.inject_kills}. *)
+    {!Monsoon_server.Server.inject_kills}. With [stats_repo], the
+    profile's registry gets a [stats_repo.lines_rejected] counter holding
+    {!Monsoon_stats_repo.Stats_repo.lines_rejected}. *)
 
 val chaos :
   profile ->

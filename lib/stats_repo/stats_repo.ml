@@ -63,42 +63,30 @@ type t = {
       (* (kind, key) -> aggregate; loaded once at [open_], immutable for the
          handle's lifetime so warm-start lookups never depend on what this
          run has flushed so far (jobs-invariance). *)
+  rejected : int;  (* log lines [open_] could not use *)
 }
 
 let kinds = [ "c"; "d"; "u"; "uc" ]
 
-let parse_line line =
-  match Json.of_string line with
-  | Error _ -> None
-  | Ok j -> (
-    match (Json.member "k" j, Json.member "key" j, Json.member "v" j) with
-    | Some k, Some key, Some v -> (
-      match (Json.to_str k, Json.to_str key, Json.to_float v) with
-      (* No observation is negative, and [Json] already refuses non-finite
-         numbers. A "u" may exceed 1: a Σ pass records its estimated
-         distinct count over its rows, and the estimate can overshoot. *)
-      | Some k, Some key, Some v when List.mem k kinds && v >= 0.0 ->
-        Some (k, key, v)
-      | _ -> None)
-    | _ -> None)
+let observation j =
+  match
+    ( Option.bind (Json.member "k" j) Json.to_str,
+      Option.bind (Json.member "key" j) Json.to_str,
+      Option.bind (Json.member "v" j) Json.to_float )
+  with
+  (* No observation is negative, and [Json] already refuses non-finite
+     numbers. A "u" may exceed 1: a Σ pass records its estimated distinct
+     count over its rows, and the estimate can overshoot. *)
+  | Some k, Some key, Some v when List.mem k kinds && v >= 0.0 -> Ok (k, key, v)
+  | _ -> Error "not an observation (known kind, string key, value >= 0)"
 
-(* The observations of the log at [path] and the number of lines skipped
-   as unusable (torn, malformed or out of range). *)
+(* The observations of the log at [path] and the number of lines rejected
+   as unusable (blank, torn, malformed or out of range). A log that cannot
+   be read is empty. *)
 let read_lines path =
-  match open_in path with
-  | exception Sys_error _ -> ([], 0)
-  | ic ->
-    let rec go acc skipped =
-      match input_line ic with
-      | line -> (
-        match parse_line line with
-        | Some o -> go (o :: acc) skipped
-        | None -> go acc (skipped + 1))
-      | exception End_of_file -> (List.rev acc, skipped)
-    in
-    let read = go [] 0 in
-    close_in_noerr ic;
-    read
+  match Jsonl.read path observation with
+  | Ok (obs, rejected) -> (obs, List.length rejected)
+  | Error _ -> ([], 0)
 
 (* Canonical fold: append order varies across [--jobs] settings, so sort
    the observation multiset before summing — float addition is not
@@ -121,8 +109,12 @@ let aggregate obs =
     (List.sort compare obs);
   tbl
 
-let open_ path = { path; baseline = aggregate (fst (read_lines path)) }
+let open_ path =
+  let obs, rejected = read_lines path in
+  { path; baseline = aggregate obs; rejected }
+
 let path t = t.path
+let lines_rejected t = t.rejected
 
 let kind_name = function
   | "c" -> "count"
@@ -162,19 +154,8 @@ let flush_query t ~query ~counts ~distincts ~udf =
           [ line "uc" key evals; line "u" key frac ])
         udf
   in
-  if lines <> [] then
-    (* One lock hold per query keeps a query's lines contiguous and never
-       torn by another domain's flush (the Qlog append idiom). *)
-    Span.with_line_lock (fun () ->
-        match open_out_gen [ Open_append; Open_creat ] 0o644 t.path with
-        | exception Sys_error _ -> ()
-        | oc ->
-          List.iter
-            (fun l ->
-              output_string oc l;
-              output_char oc '\n')
-            lines;
-          close_out_noerr oc);
+  (* One lock hold per query keeps a query's lines contiguous. *)
+  if lines <> [] then Jsonl.append_lines t.path lines;
   List.length lines
 
 (* --- Warm-start (DESIGN.md §16: the fallback ladder) --- *)

@@ -43,14 +43,18 @@ open Monsoon_stats
 type t
 
 val open_ : string -> t
-(** [open_ path] loads the observation log at [path] (a missing file is an
-    empty repository) and freezes the aggregate baseline. A line that does
-    not parse, names an unknown kind, or carries a negative value is
-    skipped ({!show} counts them), and
-    [Json.of_string] refuses numbers that overflow to infinity, so no
+(** [open_ path] loads the observation log at [path] with
+    {!Monsoon_telemetry.Jsonl.read} (a file that cannot be read is an
+    empty repository) and freezes the aggregate baseline. A line that is
+    blank or torn, does not parse, names an unknown kind, or carries a
+    negative value is rejected and counted ({!lines_rejected}, {!show}),
+    and [Json.of_string] refuses numbers that overflow to infinity, so no
     lookup answers with a non-finite or negative value. *)
 
 val path : t -> string
+
+val lines_rejected : t -> int
+(** The number of log lines {!open_} rejected. *)
 
 (** {2 Fingerprints} *)
 
@@ -58,12 +62,13 @@ val count_key : Query.t -> Relset.t -> string
 (** ["<query>|<table:alias>,..."] — result counts are per query instance. *)
 
 val distinct_key : Query.t -> Term.t -> string
-(** ["udf(table.col,...)"] — alias-free, so a term measured under one
-    query warms every query applying the same UDF to the same columns. *)
+(** ["<query>|udf(table.col,...)"] — scoped by query name: a distinct is
+    measured over a query-specific intermediate, so a term measured under
+    one query warms later runs of that query only (DESIGN.md §16). *)
 
 val udf_key : Query.t -> Term.t -> string
-(** Same fingerprint as {!distinct_key}; UDF cost/selectivity entries are
-    stored under separate kinds. *)
+(** Same query-scoped fingerprint as {!distinct_key}; UDF
+    cost/selectivity entries are stored under separate kinds. *)
 
 (** {2 Recording} *)
 
@@ -78,7 +83,9 @@ val flush_query :
     catalog, [distincts] as (term id, measured d) for genuinely measured
     Wildcard entries (warm-start seeds excluded), [udf] as (term id, rows
     evaluated, observed fraction) — the [measured_*] and
-    [udf_observations] fields of a [Driver.outcome] — as JSONL lines under one line-lock hold.
+    [udf_observations] fields of a [Driver.outcome] — as JSONL lines with
+    one {!Monsoon_telemetry.Jsonl.append_lines} call (one line-lock
+    hold).
     Returns the number of lines written. Write errors are swallowed (the
     repository is an accelerator, never a correctness dependency). *)
 
@@ -108,8 +115,8 @@ val entries : t -> entry list
 
 val show : t -> string
 (** Deterministic rendering of the *current* log (re-read, not the frozen
-    baseline), one row per key, after a count of skipped lines when there
-    are any. *)
+    baseline), one row per key, after a count of rejected lines
+    (["skipped N unusable lines"]) when there are any. *)
 
 val snapshot : t -> (string, string) result
 (** Writes the current log's aggregate to ["<path>.snap-NNNNNN.json"]

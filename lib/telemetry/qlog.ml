@@ -181,7 +181,7 @@ let rotate t oc =
 
 let append t r =
   let line = Json.to_string (to_json r) ^ "\n" in
-  Span.with_line_lock (fun () ->
+  Jsonl.with_lock (fun () ->
       (match t.oc with
       | Some oc when t.bytes > 0 && t.bytes + String.length line > t.max_bytes
         ->
@@ -196,7 +196,7 @@ let append t r =
         with Sys_error _ -> ()))
 
 let close t =
-  Span.with_line_lock (fun () ->
+  Jsonl.with_lock (fun () ->
       match t.oc with
       | None -> ()
       | Some oc ->
@@ -204,31 +204,14 @@ let close t =
         (try close_out oc with Sys_error _ -> ()))
 
 let load p =
-  let ( let* ) r f = Result.bind r f in
-  match open_in p with
-  | exception Sys_error msg -> Error (Printf.sprintf "qlog: cannot read: %s" msg)
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec go acc lineno =
-          match input_line ic with
-          | exception End_of_file -> Ok (List.rev acc)
-          | "" -> go acc (lineno + 1)
-          | line ->
-            let* j =
-              Result.map_error
-                (fun e -> Printf.sprintf "line %d: %s" lineno e)
-                (Json.of_string line)
-            in
-            let* r =
-              Result.map_error
-                (fun e -> Printf.sprintf "line %d: %s" lineno e)
-                (of_json j)
-            in
-            go (r :: acc) (lineno + 1)
-        in
-        go [] 1)
+  match Jsonl.read p of_json with
+  | Error msg -> Error (Printf.sprintf "qlog: cannot read: %s" msg)
+  | Ok (records, []) -> Ok records
+  | Ok (_, ({ Jsonl.line; reason } :: _ as rejected)) ->
+    let n = List.length rejected in
+    Error
+      (Printf.sprintf "qlog: %d rejected line%s; line %d: %s" n
+         (if n = 1 then "" else "s") line reason)
 
 (* --- aggregation --- *)
 

@@ -16,7 +16,7 @@
     captures join on one key.
 
     Writers are domain-safe: each line is appended whole under the
-    process-wide JSONL line lock ({!Span.with_line_lock}). The file is
+    process-wide JSONL line lock ({!Jsonl.with_lock}). The file is
     bounded: when an append would push it past [max_bytes] the current
     file rotates to [path ^ ".1"] (replacing any previous rotation) and a
     fresh file starts — the two files together never exceed roughly twice
@@ -90,8 +90,11 @@ val close : t -> unit
 (** {1 Reading and aggregating} *)
 
 val load : string -> (record list, string) result
-(** Reads a qlog file back (blank lines skipped); [Error] carries the
-    first offending line number. Fields a record does not define — such
+(** Reads a qlog file back with {!Jsonl.read}. Any rejected line —
+    blank, torn, malformed or not a record — refuses the whole file:
+    [Error] names the rejected count and the first rejected line's number
+    and reason ([monsoon qlog] instead reports the records it could read
+    beside every rejected line). Fields a record does not define — such
     as the per-operator [nodes] array older profiled runs wrote — are
     ignored, so such files still load. *)
 

@@ -119,14 +119,6 @@ let of_json j =
   in
   Ok { id; parent; name; start; stop; attrs = List.rev attrs }
 
-(* One process-wide lock serialises Jsonl writes: a span's line must not
-   interleave with another domain's, whichever tracer owns the channel. *)
-let jsonl_lock = Mutex.create ()
-
-let with_line_lock f =
-  Mutex.lock jsonl_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock jsonl_lock) f
-
 let rec emit sink s =
   match sink with
   | Null -> ()
@@ -135,11 +127,12 @@ let rec emit sink s =
     b.spans <- s :: b.spans;
     Mutex.unlock b.block
   | Jsonl oc ->
+    (* Under the process-wide line lock: a span's line must not interleave
+       with another domain's, whichever tracer owns the channel. *)
     let line = Json.to_string (to_json s) in
-    Mutex.lock jsonl_lock;
-    output_string oc line;
-    output_char oc '\n';
-    Mutex.unlock jsonl_lock
+    Jsonl.with_lock (fun () ->
+        output_string oc line;
+        output_char oc '\n')
   | Callback f -> f s
   | Multi sinks -> List.iter (fun snk -> emit snk s) sinks
 
@@ -150,9 +143,7 @@ let rec emit sink s =
 let rec flush = function
   | Null | Memory _ | Callback _ -> ()
   | Jsonl oc ->
-    Mutex.lock jsonl_lock;
-    (try Stdlib.flush oc with Sys_error _ -> ());
-    Mutex.unlock jsonl_lock
+    Jsonl.with_lock (fun () -> try Stdlib.flush oc with Sys_error _ -> ())
   | Multi sinks -> List.iter flush sinks
 
 let with_span tr ?(attrs = []) name f =

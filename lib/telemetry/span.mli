@@ -19,8 +19,9 @@
     A tracer may be shared across domains: ids come from an atomic counter,
     the open-span stack is domain-local (so parent/child nesting is tracked
     per domain and never crosses domains), [Memory] buffers are
-    mutex-guarded, and [Jsonl] lines are written whole under a process-wide
-    lock. The [Null] fast path stays allocation- and lock-free. *)
+    mutex-guarded, and [Jsonl] lines are written whole under the
+    process-wide line lock ({!Jsonl.with_lock}). The [Null] fast path
+    stays allocation- and lock-free. *)
 
 type attr =
   | Bool of bool
@@ -75,13 +76,7 @@ val with_span :
 val flush : sink -> unit
 (** Pushes buffered [Jsonl] output to the OS so the trace file can be
     tailed during a run; a no-op on every other sink. Safe from any
-    domain (takes the process-wide line lock, so it never tears a line). *)
-
-val with_line_lock : (unit -> 'a) -> 'a
-(** Runs [f] under the process-wide JSONL line lock — the same lock the
-    [Jsonl] sink serialises span lines with. Other line-oriented appenders
-    ({!Qlog}) take it so their lines never interleave with a trace line
-    (or each other's) when several domains write at once. *)
+    domain (takes {!Jsonl.with_lock}, so it never tears a line). *)
 
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result

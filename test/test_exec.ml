@@ -448,6 +448,40 @@ let prop_plan_shape_irrelevant =
       in
       run plan1 = run plan2)
 
+(* A scan's selections observe each term over the rows it evaluated:
+   [s = 0] keeps 25 of 100 rows, and the opaque parity test after it sees
+   those 25 and keeps them all — (25, 1.0), not the conjunction's
+   (100, 0.25). *)
+let test_scan_observes_each_term () =
+  let cat = Catalog.create () in
+  Catalog.add cat
+    (Table.of_row_array ~name:"T"
+       (Fixtures.int_schema [ "s"; "v" ])
+       (Array.init 100 (fun i -> [| Value.Int (i mod 4); Value.Int i |])));
+  let b = Query.Builder.create ~name:"per-term" in
+  let t = Query.Builder.rel b ~table:"T" ~alias:"T" in
+  let s_eq = Query.Builder.term b (Udf.identity "s") [ (t, "s") ] in
+  let parity =
+    Query.Builder.term b
+      (Udf.make "parity" (function
+        | [| Value.Int v |] -> Value.Int (v mod 2)
+        | _ -> Value.Null))
+      [ (t, "v") ]
+  in
+  Query.Builder.select_pred b s_eq (Value.Int 0);
+  Query.Builder.select_pred b parity (Value.Int 0);
+  let q = Query.Builder.build b in
+  let exec = Executor.create cat q (Executor.budget 1e6) in
+  ignore (Executor.execute exec (Expr.base 0));
+  let observed =
+    List.concat_map (fun (n : Executor.node) -> n.Executor.udf)
+      (Executor.nodes exec)
+  in
+  Alcotest.(check (list (triple int (float 0.0) (float 0.0))))
+    "each term's rows in and kept fraction, in predicate order"
+    [ (s_eq.Term.id, 100.0, 0.25); (parity.Term.id, 25.0, 1.0) ]
+    observed
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "exec"
@@ -469,5 +503,7 @@ let () =
           Alcotest.test_case "two int keys join fused" `Quick
             test_two_int_keys_join_fused;
           Alcotest.test_case "udf keys join routing" `Quick
-            test_udf_keys_join_routing ] );
+            test_udf_keys_join_routing;
+          Alcotest.test_case "scan observes each term" `Quick
+            test_scan_observes_each_term ] );
       ("properties", qc [ prop_join_equals_oracle; prop_plan_shape_irrelevant ]) ]

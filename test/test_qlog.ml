@@ -140,6 +140,32 @@ let test_writer_rotation_and_load () =
   Sys.remove path;
   Sys.remove rotated
 
+(* Any rejected line refuses the file, and the error names how many were
+   rejected and the first one: here a blank line, then a record torn by a
+   crash mid-append. *)
+let test_load_refuses_rejected_lines () =
+  let path = tmp_qlog () in
+  let w = writer path in
+  let record =
+    Qlog.of_events ~trace:"t-1" ~query:"iq7" ~strategy:"serve" ~outcome:"ok"
+      ~latency:0.1 ~queue_wait:0.0 trajectory
+  in
+  Qlog.append w record;
+  Qlog.append w record;
+  Qlog.close w;
+  (match Qlog.load path with
+  | Ok rs -> Alcotest.(check int) "two records" 2 (List.length rs)
+  | Error e -> Alcotest.fail e);
+  let line = Json.to_string (Qlog.to_json record) in
+  Out_channel.with_open_gen [ Open_append ] 0o644 path (fun oc ->
+      output_string oc ("\n" ^ String.sub line 0 (String.length line / 2)));
+  (match Qlog.load path with
+  | Ok _ -> Alcotest.fail "a qlog with rejected lines loaded"
+  | Error e ->
+    Alcotest.(check string) "names the count and the first line"
+      "qlog: 2 rejected lines; line 3: blank line" e);
+  Sys.remove path
+
 (* --- Aggregation --- *)
 
 let rec_ ?(outcome = "ok") ?(latency = 0.1) ?(cost = 10.0) ?(trace = "t")
@@ -398,7 +424,9 @@ let () =
           Alcotest.test_case "JSON round-trip" `Quick test_json_roundtrip ] );
       ( "writer",
         [ Alcotest.test_case "rotation and load" `Quick
-            test_writer_rotation_and_load ] );
+            test_writer_rotation_and_load;
+          Alcotest.test_case "load refuses rejected lines" `Quick
+            test_load_refuses_rejected_lines ] );
       ( "aggregation",
         [ Alcotest.test_case "report content and order-independence" `Quick
             test_report_content;

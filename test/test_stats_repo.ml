@@ -11,6 +11,7 @@ open Monsoon_workloads
 open Monsoon_harness
 module Stats_repo = Monsoon_stats_repo.Stats_repo
 module Json = Monsoon_telemetry.Json
+module Jsonl = Monsoon_telemetry.Jsonl
 
 (* Removes a repository path's log and every file named after it (its
    snapshots). *)
@@ -278,15 +279,9 @@ let test_warmstart_report_pinned () =
    the second reopens the log and warm-starts from it. *)
 
 let line_count path =
-  match open_in path with
-  | exception Sys_error _ -> 0
-  | ic ->
-    let rec go n =
-      match input_line ic with _ -> go (n + 1) | exception End_of_file -> n
-    in
-    let n = go 0 in
-    close_in ic;
-    n
+  match Jsonl.read path (fun _ -> Ok ()) with
+  | Ok (lines, rejected) -> List.length lines + List.length rejected
+  | Error _ -> 0
 
 let serve_pass path =
   let tel = Monsoon_telemetry.Ctx.null () in
@@ -395,24 +390,21 @@ let test_overflowing_distinct_skipped () =
 let test_overflowed_log_plans_like_no_repo () =
   let path = fresh_path () in
   ignore (run_small_suite ~stats_repo:(Stats_repo.open_ path) ~seed:3 ());
-  let ic = open_in path in
-  let rec read acc =
-    match input_line ic with
-    | l -> read (l :: acc)
-    | exception End_of_file -> List.rev acc
+  let lines =
+    match Jsonl.read path Result.ok with
+    | Ok (lines, []) -> lines
+    | _ -> Alcotest.fail "the cold run's log reads back whole"
   in
-  let lines = read [] in
-  close_in ic;
-  let overflow l =
-    match Json.of_string l with
-    | Ok j when Json.member "k" j = Some (Json.Str "d") ->
+  let overflow j =
+    match Json.member "k" j with
+    | Some (Json.Str "d") ->
       let key = Option.bind (Json.member "key" j) Json.to_str in
       obs_line "d" (Option.get key) "1e999"
-    | _ -> l
+    | _ -> Json.to_string j
   in
   let rewritten = List.map overflow lines in
   Alcotest.(check bool) "the cold run measured distincts" true
-    (rewritten <> lines);
+    (rewritten <> List.map Json.to_string lines);
   write_lines path rewritten;
   let warm = run_small_suite ~stats_repo:(Stats_repo.open_ path) ~seed:3 () in
   Alcotest.(check bool) "planning matches the repository-free run" true
@@ -435,6 +427,38 @@ let test_skipped_lines_counted () =
   write_lines path [ obs_line "c" "kept" "4" ];
   Alcotest.(check bool) "show is silent without skips" false
     (contains (Stats_repo.show (Stats_repo.open_ path)) "skipped")
+
+(* Lines the repository rejected at open reach the serving registry, so
+   /metrics shows a torn log instead of serving from less of it silently. *)
+let test_rejected_lines_on_metrics () =
+  let path = fresh_path () in
+  write_lines path
+    [ obs_line "c" "kept" "4"; {|{"k":"c","key":"torn","v":|} ];
+  let tel = Monsoon_telemetry.Ctx.null () in
+  let profile = { Experiments.quick with Experiments.ctx = tel } in
+  let repo = Stats_repo.open_ path in
+  Alcotest.(check int) "the handle counts the torn line" 1
+    (Stats_repo.lines_rejected repo);
+  match Experiments.service profile ~experiment:"udf" ~stats_repo:repo () with
+  | Error e -> Alcotest.fail e
+  | Ok (handler, names) ->
+    let server =
+      Monsoon_server.Server.create ~queries:names
+        { Monsoon_server.Server.default_config with
+          Monsoon_server.Server.request_timeout = None;
+          seed = profile.Experiments.seed }
+        handler
+    in
+    let r = Monsoon_server.Server.submit server (List.hd names) in
+    Monsoon_server.Server.stop server;
+    Alcotest.(check int) "served" 200 r.Monsoon_server.Server.rs_code;
+    Alcotest.(check (float 0.0)) "the counter holds the handle's count" 1.0
+      (Monsoon_telemetry.Metric.Counter.value
+         (Monsoon_telemetry.Ctx.counter tel "stats_repo.lines_rejected"));
+    Alcotest.(check bool) "/metrics shows it" true
+      (contains
+         (Monsoon_telemetry.Exporter.render tel.Monsoon_telemetry.Ctx.registry)
+         "\nmonsoon_stats_repo_lines_rejected_total 1\n")
 
 (* Arbitrary mixes of well-formed, out-of-range, overflowing, torn and
    garbage lines over the query's keys: [open_] never raises, and every
@@ -522,4 +546,6 @@ let () =
             test_warmstart_default_repo ] );
       ( "serving",
         [ Alcotest.test_case "two passes over one repository" `Quick
-            test_service_over_repo ] ) ]
+            test_service_over_repo;
+          Alcotest.test_case "rejected lines on /metrics" `Quick
+            test_rejected_lines_on_metrics ] ) ]

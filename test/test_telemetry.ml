@@ -153,22 +153,14 @@ let test_null_sink_noop () =
   Alcotest.(check int) "no attrs retained" 0
     (List.length (Option.get !seen).Span.attrs)
 
-(* A JSONL trace file read back into spans (blank lines skipped), or the
-   first reason it cannot be: an unreadable file or a line that is not a
-   span. *)
+(* A JSONL trace file read back into spans, or the reason it cannot be:
+   an unreadable file or its first rejected line. *)
 let load_spans path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error msg -> Error msg
-  | text ->
-    let rec go acc lineno = function
-      | [] -> Ok (List.rev acc)
-      | "" :: rest -> go acc (lineno + 1) rest
-      | line :: rest -> (
-        match Result.bind (Json.of_string line) Span.of_json with
-        | Ok s -> go (s :: acc) (lineno + 1) rest
-        | Error e -> Error (Printf.sprintf "line %d: %s" lineno e))
-    in
-    go [] 1 (String.split_on_char '\n' text)
+  match Jsonl.read path Span.of_json with
+  | Error msg -> Error msg
+  | Ok (spans, []) -> Ok spans
+  | Ok (_, { Jsonl.line; reason } :: _) ->
+    Error (Printf.sprintf "line %d: %s" line reason)
 
 let test_jsonl_roundtrip () =
   let file = Filename.temp_file "monsoon_trace" ".jsonl" in
@@ -228,8 +220,8 @@ let test_jsonl_flush_mid_run () =
   Ctx.flush (Ctx.null ());
   Span.flush (Span.Memory (Span.memory_buffer ()))
 
-(* An unreadable path is an [Error], not an exception, and so is a line
-   that is not a span. *)
+(* An unreadable path is an [Error], not an exception; a blank line and a
+   line that is not a span are each rejected with their line number. *)
 let test_jsonl_load_errors () =
   let file = Filename.temp_file "monsoon_trace" ".jsonl" in
   Sys.remove file;
@@ -241,11 +233,40 @@ let test_jsonl_load_errors () =
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
-      match load_spans file with
-      | Error e ->
-        Alcotest.(check bool) ("names the line: " ^ e) true
-          (String.starts_with ~prefix:"line 2: " e)
-      | Ok _ -> Alcotest.fail "a non-span line loaded")
+      match Jsonl.read file Span.of_json with
+      | Error e -> Alcotest.fail e
+      | Ok (spans, rejected) ->
+        Alcotest.(check int) "no spans" 0 (List.length spans);
+        Alcotest.(check (list int)) "both lines rejected" [ 1; 2 ]
+          (List.map (fun r -> r.Jsonl.line) rejected);
+        Alcotest.(check string) "the blank line's reason" "blank line"
+          (List.hd rejected).Jsonl.reason)
+
+(* A Jsonl sink on a closed channel raises as its span closes; the line
+   lock must be released all the same, or every later trace line, qlog
+   append and repository flush in the process deadlocks. Another thread
+   takes the lock with a deadline, so a leaked lock fails the test
+   instead of hanging it. *)
+let test_jsonl_lock_released_on_error () =
+  let file = Filename.temp_file "monsoon_trace" ".jsonl" in
+  let oc = open_out file in
+  close_out oc;
+  Sys.remove file;
+  let tr = Span.make (Span.Jsonl oc) in
+  (match Span.with_span tr "doomed" (fun _ -> ()) with
+  | () -> Alcotest.fail "a span closed onto a closed channel"
+  | exception Sys_error _ -> ());
+  let taken = Atomic.make false in
+  ignore
+    (Thread.create
+       (fun () -> Jsonl.with_lock (fun () -> Atomic.set taken true))
+       ());
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  while (not (Atomic.get taken)) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  Alcotest.(check bool) "another thread takes the line lock" true
+    (Atomic.get taken)
 
 (* --- Snapshots --- *)
 
@@ -482,6 +503,91 @@ let prop_json_total_and_roundtrip =
       (match Json.of_string s with Ok _ | Error _ -> ());
       Json.of_string (Json.to_string v) = Ok v)
 
+(* --- JSONL logs --- *)
+
+(* One line of a generated log. A record decodes; a refused line parses
+   but is not a record; garbage never parses ('#' starts no JSON value). *)
+type log_line =
+  | Record of int * string
+  | Refused of int
+  | Garbage of string
+  | Blank
+
+let decode_record j =
+  match
+    ( Option.bind (Json.member "n" j) Json.to_int,
+      Option.bind (Json.member "s" j) Json.to_str )
+  with
+  | Some n, Some s -> Ok (n, s)
+  | _ -> Error "not a record"
+
+let record_text n s =
+  Json.to_string
+    (Json.Obj [ ("n", Json.Num (float_of_int n)); ("s", Json.Str s) ])
+
+let log_line =
+  let open QCheck.Gen in
+  frequency
+    [ (4, map2 (fun n s -> Record (n, s)) small_signed_int string);
+      (1, map (fun n -> Refused n) small_signed_int);
+      ( 1,
+        map
+          (fun s ->
+            Garbage
+              ("#" ^ String.map (fun c -> if c = '\n' then ' ' else c) s))
+          string_printable );
+      (1, return Blank) ]
+
+let line_text = function
+  | Record (n, s) -> record_text n s
+  | Refused n -> Json.to_string (Json.Arr [ Json.Num (float_of_int n) ])
+  | Garbage g -> g
+  | Blank -> ""
+
+(* Any mix of records, refused lines, garbage and blank lines, with or
+   without a torn last line (a strict prefix of a record, no newline):
+   [read] never raises, returns every record in file order, and rejects
+   exactly the other lines. *)
+let prop_jsonl_read =
+  let gen =
+    QCheck.Gen.(
+      pair (list_size (0 -- 20) log_line)
+        (opt (triple small_signed_int string_printable small_nat)))
+  in
+  QCheck.Test.make ~name:"Jsonl.read round-trips records, rejects the rest"
+    ~count:300
+    (QCheck.make gen)
+    (fun (lines, torn) ->
+      let file = Filename.temp_file "monsoon_log" ".jsonl" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove file)
+        (fun () ->
+          Out_channel.with_open_bin file (fun oc ->
+              List.iter (fun l -> output_string oc (line_text l ^ "\n")) lines;
+              Option.iter
+                (fun (n, s, cut) ->
+                  let text = record_text n s in
+                  let len = 1 + (cut mod (String.length text - 1)) in
+                  output_string oc (String.sub text 0 len))
+                torn);
+          let records =
+            List.filter_map
+              (function Record (n, s) -> Some (n, s) | _ -> None)
+              lines
+          in
+          let bad =
+            List.concat
+              (List.mapi
+                 (fun i l -> match l with Record _ -> [] | _ -> [ i + 1 ])
+                 lines)
+            @ if torn = None then [] else [ List.length lines + 1 ]
+          in
+          match Jsonl.read file decode_record with
+          | Error _ -> false
+          | Ok (decoded, rejected) ->
+            decoded = records
+            && List.map (fun r -> r.Jsonl.line) rejected = bad))
+
 let test_json_bad_escapes () =
   List.iter
     (fun s ->
@@ -510,7 +616,9 @@ let () =
           Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
           Alcotest.test_case "jsonl flush mid-run" `Quick
             test_jsonl_flush_mid_run;
-          Alcotest.test_case "jsonl load errors" `Quick test_jsonl_load_errors ] );
+          Alcotest.test_case "jsonl load errors" `Quick test_jsonl_load_errors;
+          Alcotest.test_case "jsonl lock released on error" `Quick
+            test_jsonl_lock_released_on_error ] );
       ( "snapshot",
         [ Alcotest.test_case "metrics reports" `Quick test_snapshot_reports;
           Alcotest.test_case "empty histogram export" `Quick
@@ -528,4 +636,5 @@ let () =
             test_driver_breakdown ] );
       ( "json",
         [ Alcotest.test_case "bad \\u escapes" `Quick test_json_bad_escapes;
-          QCheck_alcotest.to_alcotest prop_json_total_and_roundtrip ] ) ]
+          QCheck_alcotest.to_alcotest prop_json_total_and_roundtrip;
+          QCheck_alcotest.to_alcotest prop_jsonl_read ] ) ]
