@@ -692,16 +692,9 @@ let append_history path ~jobs rows =
            ("jobs", Json.Num (float_of_int jobs));
            ("kernels_ns_per_op", Json.Obj (List.map entry rows)) ])
   in
-  match open_out_gen [ Open_append; Open_creat ] 0o644 path with
-  | exception Sys_error msg ->
-    Printf.eprintf "bench: --append-history %s: %s\n" path msg
-  | oc ->
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc line;
-        output_char oc '\n');
-    Printf.printf "  (appended kernel history line to %s)\n\n" path
+  if Jsonl.append_lines path [ line ] = 0 then
+    Printf.eprintf "bench: --append-history %s: cannot append\n" path
+  else Printf.printf "  (appended kernel history line to %s)\n\n" path
 
 let run_microbenchmarks () =
   let instance = Toolkit.Instance.monotonic_clock in

@@ -27,10 +27,15 @@ let write_file path content =
     Ok ()
   with Sys_error msg -> Error (Printf.sprintf "cannot write %s: %s" path msg)
 
+let report_failed log ~failed =
+  if failed > 0 then
+    Printf.eprintf "monsoon: %s: %d line%s could not be written\n" log failed
+      (if failed = 1 then "" else "s")
+
 (* Where completed spans go when --trace is given. *)
 type trace_dest =
   | Trace_none
-  | Trace_jsonl of out_channel
+  | Trace_jsonl of Jsonl.writer
   | Trace_perfetto of string * Trace_event.t
 
 let open_trace_dest ~trace ~trace_format =
@@ -39,14 +44,16 @@ let open_trace_dest ~trace ~trace_format =
   | None, `Jsonl -> Ok Trace_none
   | Some "", _ -> Error "--trace requires a non-empty FILE"
   | Some path, `Jsonl -> (
-    try Ok (Trace_jsonl (open_out path))
-    with Sys_error msg ->
-      Error (Printf.sprintf "cannot open trace file: %s" msg))
+    match Jsonl.open_writer ~truncate:true path with
+    | Ok w -> Ok (Trace_jsonl w)
+    | Error msg -> Error ("cannot open trace file: " ^ msg))
   | Some path, `Perfetto -> Ok (Trace_perfetto (path, Trace_event.create ()))
 
 let close_trace_dest = function
   | Trace_none -> ()
-  | Trace_jsonl oc -> close_out oc
+  | Trace_jsonl w ->
+    Jsonl.close w;
+    report_failed "trace" ~failed:(Jsonl.failed w)
   | Trace_perfetto (path, collector) -> (
     match write_file path (Trace_event.to_string collector) with
     | Ok () -> ()
@@ -70,7 +77,7 @@ let with_telemetry ~trace ~trace_format ~keep ~serve ~interval ~watch f =
       @
       match dest with
       | Trace_none -> []
-      | Trace_jsonl oc -> [ Span.Jsonl oc ]
+      | Trace_jsonl w -> [ Span.Jsonl w ]
       | Trace_perfetto (_, collector) -> [ Trace_event.sink collector ]
     in
     let sink =
@@ -90,10 +97,7 @@ let with_telemetry ~trace ~trace_format ~keep ~serve ~interval ~watch f =
             prev := Some s
           end
         in
-        Some
-          (Monitor.create ~interval ~on_tick
-             ~flush:(fun () -> Span.flush sink)
-             tel.Ctx.registry)
+        Some (Monitor.create ~interval ~on_tick tel.Ctx.registry)
       end
     in
     let served =
@@ -427,7 +431,11 @@ let with_qlog path f =
     match Qlog.create p with
     | Error msg -> Error msg
     | Ok q ->
-      Fun.protect ~finally:(fun () -> Qlog.close q) (fun () -> f (Some q)))
+      let close () =
+        Qlog.close q;
+        report_failed "qlog" ~failed:(Qlog.failed q)
+      in
+      Fun.protect ~finally:close (fun () -> f (Some q)))
 
 let chaos_cmd =
   let doc =

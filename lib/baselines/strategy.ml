@@ -220,7 +220,7 @@ let run_on_repo repo ?env config catalog q =
               | None -> config.Driver.prior)) }
   in
   let out = Driver.run ?env config catalog q in
-  let wrote =
+  let wrote, failed =
     Stats_repo.flush_query repo ~query:q ~counts:out.Driver.measured_counts
       ~distincts:out.Driver.measured_distincts
       ~udf:out.Driver.udf_observations
@@ -229,6 +229,10 @@ let run_on_repo repo ?env config catalog q =
   Metric.Counter.add
     (Ctx.counter tel "repo.entries_written")
     (float_of_int wrote);
+  if failed > 0 then
+    Metric.Counter.add
+      (Ctx.counter tel "repo.lines_failed")
+      (float_of_int failed);
   out
 
 let monsoon ?iterations ?scale_with_size ?selection ?stats_repo prior =

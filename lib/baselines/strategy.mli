@@ -76,8 +76,8 @@ val monsoon :
     [known_distincts] (Known) and [prior_of] (Hint), counted on
     [repo.lookups] / [repo.hits] / [repo.warm_starts]; after it the run's
     measured statistics are flushed, counted on [repo.flushes] /
-    [repo.entries_written]. Omitted, or empty, runs are byte-identical to
-    runs without the repository. *)
+    [repo.entries_written] / [repo.lines_failed]. Omitted, or empty, runs
+    are byte-identical to runs without the repository. *)
 
 val fixed_plan : name:string -> (Query.t -> Expr.t) -> t
 (** Execute a externally supplied plan (the OTT benchmark's hand-written

@@ -225,7 +225,6 @@ let run ?(profile = Profile.disabled) ?(env = Env.default) config catalog
            cost = !total_cost;
            timed_out;
            result_card });
-    Ctx.flush tel;
     Span.set_attr run_span "timed_out" (Span.Bool timed_out);
     Span.set_attr run_span "cost" (Span.Float !total_cost);
     Span.set_attr run_span "executes" (Span.Int n_executes);

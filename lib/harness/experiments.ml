@@ -296,10 +296,19 @@ let seven profile = Strategy.standard_seven Prior.spike_and_slab
          else s)
 
 (* Tables 3/4/5 share one IMDB run and Table 7/Figure 3 one UDF run; cache
-   them so `run all` does not repeat multi-minute suites. *)
-let memo_cache : (string, string * string * string) Hashtbl.t = Hashtbl.create 4
+   them so `run all` does not repeat multi-minute suites. The key holds
+   every profile field a table depends on: [ctx] only observes the run, and
+   jobs invariance means [jobs] cannot change a table. *)
+let memo_cache = Hashtbl.create 4
 
-let memoized key compute =
+let memoized tables p compute =
+  let key =
+    ( (tables, p.label, p.seed, p.monsoon_iterations),
+      [ p.imdb_scale; p.tpch_scale; p.ott_scale; p.udf_imdb_scale;
+        p.udf_tpch_scale; p.imdb_budget; p.tpch_budget; p.ott_budget;
+        p.udf_budget ],
+      (p.tpch_queries, p.imdb_queries) )
+  in
   match Hashtbl.find_opt memo_cache key with
   | Some v -> v
   | None ->
@@ -353,7 +362,7 @@ let tables3_4_5_uncached profile =
   (t3, t4, t5)
 
 let tables3_4_5 profile =
-  memoized ("t345-" ^ profile.label) (fun () -> tables3_4_5_uncached profile)
+  memoized "t345" profile (fun () -> tables3_4_5_uncached profile)
 
 let ott_suite profile =
   let cfg = { Ott.seed = profile.seed; scale = profile.ott_scale; domain = 100 } in
@@ -425,13 +434,10 @@ let table7_figure3_uncached profile =
   (t7, fig3)
 
 let table7_figure3 profile =
-  let t7, f3 =
-    let pair =
-      memoized ("t7f3-" ^ profile.label) (fun () ->
-          let a, b = table7_figure3_uncached profile in
-          (a, b, ""))
-    in
-    match pair with a, b, _ -> (a, b)
+  let t7, f3, _ =
+    memoized "t7f3" profile (fun () ->
+        let t7, f3 = table7_figure3_uncached profile in
+        (t7, f3, ""))
   in
   (t7, f3)
 
@@ -925,21 +931,15 @@ let chaos profile ~experiment ~faults ~retries ~cell_deadline ?qlog () =
           runner.quarantined=%d\n"
          (counter "fault.injected") (counter "driver.degraded")
          (counter "runner.retries") (counter "runner.quarantined"));
-    Ctx.flush profile.ctx;
     Ok (Buffer.contents buf)
 
 (* Runs one experiment under an "experiment" span (so Perfetto traces
-   and span breakdowns group whole tables) and counts it, flushing any
-   Jsonl trace sink when the table is done. *)
+   and span breakdowns group whole tables) and counts it. *)
 let run profile ~id fn =
-  let out =
-    Ctx.with_span profile.ctx "experiment" ~attrs:[ ("id", Span.Str id) ]
-    @@ fun _span ->
-    Metric.Counter.inc (Ctx.counter profile.ctx "harness.experiments");
-    fn profile
-  in
-  Ctx.flush profile.ctx;
-  out
+  Ctx.with_span profile.ctx "experiment" ~attrs:[ ("id", Span.Str id) ]
+  @@ fun _span ->
+  Metric.Counter.inc (Ctx.counter profile.ctx "harness.experiments");
+  fn profile
 
 let all =
   [ ("table1", "Sec 2.3 cardinality scenarios", fun _ -> table1 ());

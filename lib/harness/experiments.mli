@@ -110,9 +110,9 @@ val all : (string * string * (profile -> string)) list
 
 val run : profile -> id:string -> (profile -> string) -> string
 (** [run profile ~id fn] invokes one experiment under an ["experiment"]
-    span carrying the id, bumps the [harness.experiments] counter, and
-    flushes the profile's trace sink when the table is done — the entry
-    point the CLI uses so traces and live metrics cover whole tables. *)
+    span carrying the id and bumps the [harness.experiments] counter —
+    the entry point the CLI uses so traces and live metrics cover whole
+    tables. *)
 
 val explain :
   ?op_profile:bool ->

@@ -160,15 +160,14 @@ type agg = {
   a_query : string;
   a_count : int;
   a_by_status : (string * int) list;
-  a_latencies : float array;  (* sorted ascending *)
+  a_latencies : float array;
 }
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else
-    let rank = int_of_float (ceil (p *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) rank))
+(* The report's p50, p95 and p99, by nearest rank; 0 for no samples. *)
+let p50_95_99 a =
+  List.map
+    (fun p -> if Array.length a = 0 then 0.0 else Dist.percentile a p)
+    [ 50.0; 95.0; 99.0 ]
 
 let aggregate samples =
   let tbl = Hashtbl.create 16 in
@@ -186,10 +185,6 @@ let aggregate samples =
   List.sort compare !order
   |> List.map (fun q ->
          let ss = Hashtbl.find tbl q in
-         let lats =
-           List.map (fun s -> s.s_latency) ss |> Array.of_list
-         in
-         Array.sort compare lats;
          { a_query = q;
            a_count = List.length ss;
            a_by_status =
@@ -198,7 +193,7 @@ let aggregate samples =
                  ( st,
                    List.length (List.filter (fun s -> s.s_status = st) ss) ))
                statuses;
-           a_latencies = lats })
+           a_latencies = Array.of_list (List.map (fun s -> s.s_latency) ss) })
 
 let secs v = Printf.sprintf "%.4gs" v
 
@@ -206,21 +201,16 @@ let agg_row a =
   let count st = string_of_int (List.assoc st a.a_by_status) in
   [ a.a_query; string_of_int a.a_count ]
   @ List.map count statuses
-  @ [ secs (percentile a.a_latencies 0.5);
-      secs (percentile a.a_latencies 0.95);
-      secs (percentile a.a_latencies 0.99) ]
+  @ List.map secs (p50_95_99 a.a_latencies)
 
 let totals_row samples =
-  let lats = List.map (fun s -> s.s_latency) samples |> Array.of_list in
-  Array.sort compare lats;
+  let lats = Array.of_list (List.map (fun s -> s.s_latency) samples) in
   let count st =
     string_of_int (List.length (List.filter (fun s -> s.s_status = st) samples))
   in
   [ "TOTAL"; string_of_int (List.length samples) ]
   @ List.map count statuses
-  @ [ secs (percentile lats 0.5);
-      secs (percentile lats 0.95);
-      secs (percentile lats 0.99) ]
+  @ List.map secs (p50_95_99 lats)
 
 let report r =
   let n = List.length r.samples in
@@ -262,7 +252,8 @@ let to_json r =
                  @ List.map
                      (fun (st, c) -> (st, Json.Num (float_of_int c)))
                      a.a_by_status
-                 @ [ ("p50_s", Json.Num (percentile a.a_latencies 0.5));
-                     ("p95_s", Json.Num (percentile a.a_latencies 0.95));
-                     ("p99_s", Json.Num (percentile a.a_latencies 0.99)) ]))
+                 @ List.map2
+                     (fun k v -> (k, Json.Num v))
+                     [ "p50_s"; "p95_s"; "p99_s" ]
+                     (p50_95_99 a.a_latencies)))
              (aggregate r.samples)) ) ]

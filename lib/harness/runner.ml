@@ -89,10 +89,13 @@ let run_suite ?(env = Monsoon_util.Env.default) config strategies
         match config.qlog with
         | None -> ()
         | Some qlog ->
-          Qlog.append qlog
-            (Qlog.of_events ~trace ~query:qname ~strategy:s.Strategy.name
-               ~outcome ~latency ~queue_wait:0.0 ?cost ?result_card ?plan
-               ~detail events)
+          let r =
+            Qlog.of_events ~trace ~query:qname ~strategy:s.Strategy.name
+              ~outcome ~latency ~queue_wait:0.0 ?cost ?result_card ?plan
+              ~detail events
+          in
+          if not (Qlog.append qlog r) then
+            Metric.Counter.inc (Ctx.counter tel "qlog.lines_failed")
       in
       let run_attempt k =
         let rng =
@@ -199,7 +202,6 @@ let run_suite ?(env = Monsoon_util.Env.default) config strategies
       in
       let cell = attempt 0 in
       Metric.Counter.inc c_cells;
-      Ctx.flush tel;
       cell
     end
   in

@@ -176,11 +176,14 @@ let submit t qname =
     | Some qlog ->
       let plan = if code = 200 then detail else "" in
       let fail_detail = if code = 200 then "" else detail in
-      Qlog.append qlog
-        (Qlog.of_events ~trace ~query:qname ~strategy:"serve"
-           ~outcome:(Slo.outcome_label outcome) ~latency ~queue_wait ~cost
-           ~plan ~detail:fail_detail
-           (Recorder.events recorder)));
+      let r =
+        Qlog.of_events ~trace ~query:qname ~strategy:"serve"
+          ~outcome:(Slo.outcome_label outcome) ~latency ~queue_wait ~cost
+          ~plan ~detail:fail_detail
+          (Recorder.events recorder)
+      in
+      if not (Qlog.append qlog r) then
+        Metric.Counter.inc (Ctx.counter t.ctx "qlog.lines_failed"));
     { rs_id = id;
       rs_query = qname;
       rs_trace = trace;

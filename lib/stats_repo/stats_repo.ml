@@ -154,9 +154,9 @@ let flush_query t ~query ~counts ~distincts ~udf =
           [ line "uc" key evals; line "u" key frac ])
         udf
   in
-  (* One lock hold per query keeps a query's lines contiguous. *)
-  if lines <> [] then Jsonl.append_lines t.path lines;
-  List.length lines
+  (* One batch per query keeps a query's lines contiguous. *)
+  let written = if lines = [] then 0 else Jsonl.append_lines t.path lines in
+  (written, List.length lines - written)
 
 (* --- Warm-start (DESIGN.md §16: the fallback ladder) --- *)
 
@@ -246,14 +246,11 @@ let snapshot t =
         0 (snapshots t)
   in
   let path = Printf.sprintf "%s%s%06d.json" t.path snap_re next in
-  match open_out path with
-  | exception Sys_error e -> Error e
-  | oc ->
-    output_string oc
-      (Json.to_string (Json.Obj [ ("entries", Json.Arr (List.map entry_json es)) ]));
-    output_char oc '\n';
-    close_out_noerr oc;
-    Ok path
+  let line =
+    Json.to_string (Json.Obj [ ("entries", Json.Arr (List.map entry_json es)) ])
+  in
+  if Jsonl.append_lines path [ line ] = 1 then Ok path
+  else Error (path ^ ": cannot write")
 
 let gc t ~keep =
   let snaps = snapshots t in
@@ -265,40 +262,33 @@ let gc t ~keep =
     List.length victims
   end
 
+(* A snapshot is a one-line JSONL file. *)
 let load_snapshot path =
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-    let buf = Buffer.create 4096 in
-    (try
-       while true do
-         Buffer.add_channel buf ic 4096
-       done
-     with End_of_file -> ());
-    close_in_noerr ic;
-    (match Json.of_string (Buffer.contents buf) with
-    | Error e -> Error (path ^ ": " ^ e)
-    | Ok j -> (
-      match Json.member "entries" j with
-      | Some (Json.Arr es) ->
-        Ok
-          (List.filter_map
-             (fun e ->
-               match
-                 ( Option.bind (Json.member "kind" e) Json.to_str,
-                   Option.bind (Json.member "key" e) Json.to_str,
-                   Option.bind (Json.member "n" e) Json.to_int,
-                   Option.bind (Json.member "mean" e) Json.to_float,
-                   Option.bind (Json.member "lo" e) Json.to_float,
-                   Option.bind (Json.member "hi" e) Json.to_float )
-               with
-               | Some kind, Some key, Some n, Some mean, Some lo, Some hi ->
-                 Some
-                   { e_kind = kind; e_key = key; e_n = n; e_mean = mean;
-                     e_lo = lo; e_hi = hi }
-               | _ -> None)
-             es)
-      | _ -> Error (path ^ ": no \"entries\" array")))
+  let entry e =
+    match
+      ( Option.bind (Json.member "kind" e) Json.to_str,
+        Option.bind (Json.member "key" e) Json.to_str,
+        Option.bind (Json.member "n" e) Json.to_int,
+        Option.bind (Json.member "mean" e) Json.to_float,
+        Option.bind (Json.member "lo" e) Json.to_float,
+        Option.bind (Json.member "hi" e) Json.to_float )
+    with
+    | Some kind, Some key, Some n, Some mean, Some lo, Some hi ->
+      Some
+        { e_kind = kind; e_key = key; e_n = n; e_mean = mean; e_lo = lo;
+          e_hi = hi }
+    | _ -> None
+  in
+  let decode j =
+    match Json.member "entries" j with
+    | Some (Json.Arr es) -> Ok (List.filter_map entry es)
+    | _ -> Error "no \"entries\" array"
+  in
+  match Jsonl.read path decode with
+  | Error e -> Error e
+  | Ok ([ es ], []) -> Ok es
+  | Ok (_, { Jsonl.reason; _ } :: _) -> Error (path ^ ": " ^ reason)
+  | Ok _ -> Error (path ^ ": not one snapshot line")
 
 (* Deterministic snapshot diff, the Qlog diff_report idiom: one row per
    (kind, key) in canonical order, +1-smoothed drift ratios, and a verdict

@@ -78,16 +78,14 @@ val flush_query :
   counts:(Relset.t * float) list ->
   distincts:(int * float) list ->
   udf:(int * float * float) list ->
-  int
+  int * int
 (** Appends one run's measured observations — [counts] from the statistics
     catalog, [distincts] as (term id, measured d) for genuinely measured
     Wildcard entries (warm-start seeds excluded), [udf] as (term id, rows
     evaluated, observed fraction) — the [measured_*] and
     [udf_observations] fields of a [Driver.outcome] — as JSONL lines with
-    one {!Monsoon_telemetry.Jsonl.append_lines} call (one line-lock
-    hold).
-    Returns the number of lines written. Write errors are swallowed (the
-    repository is an accelerator, never a correctness dependency). *)
+    one {!Monsoon_telemetry.Jsonl.append_lines} call. Returns the lines
+    written and the lines that failed; never raises. *)
 
 (** {2 Warm-start lookups} *)
 

@@ -40,7 +40,6 @@ let with_span t ?attrs name f =
 let tracing t = Span.enabled t.tracer
 
 let record t event = Recorder.record t.recorder event
-let flush t = Span.flush (Span.sink t.tracer)
 
 (* Env packing: the util layer owns the extensible slot, this layer owns
    the only constructor. [of_env] on an unpacked env is the Null context —

@@ -63,12 +63,6 @@ val record : t -> Recorder.event -> unit
 (** Shorthand for [Recorder.record (recorder t)] — a single branch when the
     recorder is null. *)
 
-val flush : t -> unit
-(** {!Span.flush} on the context's span sink: pushes buffered JSONL trace
-    lines to the OS. The driver calls this when a query finishes and the
-    {!Monitor} on every sampler tick, so `tail -f` on a trace file tracks
-    a long run instead of seeing everything at exit. *)
-
 (** {2 Execution environments}
 
     [Monsoon_util.Env.t] is how contexts travel: engine entry points take

@@ -177,7 +177,8 @@ let preregister reg =
       "runner.quarantined"; "monitor.ticks"; "server.requests"; "server.ok";
       "server.degraded"; "server.rejected"; "server.timeout"; "server.error";
       "http.conn_errors"; "repo.lookups"; "repo.hits"; "repo.warm_starts";
-      "repo.flushes"; "repo.entries_written" ];
+      "repo.flushes"; "repo.entries_written"; "repo.lines_failed";
+      "qlog.lines_failed" ];
   List.iter
     (fun n -> ignore (Registry.gauge reg n))
     [ "runner.cells_expected"; "pool.queued"; "pool.in_flight";
@@ -201,7 +202,6 @@ type t = {
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   on_tick : (sample -> unit) option;
-  flush_hook : (unit -> unit) option;
   mutable sampler : Thread.t option;
 }
 
@@ -221,7 +221,6 @@ let tick t =
   Queue.push s t.samples;
   if Queue.length t.samples > t.ring then ignore (Queue.pop t.samples);
   Mutex.unlock t.lock;
-  (match t.flush_hook with Some f -> f () | None -> ());
   match t.on_tick with Some f -> f s | None -> ()
 
 (* Periodic ticks only: the initial sample is taken synchronously by
@@ -238,7 +237,7 @@ let rec sampler_loop t =
     | _ -> () (* woken for stop: [stop] takes the final sample *)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> sampler_loop t
 
-let create ?(interval = 1.0) ?(ring = 600) ?on_tick ?flush reg =
+let create ?(interval = 1.0) ?(ring = 600) ?on_tick reg =
   if interval <= 0.0 then invalid_arg "Monitor.create: interval must be > 0";
   if ring < 2 then invalid_arg "Monitor.create: ring must hold >= 2 samples";
   let wake_r, wake_w = Unix.pipe () in
@@ -252,7 +251,6 @@ let create ?(interval = 1.0) ?(ring = 600) ?on_tick ?flush reg =
       wake_r;
       wake_w;
       on_tick;
-      flush_hook = flush;
       sampler = None }
   in
   tick t;

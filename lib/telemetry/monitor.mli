@@ -69,15 +69,13 @@ val create :
   ?interval:float ->
   ?ring:int ->
   ?on_tick:(sample -> unit) ->
-  ?flush:(unit -> unit) ->
   Registry.t ->
   t
 (** Takes the first sample synchronously, then starts the sampler
     thread ticking every [interval] seconds (default 1.0, must be
     positive). The ring keeps the last [ring] samples (default 600, at
-    least 2). Per tick, [flush] then [on_tick] run on the sampler
-    thread — both must be thread-safe; [flush] is the hook for draining
-    Jsonl span sinks. Raises [Invalid_argument] on a non-positive
+    least 2). Per tick, [on_tick] runs on the sampler thread, so it must
+    be thread-safe. Raises [Invalid_argument] on a non-positive
     interval or a ring smaller than 2. *)
 
 val stop : t -> unit

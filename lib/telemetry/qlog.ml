@@ -148,60 +148,19 @@ let of_json j =
 
 (* --- the bounded writer --- *)
 
-type t = {
-  w_path : string;
-  max_bytes : int;
-  mutable oc : out_channel option;
-  mutable bytes : int;  (* size of the live file, maintained on append *)
-}
+type t = { w_path : string; writer : Jsonl.writer }
 
 let create ?(max_bytes = 64 * 1024 * 1024) path =
   if path = "" then Error "qlog: empty path"
   else
-    try
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-      let bytes =
-        try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0
-      in
-      Ok { w_path = path; max_bytes = max 4096 max_bytes; oc = Some oc; bytes }
-    with Sys_error msg -> Error (Printf.sprintf "qlog: cannot open %s: %s" path msg)
+    match Jsonl.open_writer ~max_bytes:(max 4096 max_bytes) path with
+    | Ok writer -> Ok { w_path = path; writer }
+    | Error msg -> Error ("qlog: cannot open " ^ msg)
 
 let path t = t.w_path
-
-let rotate t oc =
-  (try close_out oc with Sys_error _ -> ());
-  (* POSIX rename replaces the previous rotation, so disk use is bounded
-     by roughly twice [max_bytes] however long the process runs. *)
-  (try Sys.rename t.w_path (t.w_path ^ ".1") with Sys_error _ -> ());
-  match open_out_gen [ Open_append; Open_creat ] 0o644 t.w_path with
-  | oc ->
-    t.oc <- Some oc;
-    t.bytes <- 0
-  | exception Sys_error _ -> t.oc <- None
-
-let append t r =
-  let line = Json.to_string (to_json r) ^ "\n" in
-  Jsonl.with_lock (fun () ->
-      (match t.oc with
-      | Some oc when t.bytes > 0 && t.bytes + String.length line > t.max_bytes
-        ->
-        rotate t oc
-      | _ -> ());
-      match t.oc with
-      | None -> ()
-      | Some oc -> (
-        try
-          output_string oc line;
-          t.bytes <- t.bytes + String.length line
-        with Sys_error _ -> ()))
-
-let close t =
-  Jsonl.with_lock (fun () ->
-      match t.oc with
-      | None -> ()
-      | Some oc ->
-        t.oc <- None;
-        (try close_out oc with Sys_error _ -> ()))
+let append t r = Jsonl.append t.writer [ Json.to_string (to_json r) ] = 1
+let failed t = Jsonl.failed t.writer
+let close t = Jsonl.close t.writer
 
 let load p =
   match Jsonl.read p of_json with

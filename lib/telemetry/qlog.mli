@@ -15,8 +15,9 @@
     ({!Ctx.with_trace_id}), so qlog records, Perfetto spans, and explain
     captures join on one key.
 
-    Writers are domain-safe: each line is appended whole under the
-    process-wide JSONL line lock ({!Jsonl.with_lock}). The file is
+    Records go through a {!Jsonl.writer}: domain-safe, unbuffered (a
+    record is in the file when {!append} returns), and a record that
+    cannot be written is counted, never raised. The file is
     bounded: when an append would push it past [max_bytes] the current
     file rotates to [path ^ ".1"] (replacing any previous rotation) and a
     fresh file starts — the two files together never exceed roughly twice
@@ -76,16 +77,18 @@ val create : ?max_bytes:int -> string -> (t, string) result
     [max_bytes] (default 64 MiB, minimum 4096) bounds the live file;
     crossing it rotates to [path ^ ".1"]. *)
 
-val append : t -> record -> unit
-(** Appends one record as a single JSONL line, whole, under the
-    process-wide line lock; rotates first when the line would cross the
-    size bound. Write errors are swallowed (audit logging must never fail
-    a query). *)
+val append : t -> record -> bool
+(** Appends one record as one JSONL line; returns whether it reached the
+    file. A failed line is counted on {!failed}. *)
 
 val path : t -> string
 
+val failed : t -> int
+(** Records appended that did not reach the file. *)
+
 val close : t -> unit
-(** Flushes and closes. Idempotent. Appends after close are dropped. *)
+(** Closes the file. Idempotent. Appends after close are counted as
+    failed. *)
 
 (** {1 Reading and aggregating} *)
 

@@ -25,7 +25,7 @@ type buffer = {
 type sink =
   | Null
   | Memory of buffer
-  | Jsonl of out_channel
+  | Jsonl of Jsonl.writer
   | Callback of (t -> unit)
   | Multi of sink list
 
@@ -60,7 +60,6 @@ let make sink =
        else None) }
 
 let null () = make Null
-let sink t = t.sink
 let enabled t = sink_enabled t.sink
 
 (* The span handed to thunks when nothing is recording; attribute writes on
@@ -126,25 +125,9 @@ let rec emit sink s =
     Mutex.lock b.block;
     b.spans <- s :: b.spans;
     Mutex.unlock b.block
-  | Jsonl oc ->
-    (* Under the process-wide line lock: a span's line must not interleave
-       with another domain's, whichever tracer owns the channel. *)
-    let line = Json.to_string (to_json s) in
-    Jsonl.with_lock (fun () ->
-        output_string oc line;
-        output_char oc '\n')
+  | Jsonl w -> ignore (Jsonl.append w [ Json.to_string (to_json s) ])
   | Callback f -> f s
   | Multi sinks -> List.iter (fun snk -> emit snk s) sinks
-
-(* Pushing buffered Jsonl lines to the OS (under the same line lock, so a
-   flush never tears a line) makes tailing the trace file during a long
-   run work; the runner calls this at query boundaries and the monitor on
-   every sampler tick. *)
-let rec flush = function
-  | Null | Memory _ | Callback _ -> ()
-  | Jsonl oc ->
-    Jsonl.with_lock (fun () -> try Stdlib.flush oc with Sys_error _ -> ())
-  | Multi sinks -> List.iter flush sinks
 
 let with_span tr ?(attrs = []) name f =
   match tr.stack with

@@ -9,8 +9,9 @@
       uninstrumented runs pay essentially nothing;
     - [Memory] keeps completed spans in order for tests and in-process
       reports;
-    - [Jsonl] appends one JSON object per completed span to a channel, for
-      offline analysis;
+    - [Jsonl] appends one JSON object per completed span to a
+      {!Jsonl.writer} as the span closes; a line that cannot be written
+      is counted on the writer, never raised;
     - [Multi] fans out to several sinks.
 
     Spans close in LIFO order; an exception escaping the thunk still closes
@@ -19,8 +20,8 @@
     A tracer may be shared across domains: ids come from an atomic counter,
     the open-span stack is domain-local (so parent/child nesting is tracked
     per domain and never crosses domains), [Memory] buffers are
-    mutex-guarded, and [Jsonl] lines are written whole under the
-    process-wide line lock ({!Jsonl.with_lock}). The [Null] fast path
+    mutex-guarded, and [Jsonl] lines are written whole by
+    {!Jsonl.append}. The [Null] fast path
     stays allocation- and lock-free. *)
 
 type attr =
@@ -45,7 +46,7 @@ type buffer
 type sink =
   | Null
   | Memory of buffer
-  | Jsonl of out_channel
+  | Jsonl of Jsonl.writer
   | Callback of (t -> unit)
       (** Called once per completed span, on the domain that closed it
           (so the callback may read [Domain.self ()] for attribution).
@@ -61,7 +62,6 @@ type tracer
 
 val make : sink -> tracer
 val null : unit -> tracer
-val sink : tracer -> sink
 
 val enabled : tracer -> bool
 (** [false] for a [Null]-sink tracer: spans will not be recorded. *)
@@ -72,11 +72,6 @@ val set_attr : t -> string -> attr -> unit
 
 val with_span :
   tracer -> ?attrs:(string * attr) list -> string -> (t -> 'a) -> 'a
-
-val flush : sink -> unit
-(** Pushes buffered [Jsonl] output to the OS so the trace file can be
-    tailed during a run; a no-op on every other sink. Safe from any
-    domain (takes {!Jsonl.with_lock}, so it never tears a line). *)
 
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result

@@ -102,7 +102,6 @@ let test_single_relation () =
   let recorder = Recorder.create () in
   let tel = Ctx.create ~sink:(Span.Memory buf) ~recorder () in
   let outcome = Driver.run ~env:(Ctx.to_env tel) (config ~seed:8 ()) cat q in
-  Ctx.flush tel;
   Alcotest.(check bool) "completes" false outcome.Driver.timed_out;
   Alcotest.(check (float 0.0)) "result is the filtered scan"
     (float_of_int (Fixtures.brute_force_count cat q))

@@ -207,6 +207,23 @@ let test_figure2_has_all_priors () =
       Alcotest.(check bool) (name ^ " present") true (contains s name))
     [ "Uniform"; "Increasing"; "Decreasing"; "U-Shaped"; "Low Biased" ]
 
+(* Tables 3/4/5 are memoized per process: a profile that differs in any
+   data field (here only the seed) must get its own run, while one that
+   differs only in [jobs] may share it (jobs invariance). *)
+let test_memo_keyed_on_profile () =
+  let small =
+    { Experiments.quick with
+      Experiments.imdb_scale = 0.05;
+      imdb_queries = Some [ "iq1" ];
+      monsoon_iterations = 20 }
+  in
+  let t3 p = let t, _, _ = Experiments.tables3_4_5 p in t in
+  let seed42 = t3 small in
+  Alcotest.(check bool) "another seed, another table" false
+    (String.equal seed42 (t3 { small with Experiments.seed = 43 }));
+  Alcotest.(check bool) "jobs share the memo" true
+    (t3 { small with Experiments.jobs = 2 } == seed42)
+
 let test_experiment_registry () =
   let ids = List.map (fun (id, _, _) -> id) Experiments.all in
   List.iter
@@ -235,4 +252,6 @@ let () =
       ( "experiments",
         [ Alcotest.test_case "table1 exact" `Quick test_table1_exact;
           Alcotest.test_case "figure2 priors" `Quick test_figure2_has_all_priors;
-          Alcotest.test_case "registry" `Quick test_experiment_registry ] ) ]
+          Alcotest.test_case "registry" `Quick test_experiment_registry;
+          Alcotest.test_case "memo keyed on the profile" `Quick
+            test_memo_keyed_on_profile ] ) ]

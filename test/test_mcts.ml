@@ -168,7 +168,6 @@ let test_deadline_counts_run_iterations () =
   match Mcts.plan ~env:(Ctx.to_env tel) cfg problem (0, 1) with
   | None -> Alcotest.fail "no action"
   | Some (_, st) ->
-    Ctx.flush tel;
     let ran = st.Mcts.root_visits in
     Alcotest.(check bool) "ended early" true (ran > 0 && ran < 1000);
     Alcotest.(check int) "counter" ran

@@ -391,7 +391,6 @@ let test_panes_agree_on_one_trace () =
   let cat = two_table_catalog rng ~n_r:200 ~n_s:150 ~d:10 in
   let config = Driver.default_config ~rng:(Rng.create 52) in
   let (_ : Driver.outcome) = Driver.run ~profile:prof ~env config cat q in
-  Ctx.flush tel;
   (* Pull the join node's profile out of the recorder. *)
   let profiled =
     List.concat_map

@@ -115,12 +115,14 @@ let test_writer_rotation_and_load () =
       ~plan:(String.make 120 'p') trajectory
   in
   for i = 0 to 39 do
-    Qlog.append w (record i)
+    Alcotest.(check bool) "appended" true (Qlog.append w (record i))
   done;
   Qlog.close w;
-  (* close is idempotent and appends after close are dropped *)
+  (* close is idempotent and appends after close are counted as failed *)
   Qlog.close w;
-  Qlog.append w (record 99);
+  Alcotest.(check bool) "append after close fails" false
+    (Qlog.append w (record 99));
+  Alcotest.(check int) "failed append counted" 1 (Qlog.failed w);
   let rotated = path ^ ".1" in
   Alcotest.(check bool) "rotated file exists" true (Sys.file_exists rotated);
   let load p =
@@ -150,8 +152,8 @@ let test_load_refuses_rejected_lines () =
     Qlog.of_events ~trace:"t-1" ~query:"iq7" ~strategy:"serve" ~outcome:"ok"
       ~latency:0.1 ~queue_wait:0.0 trajectory
   in
-  Qlog.append w record;
-  Qlog.append w record;
+  ignore (Qlog.append w record : bool);
+  ignore (Qlog.append w record : bool);
   Qlog.close w;
   (match Qlog.load path with
   | Ok rs -> Alcotest.(check int) "two records" 2 (List.length rs)
@@ -164,6 +166,24 @@ let test_load_refuses_rejected_lines () =
   | Error e ->
     Alcotest.(check string) "names the count and the first line"
       "qlog: 2 rejected lines; line 3: blank line" e);
+  Sys.remove path
+
+(* Nothing is buffered: a record is in the file as soon as [append]
+   returns, so [monsoon qlog] on a live server's file sees every request
+   served so far, and a process that dies loses no audit tail. *)
+let test_record_readable_before_close () =
+  let path = tmp_qlog () in
+  let w = writer path in
+  let record =
+    Qlog.of_events ~trace:"t-live" ~query:"iq7" ~strategy:"serve"
+      ~outcome:"ok" ~latency:0.1 ~queue_wait:0.0 trajectory
+  in
+  Alcotest.(check bool) "appended" true (Qlog.append w record);
+  (match Qlog.load path with
+  | Ok [ r ] -> Alcotest.(check string) "the record" "t-live" r.Qlog.r_trace
+  | Ok rs -> Alcotest.failf "expected one record, got %d" (List.length rs)
+  | Error e -> Alcotest.fail e);
+  Qlog.close w;
   Sys.remove path
 
 (* --- Aggregation --- *)
@@ -426,7 +446,9 @@ let () =
         [ Alcotest.test_case "rotation and load" `Quick
             test_writer_rotation_and_load;
           Alcotest.test_case "load refuses rejected lines" `Quick
-            test_load_refuses_rejected_lines ] );
+            test_load_refuses_rejected_lines;
+          Alcotest.test_case "record readable before close" `Quick
+            test_record_readable_before_close ] );
       ( "aggregation",
         [ Alcotest.test_case "report content and order-independence" `Quick
             test_report_content;

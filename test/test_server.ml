@@ -261,6 +261,30 @@ let test_submit_outcomes () =
   Alcotest.(check int) "post-stop rejected" 1
     (Slo.counts (Server.slo t)).Slo.rejected
 
+(* An audit record that cannot be written is served all the same and
+   counted on /metrics: the qlog here is a full device. *)
+let test_qlog_lines_failed_on_metrics () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  let ctx = Ctx.create ~sink:Span.Null () in
+  Monitor.preregister ctx.Ctx.registry;
+  check_contains "preregistered" (Exporter.render ctx.Ctx.registry)
+    "monsoon_qlog_lines_failed_total 0";
+  let qlog =
+    match Qlog.create "/dev/full" with Ok q -> q | Error e -> Alcotest.fail e
+  in
+  let t =
+    make_server ~ctx
+      ~config:{ Server.default_config with Server.qlog = Some qlog }
+      ()
+  in
+  Alcotest.(check int) "served" 200 (Server.submit t "fast").Server.rs_code;
+  Alcotest.(check int) "served" 200 (Server.submit t "fast").Server.rs_code;
+  Server.stop t;
+  Qlog.close qlog;
+  Alcotest.(check int) "qlog counted both" 2 (Qlog.failed qlog);
+  check_contains "exposition" (Exporter.render ctx.Ctx.registry)
+    "monsoon_qlog_lines_failed_total 2"
+
 let test_explain_ring () =
   let config =
     { Server.default_config with Server.request_timeout = None; explain_ring = 2 }
@@ -903,6 +927,8 @@ let () =
         [ Alcotest.test_case "submit outcome mapping" `Quick
             test_submit_outcomes;
           Alcotest.test_case "explain ring" `Quick test_explain_ring;
+          Alcotest.test_case "qlog lines failed on /metrics" `Quick
+            test_qlog_lines_failed_on_metrics;
           Alcotest.test_case "slow-query retention" `Quick
             test_slow_query_retention;
           Alcotest.test_case "worker kills" `Quick test_worker_kills ] );

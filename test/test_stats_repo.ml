@@ -104,6 +104,20 @@ let test_roundtrip_and_ladder () =
     (Option.map (fun _ -> "hit")
        (Stats_repo.lookup_udf repo ~query:q ~term:(term 0)))
 
+(* A flush that cannot reach its file reports every line as failed, none
+   as written: [repo.entries_written] counts only what a later run can
+   read back. *)
+let test_flush_into_missing_dir () =
+  let path = Filename.concat (fresh_path ()) "repo.jsonl" in
+  let repo = Stats_repo.open_ path in
+  let written, failed =
+    Stats_repo.flush_query repo ~query:q
+      ~counts:[ (Relset.singleton 0, 1000.0) ]
+      ~distincts:[ (0, 5.0) ] ~udf:[]
+  in
+  Alcotest.(check int) "no line written" 0 written;
+  Alcotest.(check int) "both lines failed" 2 failed
+
 (* Line order must not matter: a repository written with --jobs 4 is a
    permutation of the sequential one, and every reader folds in canonical
    order. *)
@@ -525,6 +539,8 @@ let () =
         [ Alcotest.test_case "fingerprints" `Quick test_fingerprints;
           Alcotest.test_case "roundtrip + fallback ladder" `Quick
             test_roundtrip_and_ladder;
+          Alcotest.test_case "flush into a missing directory" `Quick
+            test_flush_into_missing_dir;
           Alcotest.test_case "order invariance" `Quick test_order_invariance;
           Alcotest.test_case "snapshots, gc, diff" `Quick
             test_snapshots_gc_diff;

@@ -162,10 +162,13 @@ let load_spans path =
   | Ok (_, { Jsonl.line; reason } :: _) ->
     Error (Printf.sprintf "line %d: %s" line reason)
 
+let writer path =
+  match Jsonl.open_writer path with Ok w -> w | Error e -> Alcotest.fail e
+
 let test_jsonl_roundtrip () =
   let file = Filename.temp_file "monsoon_trace" ".jsonl" in
-  let oc = open_out file in
-  let tr = Span.make (Span.Jsonl oc) in
+  let w = writer file in
+  let tr = Span.make (Span.Jsonl w) in
   ignore
     (Span.with_span tr "root"
        ~attrs:[ ("s", Span.Str "x\"y"); ("flag", Span.Bool true) ]
@@ -173,7 +176,7 @@ let test_jsonl_roundtrip () =
          Span.with_span tr "child"
            ~attrs:[ ("n", Span.Int 42); ("f", Span.Float 2.5) ]
            (fun _ -> ())));
-  close_out oc;
+  Jsonl.close w;
   match load_spans file with
   | Error e -> Alcotest.fail e
   | Ok [ child; root ] ->
@@ -193,32 +196,27 @@ let test_jsonl_roundtrip () =
   | Ok spans ->
     Alcotest.failf "expected two spans, got %d" (List.length spans)
 
-let test_jsonl_flush_mid_run () =
+(* Nothing is buffered: a completed span is in the file as soon as it
+   closes, through a Multi sink too — this is what lets `tail -f` follow
+   a long run. *)
+let test_jsonl_readable_before_close () =
   let file = Filename.temp_file "monsoon_trace" ".jsonl" in
-  let oc = open_out file in
-  let sink = Span.Jsonl oc in
-  let tr = Span.make sink in
+  let w = writer file in
+  let tr = Span.make (Span.Jsonl w) in
   Span.with_span tr "first" (fun _ -> ());
-  (* Without closing the channel, a flush must make the completed span
-     visible to a concurrent reader — this is what lets `tail -f` follow
-     a long run. *)
-  Span.flush sink;
   (match load_spans file with
   | Ok [ s ] -> Alcotest.(check string) "span visible" "first" s.Span.name
   | Ok spans -> Alcotest.failf "expected one span, got %d" (List.length spans)
   | Error e -> Alcotest.fail e);
+  let tr = Span.make (Span.Multi [ Span.Null; Span.Jsonl w ]) in
   Span.with_span tr "second" (fun _ -> ());
-  Span.flush (Span.Multi [ Span.Null; sink ]);
   (match load_spans file with
   | Ok spans ->
-    Alcotest.(check int) "both spans visible after Multi flush" 2
+    Alcotest.(check int) "both spans visible through Multi" 2
       (List.length spans)
   | Error e -> Alcotest.fail e);
-  close_out oc;
-  (* Ctx.flush reaches the context's sink; flushing Null/Memory is a
-     no-op rather than an error. *)
-  Ctx.flush (Ctx.null ());
-  Span.flush (Span.Memory (Span.memory_buffer ()))
+  Jsonl.close w;
+  Sys.remove file
 
 (* An unreadable path is an [Error], not an exception; a blank line and a
    line that is not a span are each rejected with their line number. *)
@@ -242,31 +240,35 @@ let test_jsonl_load_errors () =
         Alcotest.(check string) "the blank line's reason" "blank line"
           (List.hd rejected).Jsonl.reason)
 
-(* A Jsonl sink on a closed channel raises as its span closes; the line
-   lock must be released all the same, or every later trace line, qlog
-   append and repository flush in the process deadlocks. Another thread
-   takes the lock with a deadline, so a leaked lock fails the test
+(* A Jsonl sink that cannot write — here a full device — counts the
+   line on its writer and never raises: the traced thunk's value comes
+   back, and the line lock is released, or every later trace line, qlog
+   append and repository flush in the process would deadlock. Another
+   thread appends with a deadline, so a leaked lock fails the test
    instead of hanging it. *)
 let test_jsonl_lock_released_on_error () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  let w = writer "/dev/full" in
+  let tr = Span.make (Span.Jsonl w) in
+  Alcotest.(check int) "the thunk's value" 7
+    (Span.with_span tr "doomed" (fun _ -> 7));
+  Alcotest.(check int) "the line counted as failed" 1 (Jsonl.failed w);
   let file = Filename.temp_file "monsoon_trace" ".jsonl" in
-  let oc = open_out file in
-  close_out oc;
-  Sys.remove file;
-  let tr = Span.make (Span.Jsonl oc) in
-  (match Span.with_span tr "doomed" (fun _ -> ()) with
-  | () -> Alcotest.fail "a span closed onto a closed channel"
-  | exception Sys_error _ -> ());
-  let taken = Atomic.make false in
+  let other = writer file in
+  let appended = Atomic.make (-1) in
   ignore
     (Thread.create
-       (fun () -> Jsonl.with_lock (fun () -> Atomic.set taken true))
+       (fun () -> Atomic.set appended (Jsonl.append other [ "{}" ]))
        ());
   let deadline = Unix.gettimeofday () +. 2.0 in
-  while (not (Atomic.get taken)) && Unix.gettimeofday () < deadline do
+  while Atomic.get appended < 0 && Unix.gettimeofday () < deadline do
     Thread.delay 0.01
   done;
-  Alcotest.(check bool) "another thread takes the line lock" true
-    (Atomic.get taken)
+  Alcotest.(check int) "another thread's append completes" 1
+    (Atomic.get appended);
+  Jsonl.close w;
+  Jsonl.close other;
+  Sys.remove file
 
 (* --- Snapshots --- *)
 
@@ -614,8 +616,8 @@ let () =
             test_span_exception_closes;
           Alcotest.test_case "null sink is a no-op" `Quick test_null_sink_noop;
           Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
-          Alcotest.test_case "jsonl flush mid-run" `Quick
-            test_jsonl_flush_mid_run;
+          Alcotest.test_case "jsonl span readable before close" `Quick
+            test_jsonl_readable_before_close;
           Alcotest.test_case "jsonl load errors" `Quick test_jsonl_load_errors;
           Alcotest.test_case "jsonl lock released on error" `Quick
             test_jsonl_lock_released_on_error ] );
