@@ -104,6 +104,8 @@ let count t =
     mf *. log (mf /. float_of_int zeros)
   else raw
 
+let equal a b = a.p = b.p && Bytes.equal a.regs b.regs
+
 let merge a b =
   assert (a.p = b.p);
   let t = create ~p:a.p () in

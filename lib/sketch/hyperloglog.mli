@@ -28,6 +28,10 @@ val count : t -> float
     differently there. Either way the result is the register-order sum's,
     bit for bit. *)
 
+val equal : t -> t -> bool
+(** Same [p] and the same registers: the two sketches count alike, and
+    stay alike under the same further items. *)
+
 val merge : t -> t -> t
 (** Union of the underlying multisets. Both sketches must share [p]. *)
 
