@@ -384,6 +384,44 @@ let test_runner_qlog_differential () =
           records));
   Sys.remove path
 
+(* With jobs > 1 the cells finish in whatever order the domains reach
+   them, but their records reach the qlog in cell order: every run of a
+   fixed seed lists the same trace ids in the same order. The Monsoon
+   cells plan for far longer than the Defaults ones, so a later cell
+   often ends first. *)
+let test_runner_qlog_cell_order () =
+  let w = Tpch.workload { Tpch.seed = 11; scale = 0.05; skew = Tpch.Plain } in
+  let strategies =
+    [ Strategy.monsoon ~iterations:80 ~scale_with_size:false
+        Monsoon_stats.Prior.spike_and_slab;
+      Strategy.defaults ]
+  in
+  let traces jobs =
+    let path = tmp_qlog () in
+    let wtr = writer path in
+    ignore
+      (Runner.run_suite
+         { Runner.default_config with
+           Runner.budget = 1e6;
+           seed = 11;
+           queries = Some [ "tq1"; "tq2"; "tq3"; "tq5" ];
+           jobs;
+           qlog = Some wtr }
+         strategies w);
+    Qlog.close wtr;
+    let ids =
+      match Qlog.load path with
+      | Ok records -> List.map (fun r -> r.Qlog.r_trace) records
+      | Error e -> Alcotest.fail e
+    in
+    Sys.remove path;
+    ids
+  in
+  let sequential = traces 1 in
+  Alcotest.(check int) "one record per cell" 8 (List.length sequential);
+  Alcotest.(check (list string)) "jobs 2, first run" sequential (traces 2);
+  Alcotest.(check (list string)) "jobs 2, second run" sequential (traces 2)
+
 (* The rendered EXPLAIN plan tables list nodes in obs_nodes completion
    order; pin one deterministic run's tables verbatim so any executor
    change to completion order or observed cardinalities is a visible
@@ -462,5 +500,7 @@ let () =
       ( "runner",
         [ Alcotest.test_case "audited run is byte-identical" `Quick
             test_runner_qlog_differential;
+          Alcotest.test_case "records in cell order at any jobs" `Quick
+            test_runner_qlog_cell_order;
           Alcotest.test_case "explain plan tables golden" `Quick
             test_explain_plan_tables_golden ] ) ]
