@@ -651,16 +651,19 @@ let warmstart ?repo_path profile =
     in
     let row = match rows with [ r ] -> r | _ -> assert false in
     let counter n = int_of_float (Metric.Counter.value (Ctx.counter tel n)) in
-    (row, counter "driver.replans", counter "repo.warm_starts")
+    ( row,
+      counter "driver.replans",
+      counter "repo.warm_starts",
+      counter "repo.lines_failed" )
   in
   (* Cold: the repository exists but is empty, so every lookup misses and
      the run both plans from scratch and seeds the log. Warm: reopening the
      same path freezes the cold run's observations as the baseline. *)
   let cold_repo = Stats_repo.open_ repo_path in
-  let cold_row, cold_replans, _ = regime cold_repo in
+  let cold_row, cold_replans, _, cold_failed = regime cold_repo in
   let snap_cold = Stats_repo.snapshot cold_repo in
   let warm_repo = Stats_repo.open_ repo_path in
-  let warm_row, warm_replans, warm_seeds = regime warm_repo in
+  let warm_row, warm_replans, warm_seeds, warm_failed = regime warm_repo in
   let snap_warm = Stats_repo.snapshot warm_repo in
   let objects (c : Runner.cell) =
     match c.Runner.outcome with
@@ -714,6 +717,10 @@ let warmstart ?repo_path profile =
   ^ Printf.sprintf "  WARMSTART DOMINANCE: objects=%s replans=%s\n\n"
       (if warm_total < cold_total then "yes" else "no")
       (if warm_replans < cold_replans then "yes" else "no")
+  ^ (if cold_failed + warm_failed > 0 then
+       Printf.sprintf "  repository lines failed: cold %d, warm %d\n"
+         cold_failed warm_failed
+     else "")
   ^ diff_report
 
 (* --- The flight-recorder entry point (`monsoon explain`) --- *)

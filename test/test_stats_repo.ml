@@ -286,6 +286,31 @@ let test_warmstart_report_pinned () =
       "  replans/query: cold 8.25 warm 5.62; warm-start seeds: 51";
       "  WARMSTART DOMINANCE: objects=yes replans=yes" ]
 
+(* A repository that cannot be written: its path names a file inside a
+   regular file. Each regime's flushes fail, and the report says how many
+   lines were lost before the closing snapshot error. *)
+let test_warmstart_reports_failed_lines () =
+  let file = Filename.temp_file "monsoon-not-a-dir-" "" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      let report =
+        Experiments.warmstart
+          ~repo_path:(Filename.concat file "repo.jsonl")
+          { Experiments.quick with Experiments.imdb_queries = Some [ "iq1" ] }
+      in
+      let prefix = "  repository lines failed: cold " in
+      match
+        List.find_opt (String.starts_with ~prefix)
+          (String.split_on_char '\n' report)
+      with
+      | None -> Alcotest.fail ("no failed-lines line in:\n" ^ report)
+      | Some line ->
+        Scanf.sscanf line "  repository lines failed: cold %d, warm %d"
+          (fun cold warm ->
+            Alcotest.(check bool) "both regimes lost lines" true
+              (cold > 0 && warm > 0)))
+
 (* --- Serving with a repository ---
 
    Two passes of the same requests through the serving handler: the first
@@ -559,7 +584,9 @@ let () =
           Alcotest.test_case "report totals pinned" `Slow
             test_warmstart_report_pinned;
           Alcotest.test_case "default repository per run" `Slow
-            test_warmstart_default_repo ] );
+            test_warmstart_default_repo;
+          Alcotest.test_case "failed repository lines reported" `Quick
+            test_warmstart_reports_failed_lines ] );
       ( "serving",
         [ Alcotest.test_case "two passes over one repository" `Quick
             test_service_over_repo;
