@@ -14,12 +14,16 @@
     Bigarray-backed columns with selection vectors, every hash join runs
     one int kernel on int codes of its keys ({!Chunk.key_codes}; an opaque
     UDF key is evaluated once per tuple first), and Σ feeds column hashes
-    straight into one HyperLogLog sketch per executor, cleared per term.
+    straight into one HyperLogLog sketch per executor, cleared per term
+    (over a multi-instance intermediate, each distinct base row of an
+    instance once: a sketch register keeps a maximum, so repeats change
+    nothing).
     Each operator has one path. Opaque (non-identity) UDF terms are
     evaluated one tuple at a time inside it, reading base rows through
     the ids: a scan refines its selection vector by them, the join kernel
     and the cross product test straddling filters per candidate pair
-    before the pair draws budget, and Σ hashes their values. The
+    before the pair counts against the budget, and Σ hashes their
+    values. The
     differential suite pins charged cost, the observations of the
     {!node} records, result rows, counters and checkpoint draw order
     against the frozen row-at-a-time reference engine beside the tests.
