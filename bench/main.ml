@@ -198,9 +198,11 @@ let exec_columnar ?(cat = exec_cat) q e () =
    (C1 ⨝ C2) emits ~20k tuples and the top join ~270k, so the kernel
    prices per-tuple emission and intermediate materialization through the
    two-key int join. Build keys repeat, so the int join kernel runs its
-   sizing regime (a probe pass sizes the output, a fill pass writes it);
-   with exec/hash-join-columnar (the streaming regime) it puts both
-   regimes under CI's 2x gate.
+   repeats regime (one probe pass records the matches and sizes the
+   output, then a fill writes it a key group at a time); with
+   exec/hash-join-columnar (the streaming regime) it puts both regimes
+   under CI's 2x gate. exec/sigma-join-columnar runs a Σ alone over
+   (C1 ⨝ C2), whose row ids repeat about 14 times each.
 
    [chain_probe_q] chains C0 - C1 - C2 the same way, C0 having 1600 rows
    (drawn after C1 - C3, which it leaves as they were) and C2 filtered to
@@ -366,6 +368,19 @@ let tests =
         (Staged.stage
            (exec_columnar ~cat:chain_cat chain_q
               (Expr.join (Expr.join (Expr.base 0) (Expr.base 1)) (Expr.base 2))));
+      Test.make ~name:"exec/sigma-join-columnar"
+        (Staged.stage
+           (let c12 = Expr.join (Expr.base 0) (Expr.base 1) in
+            let exec =
+              Monsoon_exec.Executor.create chain_cat chain_q
+                (Monsoon_exec.Executor.budget 1e7)
+            in
+            ignore (Monsoon_exec.Executor.execute exec c12);
+            let sigma = Expr.stats (Expr.leaf (Expr.mask c12)) in
+            fun () ->
+              Monsoon_exec.Executor.set_budget exec
+                (Monsoon_exec.Executor.budget 1e7);
+              ignore (Monsoon_exec.Executor.execute exec sigma)));
       Test.make ~name:"exec/join-probe-intermediate-columnar"
         (Staged.stage
            (let c12 = Expr.join (Expr.base 0) (Expr.base 1) in
