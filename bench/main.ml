@@ -187,11 +187,15 @@ let exec_cat, exec_scan_q, exec_join_q =
   in
   (cat, scan_q, join_q)
 
+(* Each run creates, executes and releases its executor, as every real
+   owner does, so after the first run the row ids land in recycled
+   chunks: the kernels measure the steady state. *)
 let exec_columnar ?(cat = exec_cat) q e () =
   let exec =
     Monsoon_exec.Executor.create cat q (Monsoon_exec.Executor.budget 1e7)
   in
-  ignore (Monsoon_exec.Executor.execute exec e)
+  ignore (Monsoon_exec.Executor.execute exec e);
+  Monsoon_exec.Executor.release exec
 
 (* Emission-heavy fixture: an OTT-shaped chain C1 - C2 - C3, consecutive
    instances joined on both x and y (y = x, domain 100), 1400 rows each.
@@ -279,6 +283,22 @@ let straddling_q, filtered_cross_q =
   ( query ~name:"exec-straddling" ~key:true,
     query ~name:"exec-cross-filtered" ~key:false )
 
+(* ott-exec's data (OTT at scale 0.3, domain 100, as bench_e2e makes it)
+   and its heaviest query, oq15: the plan its Monsoon run executes under
+   the end-to-end benchmark's planner RNG, in one call. Instances 0..4 are
+   ott2..ott6; ott3 ⨝ (ott4 ⨝ ott5) writes 2.6 M tuples, and the plan
+   about 9 M row ids. exec/ott-heavy-recycled runs it back to back, each
+   run on the chunks the one before it released. *)
+let ott_heavy_cat, ott_heavy_q =
+  let w = Ott.workload { Ott.seed = 42; scale = 0.3; domain = 100 } in
+  (w.Workload.catalog, Workload.find_query w "oq15")
+
+let ott_heavy_plan =
+  Expr.join
+    (Expr.join (Expr.base 0)
+       (Expr.join (Expr.base 1) (Expr.join (Expr.base 2) (Expr.base 3))))
+    (Expr.base 4)
+
 let exec_row q e () =
   let exec = Row_engine.create exec_cat q (Row_engine.budget 1e7) in
   ignore (Row_engine.execute exec e)
@@ -335,7 +355,8 @@ let tests =
                  (snd ott_pair)
                  (Monsoon_exec.Executor.budget 1e7)
              in
-             ignore (Monsoon_exec.Executor.execute exec ott_plan)));
+             ignore (Monsoon_exec.Executor.execute exec ott_plan);
+             Monsoon_exec.Executor.release exec));
       Test.make ~name:"table7/multi-instance-udf-eval"
         (Staged.stage (fun () ->
              Array.iter (fun row -> ignore (Udf.apply combine row)) combine_rows));
@@ -394,7 +415,8 @@ let tests =
                    (Expr.join c12 (Expr.base 2)));
               ignore
                 (Monsoon_exec.Executor.execute exec
-                   (Expr.stats (Expr.leaf (Expr.mask c12))))));
+                   (Expr.stats (Expr.leaf (Expr.mask c12))));
+              Monsoon_exec.Executor.release exec));
       Test.make ~name:"exec/join-straddling-columnar"
         (Staged.stage
            (exec_columnar ~cat:chain_cat straddling_q
@@ -403,6 +425,9 @@ let tests =
         (Staged.stage
            (exec_columnar ~cat:chain_cat filtered_cross_q
               (Expr.join (Expr.base 0) (Expr.base 1))));
+      Test.make ~name:"exec/ott-heavy-recycled"
+        (Staged.stage
+           (exec_columnar ~cat:ott_heavy_cat ott_heavy_q ott_heavy_plan));
       Test.make ~name:"exec/sigma-columnar"
         (Staged.stage (exec_columnar exec_scan_q (Expr.stats (Expr.base 0))));
       Test.make ~name:"exec/sigma-row"
@@ -422,7 +447,8 @@ let tests =
              in
              ignore
                (Monsoon_exec.Executor.execute exec
-                  (Expr.join (Expr.base 0) (Expr.base 1)))));
+                  (Expr.join (Expr.base 0) (Expr.base 1)));
+             Monsoon_exec.Executor.release exec));
       Test.make ~name:"profile/disabled-noop-x100"
         (Staged.stage
            (let p = Monsoon_exec.Profile.disabled in
@@ -443,7 +469,8 @@ let tests =
                  small_ott.Workload.catalog (snd ott_pair)
                  (Monsoon_exec.Executor.budget 1e7)
              in
-             ignore (Monsoon_exec.Executor.execute exec ott_plan)));
+             ignore (Monsoon_exec.Executor.execute exec ott_plan);
+             Monsoon_exec.Executor.release exec));
       (* Telemetry primitives in isolation. *)
       Test.make ~name:"telemetry/null-with-span-x100"
         (Staged.stage

@@ -124,6 +124,7 @@ let run ?(env = Env.default) config ~budget catalog q =
         | None -> ());
         1.0 +. (this_slice -. Executor.total_produced exec) /. Float.max 1.0 this_slice
     in
+    Executor.release exec;
     root.visits <- root.visits + 1;
     List.iter
       (fun (_, node) ->

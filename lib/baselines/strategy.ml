@@ -45,14 +45,16 @@ let execute_plan ?env ~t0 ~plan_time ~stats_cost ~budget
       plan = Expr.describe q plan }
   in
   match Executor.execute exec plan with
-  | exception Executor.Timeout -> timed_out_outcome ()
-  | exception Deadline.Expired -> timed_out_outcome ()
+  | exception (Executor.Timeout | Deadline.Expired) ->
+    Executor.release exec;
+    timed_out_outcome ()
   | cost ->
     let result_card =
       match Executor.materialized exec (Query.all_mask q) with
       | Some inter -> float_of_int (Intermediate.cardinality inter)
       | None -> 0.0
     in
+    Executor.release exec;
     { cost = cost +. stats_cost;
       timed_out = false;
       wall = Timer.now () -. t0;

@@ -216,6 +216,9 @@ let run ?(profile = Profile.disabled) ?(env = Env.default) config catalog
         | Some inter -> float_of_int (Intermediate.cardinality inter)
         | None -> 0.0
     in
+    (* Every normal exit passes here; nothing reads an intermediate after
+       [result_card]. *)
+    Executor.release exec;
     let stats_cost = Executor.sigma_objects exec in
     let n_executes = int_of_float executes.total in
     Metric.Histogram.observe h_replans replans.total;

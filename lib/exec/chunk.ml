@@ -1,4 +1,5 @@
 open Monsoon_storage
+open Monsoon_telemetry
 
 (* {2 Vectorized predicates}
 
@@ -32,6 +33,103 @@ let eq_const (col : Column.t) (v : Value.t) : int -> bool =
     (* Constructor mismatch: never equal. *)
     fun _ -> false
 
+(* {2 Row-id arenas}
+
+   Chunks are Bigarray int vectors, off the OCaml heap: the GC neither
+   marks nor sweeps them, and a chunk taken from the domain's cache costs
+   no malloc. A chunk of class [k] holds [chunk_words lsl k] words:
+   carvings of up to [chunk_words] share class-0 chunks, and a larger one
+   takes a chunk of its own, of the smallest class that holds it. An
+   arena takes only chunks of the class it asks for, so a query that runs
+   again borrows what it borrowed before. *)
+
+let chunk_words = 1 lsl 20
+
+(* Class 42 holds 2^62 words, more than any carving. *)
+let classes = 43
+
+let rec size_class n k =
+  if chunk_words lsl k >= n then k else size_class n (k + 1)
+
+let empty : Column.ints =
+  Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0
+
+type cache = {
+  lock : Mutex.t;  (* against systhreads sharing the domain *)
+  free : Column.ints list array;  (* by class *)
+  bound : int array;  (* by class: the most chunks one arena has held *)
+}
+
+let cache =
+  Domain.DLS.new_key (fun () ->
+      { lock = Mutex.create ();
+        free = Array.make classes [];
+        bound = Array.make classes 0 })
+
+type arena = {
+  mutable owned : (int * Column.ints) list;  (* class, chunk *)
+  mutable cur : Column.ints;  (* the class-0 chunk carvings come from *)
+  mutable top : int;  (* its first free slot *)
+  fresh : Metric.Counter.t;
+  carved : Metric.Counter.t;
+}
+
+let arena ~fresh ~carved = { owned = []; cur = empty; top = 0; fresh; carved }
+
+let borrow a k =
+  let c = Domain.DLS.get cache in
+  let cached =
+    Mutex.protect c.lock (fun () ->
+        match c.free.(k) with
+        | ch :: rest ->
+          c.free.(k) <- rest;
+          Some ch
+        | [] -> None)
+  in
+  let ch =
+    match cached with
+    | Some ch -> ch
+    | None ->
+      Metric.Counter.inc a.fresh;
+      Bigarray.Array1.create Bigarray.int Bigarray.c_layout (chunk_words lsl k)
+  in
+  a.owned <- (k, ch) :: a.owned;
+  ch
+
+let carve a n =
+  Metric.Counter.add a.carved (float_of_int n);
+  if n > chunk_words then
+    (* [cur] keeps its room. *)
+    Bigarray.Array1.sub (borrow a (size_class n 1)) 0 n
+  else begin
+    if n > Bigarray.Array1.dim a.cur - a.top then begin
+      a.cur <- borrow a 0;
+      a.top <- 0
+    end;
+    let v = Bigarray.Array1.sub a.cur a.top n in
+    a.top <- a.top + n;
+    v
+  end
+
+let scratch a f =
+  let cur = a.cur and top = a.top in
+  Fun.protect f ~finally:(fun () -> if a.cur == cur then a.top <- top)
+
+let release a =
+  let c = Domain.DLS.get cache in
+  let held = Array.make classes 0 in
+  List.iter (fun (k, _) -> held.(k) <- held.(k) + 1) a.owned;
+  Mutex.protect c.lock (fun () ->
+      Array.iteri (fun k n -> c.bound.(k) <- max c.bound.(k) n) held;
+      List.iter
+        (fun (k, ch) ->
+          if List.compare_length_with c.free.(k) c.bound.(k) < 0 then
+            c.free.(k) <- ch :: c.free.(k))
+        a.owned);
+  a.owned <- [];
+  a.cur <- empty;
+  a.top <- 0
+
 (* {2 Join key codes} *)
 
 (* Values under the row engine's key equality: [Value.equal] is
@@ -49,21 +147,21 @@ module Interned = Hashtbl.Make (struct
     | v -> Hashtbl.hash v
 end)
 
-let ints_init n f =
-  let a = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
+let ints_init arena n f =
+  let a = carve arena n in
   for i = 0 to n - 1 do
     Bigarray.Array1.unsafe_set a i (f i)
   done;
   a
 
-type read = { col : Column.t; ids : int array; n : int }
-type codes = { data : Column.ints; at : int array }
+type read = { col : Column.t; ids : Column.ints; n : int }
+type codes = { data : Column.ints; at : Column.ints }
 
 (* Codes are equal exactly when the values are equal under structural
    equality, the row engine's [Hashtbl]'s: NaN equals NaN, [0.] equals
    [-0.], Null equals Null, and values of different constructors (an Int
    and a Date) never meet. *)
-let key_codes (b : read) (p : read) : codes * codes =
+let key_codes arena (b : read) (p : read) : codes * codes =
   match b.col, p.col with
   | Column.Ints { kind = kb; data = db }, Column.Ints { kind = kp; data = dp }
     when kb = kp ->
@@ -78,10 +176,10 @@ let key_codes (b : read) (p : read) : codes * codes =
         Interned.add index v c;
         c
     in
-    let bc = ints_init b.n (fun i -> code (Column.get b.col b.ids.(i))) in
+    let bc = ints_init arena b.n (fun i -> code (Column.get b.col b.ids.{i})) in
     let pc =
-      ints_init p.n (fun i ->
-          match Interned.find index (Column.get p.col p.ids.(i)) with
+      ints_init arena p.n (fun i ->
+          match Interned.find index (Column.get p.col p.ids.{i}) with
           | c -> c
           | exception Not_found -> -1)
     in
@@ -90,17 +188,17 @@ let key_codes (b : read) (p : read) : codes * codes =
 
 (* {2 Selection vectors} *)
 
-type sel = { mutable idx : int array; mutable n : int }
+type sel = { idx : Column.ints; mutable n : int }
 
-let sel_all n = { idx = Array.init n (fun i -> i); n }
+let sel_all arena n = { idx = ints_init arena n Fun.id; n }
 
 (* In-place refinement: keep the selected indices satisfying [p]. *)
 let refine p sel =
   let k = ref 0 in
   for i = 0 to sel.n - 1 do
-    let r = Array.unsafe_get sel.idx i in
+    let r = Bigarray.Array1.unsafe_get sel.idx i in
     if p r then begin
-      Array.unsafe_set sel.idx !k r;
+      Bigarray.Array1.unsafe_set sel.idx !k r;
       incr k
     end
   done;
@@ -114,11 +212,11 @@ let next_pow2 n =
    [let s = sel_all n in refine (eq_const col v) s; s], but the common
    typed representations run a direct loop — no identity-vector
    initialization and no per-index closure call on rejected rows. *)
-let sel_eq_const (col : Column.t) (v : Value.t) n : sel =
-  let idx = Array.make (max 1 n) 0 in
+let sel_eq_const arena (col : Column.t) (v : Value.t) n : sel =
+  let idx = carve arena n in
   let k = ref 0 in
   let keep i =
-    Array.unsafe_set idx !k i;
+    Bigarray.Array1.unsafe_set idx !k i;
     incr k
   in
   (match col, v with

@@ -42,6 +42,7 @@ type t = {
   query : Query.t;
   mutable bud : budget;
   store : (Relset.t, Intermediate.t) Hashtbl.t;
+  arena : Chunk.arena;  (* every row id the store holds, but identities *)
   mutable sketch : Hyperloglog.t option;  (* the Σ sketch, once allocated *)
   mutable produced : float;
   mutable sigma_total : float;
@@ -75,6 +76,10 @@ let create ?(profile = Profile.disabled) ?(env = Env.default) catalog query
     query;
     bud;
     store = Hashtbl.create 16;
+    arena =
+      Chunk.arena
+        ~fresh:(Ctx.counter tel "exec.id_chunks_fresh")
+        ~carved:(Ctx.counter tel "exec.id_words_carved");
     sketch = None;
     produced = 0.0;
     sigma_total = 0.0;
@@ -90,6 +95,10 @@ let create ?(profile = Profile.disabled) ?(env = Env.default) catalog query
 let set_budget t bud = t.bud <- bud
 
 let materialized t mask = Hashtbl.find_opt t.store mask
+
+let release t =
+  Hashtbl.reset t.store;
+  Chunk.release t.arena
 
 let total_produced t = t.produced
 
@@ -149,7 +158,7 @@ let arg_reader t (inter : Intermediate.t) ~rel ~col =
   let ids = inter.Intermediate.ids.(Intermediate.position inter rel) in
   let table = table_of t rel in
   let rows = Table.rows table and j = Schema.index_of (Table.schema table) col in
-  fun i -> rows.(ids.(i)).(j)
+  fun i -> rows.(ids.{i}).(j)
 
 let compile_args tm (args : (int -> int -> Value.t) list) =
   let args = Array.of_list args in
@@ -253,14 +262,14 @@ let scan_base t rel =
         let sel, rest =
           match preds with
           | (Some col, tm, value) :: rest ->
-            let sel = Chunk.sel_eq_const col value n in
+            let sel = Chunk.sel_eq_const t.arena col value n in
             Profile.set_path t.prof "sel_eq_const";
             Profile.set_sel_density t.prof ~kept:sel.Chunk.n ~of_:n;
             observe tm ~rows_in:n ~kept:sel.Chunk.n;
             (sel, rest)
           | _ ->
             Profile.set_path t.prof "refine";
-            (Chunk.sel_all n, preds)
+            (Chunk.sel_all t.arena n, preds)
         in
         List.iter
           (fun (col, tm, value) ->
@@ -272,8 +281,8 @@ let scan_base t rel =
               Chunk.refine (fun i -> Value.equal (ev i i) value) sel);
             observe tm ~rows_in ~kept:sel.Chunk.n)
           rest;
-        let ids = Array.sub sel.Chunk.idx 0 sel.Chunk.n in
-        spend t (float_of_int (Array.length ids));
+        let ids = Bigarray.Array1.sub sel.Chunk.idx 0 sel.Chunk.n in
+        spend t (float_of_int sel.Chunk.n);
         t.n_udf <- !obs @ t.n_udf;
         Intermediate.of_base t.query t.catalog ~ids rel
       end
@@ -317,29 +326,36 @@ let pair_filter t (a : Intermediate.t) b = function
    output tuple's row ids straight into one array per instance of each
    side. *)
 
+type ints = Column.ints
+
 (* A join's output: one row-id array per instance of a first side ([oa])
-   and of a second ([ob]), [n] tuples written of [cap] allocated. *)
+   and of a second ([ob]), [n] tuples written of [cap] carved from
+   [arena]. *)
 type out_ids = {
-  oa : int array array;
-  ob : int array array;
+  arena : Chunk.arena;
+  oa : ints array;
+  ob : ints array;
   mutable n : int;
   mutable cap : int;
 }
 
-let out_ids (a : Intermediate.t) (b : Intermediate.t) cap =
-  { oa = Array.map (fun _ -> Array.make cap 0) a.Intermediate.ids;
-    ob = Array.map (fun _ -> Array.make cap 0) b.Intermediate.ids;
+let out_ids arena (a : Intermediate.t) (b : Intermediate.t) cap =
+  let carve _ = Chunk.carve arena cap in
+  { arena;
+    oa = Array.map carve a.Intermediate.ids;
+    ob = Array.map carve b.Intermediate.ids;
     n = 0;
     cap }
 
-(* Doubles the arrays, to at least 256 tuples. *)
+(* Doubles the arrays, to at least 256 tuples. The old ones stay in the
+   arena, dead, until it is released. *)
 let grow o =
   let cap = max 256 (2 * o.n) in
   let grow outs =
     Array.iteri
       (fun k a ->
-        let b = Array.make cap 0 in
-        Array.blit a 0 b 0 o.n;
+        let b = Chunk.carve o.arena cap in
+        Bigarray.Array1.(blit (sub a 0 o.n) (sub b 0 o.n));
         outs.(k) <- b)
       outs
   in
@@ -349,16 +365,16 @@ let grow o =
 
 (* Writes the output tuple pairing tuple [i] of the first side (row ids
    [aids]) with tuple [j] of the second ([bids]). *)
-let[@inline] put o (aids : int array array) (bids : int array array) i j =
+let[@inline] put o (aids : ints array) (bids : ints array) i j =
   let n = o.n in
   if n = o.cap then grow o;
   for k = 0 to Array.length aids - 1 do
-    Array.unsafe_set (Array.unsafe_get o.oa k) n
-      (Array.unsafe_get (Array.unsafe_get aids k) i)
+    Bigarray.Array1.unsafe_set (Array.unsafe_get o.oa k) n
+      (Bigarray.Array1.unsafe_get (Array.unsafe_get aids k) i)
   done;
   for k = 0 to Array.length bids - 1 do
-    Array.unsafe_set (Array.unsafe_get o.ob k) n
-      (Array.unsafe_get (Array.unsafe_get bids k) j)
+    Bigarray.Array1.unsafe_set (Array.unsafe_get o.ob k) n
+      (Bigarray.Array1.unsafe_get (Array.unsafe_get bids k) j)
   done;
   o.n <- n + 1
 
@@ -442,7 +458,9 @@ let cross t (la : Intermediate.t) (rb : Intermediate.t) ~filter_pids =
   let filter = pair_filter t la rb filter_pids in
   let room = affordable t in
   let cap = min (nl * nr) room in
-  let o = out_ids la rb (if Option.is_none filter then cap else min 256 cap) in
+  let o =
+    out_ids t.arena la rb (if Option.is_none filter then cap else min 256 cap)
+  in
   let lids = la.Intermediate.ids and rids = rb.Intermediate.ids in
   (match
      for li = 0 to nl - 1 do
@@ -455,14 +473,12 @@ let cross t (la : Intermediate.t) (rb : Intermediate.t) ~filter_pids =
   | exception e -> flush_raise t o e);
   joined o la rb
 
-type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
 (* One int key column as read: tuple [i]'s key is [data.{at.(i)}], the
    base column through the side's row ids, or fresh codes through
    identity ids ({!Chunk.key_codes}). Arrays of this record, unlike
    arrays of the abstract Bigarray type, are read without the generic
    float-array check. *)
-type key = Chunk.codes = { data : ints; at : int array }
+type key = Chunk.codes = { data : ints; at : ints }
 
 (* The kernel's per-row helpers take every input as an argument, so once
    inlined they read registers, not a closure environment. A composite
@@ -470,13 +486,14 @@ type key = Chunk.codes = { data : ints; at : int array }
    loops over the others run zero times for a single key. *)
 
 let[@inline] key_at (k : key) i =
-  Bigarray.Array1.unsafe_get k.data (Array.unsafe_get k.at i)
+  Bigarray.Array1.unsafe_get k.data (Bigarray.Array1.unsafe_get k.at i)
 
 (* Bucket of row [i]: the keys folded into one int, then one multiply,
    high bits — for a single key, multiplicative hashing of the key. *)
-let[@inline] key_bucket (k0 : ints) (a0 : int array) (keys : key array) nk msk
-    i =
-  let h = ref (Bigarray.Array1.unsafe_get k0 (Array.unsafe_get a0 i)) in
+let[@inline] key_bucket (k0 : ints) (a0 : ints) (keys : key array) nk msk i =
+  let h =
+    ref (Bigarray.Array1.unsafe_get k0 (Bigarray.Array1.unsafe_get a0 i))
+  in
   for c = 1 to nk - 1 do
     h := (!h * 0x3C79AC492BA7B653) lxor key_at (Array.unsafe_get keys c) i
   done;
@@ -485,14 +502,13 @@ let[@inline] key_bucket (k0 : ints) (a0 : int array) (keys : key array) nk msk
 (* The newest build row on the chain from [c] (build keys [b0] through
    [ba], then [bk]) whose key equals row [i] of [k0] through [a0], then
    [keys]. *)
-let[@inline] chain_find (b0 : ints) (ba : int array) (bk : key array)
-    (next : int array) nk c (k0 : ints) (a0 : int array) (keys : key array) i
-    =
-  let x = Bigarray.Array1.unsafe_get k0 (Array.unsafe_get a0 i) in
+let[@inline] chain_find (b0 : ints) (ba : ints) (bk : key array)
+    (next : int array) nk c (k0 : ints) (a0 : ints) (keys : key array) i =
+  let x = Bigarray.Array1.unsafe_get k0 (Bigarray.Array1.unsafe_get a0 i) in
   let c = ref c in
   while
     !c >= 0
-    && (Bigarray.Array1.unsafe_get b0 (Array.unsafe_get ba !c) <> x
+    && (Bigarray.Array1.unsafe_get b0 (Bigarray.Array1.unsafe_get ba !c) <> x
        ||
        let k = ref 1 in
        while
@@ -511,15 +527,16 @@ let[@inline] chain_find (b0 : ints) (ba : int array) (bk : key array)
 (* The newest build row whose key equals probe row [pi]'s, -1 for none.
    A single key skips the composite loops altogether: this lookup is most
    of a probe-dominated join's time. *)
-let[@inline] probe_find (b0 : ints) ba bk next head msk nk (p0 : ints) pa pk pi
-    =
+let[@inline] probe_find (b0 : ints) (ba : ints) bk next head msk nk (p0 : ints)
+    (pa : ints) pk pi =
   if nk = 1 then begin
-    let x = Bigarray.Array1.unsafe_get p0 (Array.unsafe_get pa pi) in
+    let x = Bigarray.Array1.unsafe_get p0 (Bigarray.Array1.unsafe_get pa pi) in
     let c =
       ref (Array.unsafe_get head (((x * 0x2545F4914F6CDD1D) lsr 32) land msk))
     in
     while
-      !c >= 0 && Bigarray.Array1.unsafe_get b0 (Array.unsafe_get ba !c) <> x
+      !c >= 0
+      && Bigarray.Array1.unsafe_get b0 (Bigarray.Array1.unsafe_get ba !c) <> x
     do
       c := Array.unsafe_get next !c
     done;
@@ -563,8 +580,8 @@ let probe_matches (b0 : ints) ba bk next head msk nk (p0 : ints) pa pk group
    chain from [r], newest build row first. [o] holds [min total room]
    tuples, so the group the room ends in is written up to the room, and
    the next tuple overdraws. *)
-let fill_groups o (bids : int array array) (pids : int array array)
-    (same : int array) (group : int array) ~bits (m : int array) nm =
+let fill_groups o (bids : ints array) (pids : ints array) (same : int array)
+    (group : int array) ~bits (m : int array) nm =
   let rmask = (1 lsl bits) - 1 in
   for k = 0 to nm - 1 do
     let v = Array.unsafe_get m k in
@@ -574,16 +591,16 @@ let fill_groups o (bids : int array array) (pids : int array array)
     let g = min full (o.cap - n) in
     for c = 0 to Array.length pids - 1 do
       let dst = Array.unsafe_get o.ob c in
-      let id = Array.unsafe_get (Array.unsafe_get pids c) pi in
+      let id = Bigarray.Array1.unsafe_get (Array.unsafe_get pids c) pi in
       for x = n to n + g - 1 do
-        Array.unsafe_set dst x id
+        Bigarray.Array1.unsafe_set dst x id
       done
     done;
     for c = 0 to Array.length bids - 1 do
       let dst = Array.unsafe_get o.oa c and src = Array.unsafe_get bids c in
       let b = ref r in
       for x = n to n + g - 1 do
-        Array.unsafe_set dst x (Array.unsafe_get src !b);
+        Bigarray.Array1.unsafe_set dst x (Bigarray.Array1.unsafe_get src !b);
         b := Array.unsafe_get same !b
       done
     done;
@@ -689,7 +706,7 @@ let join_ints t ~(build : Intermediate.t) ~(probe : Intermediate.t) ~np
     | None, _ -> min 256 (min np room)
   in
   let bids = build.Intermediate.ids and pids = probe.Intermediate.ids in
-  let o = out_ids build probe cap in
+  let o = out_ids t.arena build probe cap in
   (match
      match matches with
      | Some (m, nm, _) when Option.is_none filter ->
@@ -780,7 +797,7 @@ let hash_join_coded t (la : Intermediate.t) (rb : Intermediate.t) ~conn
   let bcols, _, raised = key_columns t build (List.map fst terms) in
   Option.iter raise raised;
   let pcols, np, raised = key_columns t probe (List.map snd terms) in
-  let bk, pk = List.split (List.map2 Chunk.key_codes bcols pcols) in
+  let bk, pk = List.split (List.map2 (Chunk.key_codes t.arena) bcols pcols) in
   let inter =
     join_ints t ~build ~probe ~np ~build_is_left
       ~filter:(pair_filter t build probe filter_pids)
@@ -827,17 +844,18 @@ let sketch t =
     h
 
 (* The distinct row ids among tuples [0, card) of one instance's [ids],
-   in first-seen order, [n] of them: a byte per row of the instance's
-   base table ([rows] rows) marks the ids already taken. *)
-let distinct_ids (ids : int array) ~card ~rows =
+   in first-seen order, [n] of them, carved from the arena: a byte per
+   row of the instance's base table ([rows] rows) marks the ids already
+   taken. *)
+let distinct_ids (t : t) (ids : ints) ~card ~rows =
   let seen = Bytes.make rows '\000' in
-  let d = Array.make (min card rows) 0 in
+  let d = Chunk.carve t.arena (min card rows) in
   let n = ref 0 in
   for i = 0 to card - 1 do
-    let id = Array.unsafe_get ids i in
+    let id = Bigarray.Array1.unsafe_get ids i in
     if Bytes.unsafe_get seen id = '\000' then begin
       Bytes.unsafe_set seen id '\001';
-      Array.unsafe_set d !n id;
+      Bigarray.Array1.unsafe_set d !n id;
       incr n
     end
   done;
@@ -881,7 +899,7 @@ let stats_pass t (inter : Intermediate.t) =
           | Some (_, d, n) -> (d, n)
           | None ->
             let d, n =
-              distinct_ids ids ~card
+              distinct_ids t ids ~card
                 ~rows:(Table.cardinality (table_of t rel))
             in
             distinct := (rel, d, n) :: !distinct;
@@ -900,7 +918,7 @@ let stats_pass t (inter : Intermediate.t) =
             let ids, n = rows_of rel ids in
             for i = 0 to n - 1 do
               Hyperloglog.add_hash hll
-                (Column.value_hash col (Array.unsafe_get ids i))
+                (Column.value_hash col (Bigarray.Array1.unsafe_get ids i))
             done
           | None ->
             incr row_terms;
@@ -990,7 +1008,8 @@ let execute t expr =
       let inter = go ~is_root inner in
       ignore
         (run_node e Profile.Sigma (fun () ->
-             stats_pass t inter;
+             (* The distinct row ids die with the pass. *)
+             Chunk.scratch t.arena (fun () -> stats_pass t inter);
              inter));
       let card = float_of_int (Intermediate.cardinality inter) in
       cost := !cost +. card;

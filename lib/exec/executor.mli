@@ -8,7 +8,11 @@
 
     Intermediates are late-materialized ({!Intermediate}): a tuple is one
     base-row id per covered instance, so a join emits ints, not boxed
-    rows. Execution is batch-at-a-time over the base tables' cached typed
+    rows. Each executor carves every row id it writes from its own arena
+    ({!Chunk.arena}) of off-heap chunks, which {!release} returns to the
+    domain for the next executor: after a warm-up, materializing an
+    intermediate allocates no memory the GC manages or paces on.
+    Execution is batch-at-a-time over the base tables' cached typed
     columns ({!Monsoon_storage.Column}), read in place through the ids:
     identity-projection terms are evaluated directly against
     Bigarray-backed columns with selection vectors, every hash join runs
@@ -57,10 +61,12 @@ val create :
     sinks. With a packed context ([Monsoon_telemetry.Ctx.to_env]),
     per-operator tuple counters land in the context's registry
     ([exec.tuples_scanned]/[_built]/[_probed]/[_emitted],
-    [exec.sigma_objects], [exec.budget_spent]) and every [execute] call and
-    Σ pass emits a span ([exec.execute] with [objects]/[sigma_objects]
-    attributes — set even when the call raises {!Timeout} — and
-    [exec.sigma]).
+    [exec.sigma_objects], [exec.budget_spent]), the arena counts the
+    row-id chunks it had to allocate rather than borrow on
+    [exec.id_chunks_fresh] and the words it carved on
+    [exec.id_words_carved], and every [execute] call and Σ pass emits a
+    span ([exec.execute] with [objects]/[sigma_objects] attributes — set
+    even when the call raises {!Timeout} — and [exec.sigma]).
 
     With a live [profile] collector (default {!Profile.disabled}), every
     {!node} record additionally carries the node's operator profile —
@@ -121,6 +127,16 @@ val nodes : t -> node list
     order, including the node the call died in when it raised. *)
 
 val materialized : t -> Relset.t -> Intermediate.t option
+
+val release : t -> unit
+(** Empties the cache of intermediates and gives the executor's row-id
+    chunks back to the calling domain ({!Chunk.release}), for the next
+    executor there to reuse. Never read an intermediate of this executor
+    after its release: its ids then belong to whoever borrows the
+    chunks. [materialized] returns [None] after it, and the executor
+    stays usable: a later [execute] starts from an empty cache.
+
+    An executor that is never released leaves its chunks to the GC. *)
 
 val result_rows : t -> Expr.t -> Table.row array
 (** Rows of a previously executed expression, boxed on request

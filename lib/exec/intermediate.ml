@@ -6,7 +6,7 @@ type t = {
   offsets : int array;
   width : int;
   rels : int array;
-  ids : int array array;
+  ids : Column.ints array;
   card : int;
 }
 
@@ -23,18 +23,23 @@ let single q catalog ~ids ~card rel =
     card }
 
 let of_base q catalog ~ids rel =
-  single q catalog ~ids ~card:(Array.length ids) rel
+  single q catalog ~ids ~card:(Bigarray.Array1.dim ids) rel
 
 (* 0, 1, 2, ...: the ids of every unfiltered scan are a prefix of this one
    array, grown by doubling. Racing domains may each install a longer
    copy; every installed array is a valid identity, so any one serves. *)
-let identity = Atomic.make [||]
+let identity =
+  Atomic.make (Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0)
 
 let identity_prefix n =
   let a = Atomic.get identity in
-  if Array.length a >= n then a
+  if Bigarray.Array1.dim a >= n then a
   else begin
-    let a = Array.init (max n (2 * Array.length a)) Fun.id in
+    let m = max n (2 * Bigarray.Array1.dim a) in
+    let a = Bigarray.Array1.create Bigarray.int Bigarray.c_layout m in
+    for i = 0 to m - 1 do
+      Bigarray.Array1.unsafe_set a i i
+    done;
     Atomic.set identity a;
     a
   end
@@ -78,14 +83,14 @@ let rows q catalog t =
   let tables = Array.map (table_of q catalog) t.rels in
   let base = Array.map Table.rows tables in
   if Array.length t.rels = 1 then
-    Array.init t.card (fun i -> base.(0).(t.ids.(0).(i)))
+    Array.init t.card (fun i -> base.(0).(t.ids.(0).{i}))
   else begin
     let arity = Array.map (fun tbl -> Schema.arity (Table.schema tbl)) tables in
     Array.init t.card (fun i ->
         let row = Array.make t.width Value.Null in
         Array.iteri
           (fun k rel ->
-            Array.blit base.(k).(t.ids.(k).(i)) 0 row t.offsets.(rel) arity.(k))
+            Array.blit base.(k).(t.ids.(k).{i}) 0 row t.offsets.(rel) arity.(k))
           t.rels;
         row)
   end

@@ -2,10 +2,14 @@
 
     A tuple of an intermediate covering instances \{i, j, ...\} is one
     base-table row per covered instance. The intermediate stores it as row
-    ids: [ids.(k).(n)] is the row of instance [rels.(k)]'s base table in
-    tuple [n], so a tuple costs one int per instance. Columns are read
-    from the base tables through the ids ({!Chunk}); boxed rows exist only
-    when {!rows} builds them.
+    ids: [ids.(k).{n}] is the row of instance [rels.(k)]'s base table in
+    tuple [n], so a tuple costs one int per instance. The ids are Bigarray
+    views, off the OCaml heap: the executor that made the intermediate
+    carves them from its arena ({!Chunk.carve}), and they are valid until
+    that executor's {!Executor.release}, which hands their memory to the
+    next executor on the domain. Never read an intermediate after its
+    owner's release. Columns are read from the base tables through the
+    ids ({!Chunk}); boxed rows exist only when {!rows} builds them.
 
     The boxed layout {!rows} builds concatenates one full base row per
     instance, in a fixed per-intermediate order recorded in [offsets]; a
@@ -22,24 +26,25 @@ type t = private {
           layout; -1 when absent *)
   width : int;  (** boxed tuple width *)
   rels : int array;  (** covered instances, in layout order *)
-  ids : int array array;
-      (** [ids.(k).(i)] for [i < card]: the base row id of [rels.(k)] in
-          tuple [i]. Arrays may be longer than [card] and may be shared:
-          never mutate them. *)
+  ids : Column.ints array;
+      (** [ids.(k).{i}] for [i < card]: the base row id of [rels.(k)] in
+          tuple [i], valid until the owner's release. Arrays may be longer
+          than [card] and may be shared: never mutate them. *)
   card : int;  (** number of tuples *)
 }
 
-val of_base : Query.t -> Catalog.t -> ids:int array -> int -> t
-(** A single instance's rows [ids] of its base table (a filtered scan). *)
+val of_base : Query.t -> Catalog.t -> ids:Column.ints -> int -> t
+(** A single instance's rows [ids] of its base table (a filtered scan),
+    one tuple per element. *)
 
 val of_table : Query.t -> Catalog.t -> int -> t
 (** A single instance's whole base table (an unfiltered scan). Its ids
     are a prefix of one shared identity array, so the scan allocates no
     id per row. *)
 
-val identity_prefix : int -> int array
-(** An identity array ([a.(i) = i]) at least [n] long, shared: never
-    mutate it. *)
+val identity_prefix : int -> Column.ints
+(** An identity array ([a.{i} = i]) at least [n] long, shared and never
+    released: never mutate it. *)
 
 val cardinality : t -> int
 
@@ -52,7 +57,7 @@ val col_index : Query.t -> Catalog.t -> t -> rel:int -> col:string -> int
     [Not_found] for unknown columns and [Invalid_argument] if [rel] is not
     covered. *)
 
-val of_join : t -> t -> card:int -> ids:int array array -> t
+val of_join : t -> t -> card:int -> ids:Column.ints array -> t
 (** The join of two disjoint intermediates from its output row ids: [ids]
     holds one array per instance of the first, then one per instance of
     the second (each in its input's layout order), each at least [card]

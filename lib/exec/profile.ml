@@ -89,13 +89,13 @@ let add_repr t col =
 (* The gather rule: the label [Column.of_values] gives the values read.
    Only a Boxed column can differ from its own label: a Null-free subset
    of a Null-bearing int column labels as ints. *)
-let add_repr_read t ty col ids ~n =
+let add_repr_read t ty col (ids : Column.ints) ~n =
   if t.live then begin
     let label =
       match col with
       | Column.Boxed vs ->
         let rec agree i =
-          i = n || (Column.agrees ty vs.(ids.(i)) && agree (i + 1))
+          i = n || (Column.agrees ty vs.(ids.{i}) && agree (i + 1))
         in
         if not (agree 0) then "boxed"
         else begin

@@ -58,7 +58,7 @@ val add_batches : t -> int -> unit
 val add_repr : t -> Column.t -> unit
 (** Append the column's representation label to the input-slot mix. *)
 
-val add_repr_read : t -> Value.ty -> Column.t -> int array -> n:int -> unit
+val add_repr_read : t -> Value.ty -> Column.t -> Column.ints -> n:int -> unit
 (** [add_repr] for a column of declared type [ty] as read at the first
     [n] of [ids], by the gather rule: the label is the representation
     {!Column.of_values} gives the values read. Only a Boxed column's label

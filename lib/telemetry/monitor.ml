@@ -172,7 +172,8 @@ let preregister reg =
       "mcts.iterations"; "mcts.expansions"; "exec.tuples_scanned";
       "exec.tuples_built"; "exec.tuples_probed"; "exec.tuples_emitted";
       "exec.sigma_objects"; "exec.budget_spent"; "exec.fused_ops";
-      "exec.scalar_fallbacks"; "fault.injected";
+      "exec.scalar_fallbacks"; "exec.id_chunks_fresh"; "exec.id_words_carved";
+      "fault.injected";
       "mcts.transpositions"; "runner.cells"; "runner.retries";
       "runner.quarantined"; "monitor.ticks"; "server.requests"; "server.ok";
       "server.degraded"; "server.rejected"; "server.timeout"; "server.error";

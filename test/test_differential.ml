@@ -933,16 +933,16 @@ let test_sigma_repeated_ids () =
       let hash id = Value.hash rows.(id).(j) in
       let per_tuple = Monsoon_sketch.Hyperloglog.create ~p:14 () in
       for i = 0 to card - 1 do
-        Monsoon_sketch.Hyperloglog.add_hash per_tuple (hash ids.(i))
+        Monsoon_sketch.Hyperloglog.add_hash per_tuple (hash ids.{i})
       done;
       let seen = Array.make (Array.length rows) false in
       let once = Monsoon_sketch.Hyperloglog.create ~p:14 () in
       let n_ids = ref 0 in
       for i = 0 to card - 1 do
-        if not seen.(ids.(i)) then begin
-          seen.(ids.(i)) <- true;
+        if not seen.(ids.{i}) then begin
+          seen.(ids.{i}) <- true;
           incr n_ids;
-          Monsoon_sketch.Hyperloglog.add_hash once (hash ids.(i))
+          Monsoon_sketch.Hyperloglog.add_hash once (hash ids.{i})
         end
       done;
       let label = Printf.sprintf "term %d" tm.Term.id in

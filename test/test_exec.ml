@@ -212,7 +212,9 @@ let repr_label = function
 let read_label ty col ids ~n =
   let p = Profile.create () in
   Profile.reset p;
-  Profile.add_repr_read p ty col ids ~n;
+  Profile.add_repr_read p ty col
+    (Bigarray.Array1.of_array Bigarray.int Bigarray.c_layout ids)
+    ~n;
   (Option.get
      (Profile.finish p ~default_kind:Profile.Scan ~rows_out:0.0 ~budget:0.0
         ~complete:true ~seconds:0.0))
